@@ -2,14 +2,16 @@
 
 Coarsening is the other half of the multilevel partitioner's cost (FM
 refinement being the first, see ``bench_refine_kernels.py``). This bench
-drives the two coarsening kernels (:mod:`repro.partitioning.coarsen`)
-across the whole proxy corpus and gates on the claims the vectorisation
-makes:
+drives the shipped coarsening stages and the seed oracles they replaced
+(:mod:`repro.partitioning.coarsen`; oracles are called directly or
+swapped in by ``tests.oracles.reference_kernels``, production has no
+switch) across the whole proxy corpus and gates on the claims the
+vectorisation makes:
 
 1. **bit identity** — checked at every granularity: the matching vector
    of ``handshake_matching``, the coarse CSR arrays of ``contract``, the
    full ``coarsen_to`` level stack (graphs and cmaps), a k-way
-   ``partition_matrix`` per corpus matrix under each kernel, and the
+   ``partition_matrix`` per corpus matrix both ways, and the
    hypergraph path (``hcoarsen_to`` stack + hp partition) on the
    hypergraph-partitioned corpus entries;
 2. **speedup** — aggregate ``sum(reference) / sum(vector)`` time of
@@ -44,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # tests.oracles: the reference-kernel switch
 OUT_PATH = REPO_ROOT / "BENCH_coarsen.json"
 
 AGGREGATE_GATE = 3.0
@@ -96,10 +99,17 @@ def run(smoke: bool) -> tuple[list[str], dict]:
     from repro.generators import load_corpus_matrix, rmat
     from repro.generators.corpus import corpus_names
     from repro.partitioning import partition_matrix
-    from repro.partitioning.coarsen import coarsen_to, contract, handshake_matching
+    from repro.partitioning.coarsen import (
+        _contract_reference,
+        _handshake_matching_reference,
+        coarsen_to,
+        contract,
+        handshake_matching,
+    )
     from repro.partitioning.hcoarsen import hcoarsen_to
     from repro.partitioning.hypergraph import Hypergraph
     from repro.partitioning.partgraph import PartGraph
+    from tests.oracles import reference_kernels
 
     if smoke:
         matrices = {
@@ -124,13 +134,13 @@ def run(smoke: bool) -> tuple[list[str], dict]:
 
         # stage identity + timing on the finest level (the widest one)
         matches = {}
-        for kern in ("reference", "vector"):
+        for kern, match_fn in (
+            ("reference", _handshake_matching_reference),
+            ("vector", handshake_matching),
+        ):
             times["match"][kern] = _best_of(
-                lambda k=kern: matches.__setitem__(
-                    k,
-                    handshake_matching(
-                        g, np.random.default_rng(0), max_vertex_weight=max_w, kernel=k
-                    ),
+                lambda k=kern, fn=match_fn: matches.__setitem__(
+                    k, fn(g, np.random.default_rng(0), max_vertex_weight=max_w)
                 )
             )
         match_identical = bool(np.array_equal(matches["reference"], matches["vector"]))
@@ -141,9 +151,9 @@ def run(smoke: bool) -> tuple[list[str], dict]:
             )
 
         coarse = {}
-        for kern in ("reference", "vector"):
+        for kern, contract_fn in (("reference", _contract_reference), ("vector", contract)):
             times["contract"][kern] = _best_of(
-                lambda k=kern: coarse.__setitem__(k, contract(g, matches["vector"], kernel=k))
+                lambda k=kern, fn=contract_fn: coarse.__setitem__(k, fn(g, matches["vector"]))
             )
         contract_identical = bool(
             _graphs_equal(coarse["reference"][0], coarse["vector"][0])
@@ -154,21 +164,21 @@ def run(smoke: bool) -> tuple[list[str], dict]:
 
         # whole-stack identity + timing (what the partitioner actually runs)
         stacks = {}
-        for kern in ("reference", "vector"):
-            times["coarsen"][kern] = _best_of(
-                lambda k=kern: stacks.__setitem__(
-                    k, coarsen_to(g, 64, np.random.default_rng(0), kernel=k)
-                )
-            )
+
+        def build_stack(kern):
+            stacks[kern] = coarsen_to(g, 64, np.random.default_rng(0))
+
+        with reference_kernels():
+            times["coarsen"]["reference"] = _best_of(lambda: build_stack("reference"))
+        times["coarsen"]["vector"] = _best_of(lambda: build_stack("vector"))
         stack_identical = _stacks_equal(stacks["reference"], stacks["vector"])
         if not stack_identical:
             failures.append(f"{name}: coarsen_to level stacks diverge")
 
-        # full-pipeline identity: k-way partition under each kernel
-        parts = {
-            kern: partition_matrix(A, NPARTS, method="gp", seed=0, coarsen_kernel=kern).part
-            for kern in ("reference", "vector")
-        }
+        # full-pipeline identity: k-way partition on the oracles vs production
+        parts = {"vector": partition_matrix(A, NPARTS, method="gp", seed=0).part}
+        with reference_kernels():
+            parts["reference"] = partition_matrix(A, NPARTS, method="gp", seed=0).part
         partition_identical = bool(np.array_equal(parts["reference"], parts["vector"]))
         if not partition_identical:
             failures.append(
@@ -179,18 +189,15 @@ def run(smoke: bool) -> tuple[list[str], dict]:
         hp_identical = None
         if name in hp_names:
             hg = Hypergraph.from_matrix_column_net(A, vertex_weights="nnz")
-            hstacks = {
-                kern: hcoarsen_to(hg, 64, np.random.default_rng(0), kernel=kern)
-                for kern in ("reference", "vector")
-            }
+            hstacks = {"vector": hcoarsen_to(hg, 64, np.random.default_rng(0))}
+            hparts = {"vector": partition_matrix(A, NPARTS, method="hp", seed=0).part}
+            with reference_kernels():
+                hstacks["reference"] = hcoarsen_to(hg, 64, np.random.default_rng(0))
+                hparts["reference"] = partition_matrix(A, NPARTS, method="hp", seed=0).part
             hstack_ok = len(hstacks["reference"]) == len(hstacks["vector"]) and all(
                 np.array_equal(ca, cb)
                 for (_, ca), (_, cb) in zip(hstacks["reference"][1:], hstacks["vector"][1:])
             )
-            hparts = {
-                kern: partition_matrix(A, NPARTS, method="hp", seed=0, coarsen_kernel=kern).part
-                for kern in ("reference", "vector")
-            }
             hp_identical = bool(
                 hstack_ok and np.array_equal(hparts["reference"], hparts["vector"])
             )

@@ -7,9 +7,8 @@ process. This bench measures and gates that claim in three stages:
 **Identity** (per corpus matrix, at the paper's 2D method):
 
 * the vectorized :class:`~repro.runtime.distmatrix.DistSparseMatrix`
-  assembly kernels produce bit-identical blocks, maps, and ``spmv``
-  output to the retained reference loops (the PR-5/6 dual-kernel
-  contract);
+  assembly produces bit-identical blocks, maps, and ``spmv`` output to
+  the retained per-rank oracle (``_assemble_blocks_reference``);
 * an engine round-tripped through the store — saved, then reconstructed
   from the zero-copy mmap reader — produces bit-identical ``spmv`` *and*
   ``spmm`` output to the compiled original.
@@ -62,12 +61,18 @@ PROCS = 16
 
 
 def _kernel_identity(A, layout, machine) -> list[str]:
-    """Vector-vs-reference assembly kernels: blocks, maps, spmv bits."""
+    """Vectorised assembly vs the per-rank oracle: blocks, maps, spmv bits."""
     from repro.runtime import DistSparseMatrix
+    from repro.runtime.distmatrix import _assemble_blocks_reference, _rank_local_coo
 
     fails: list[str] = []
-    dv = DistSparseMatrix(A, layout, machine, kernel="vector")
-    dr = DistSparseMatrix(A, layout, machine, kernel="reference")
+    dv = DistSparseMatrix(A, layout, machine)
+    _, *intermediates = _rank_local_coo(dv.A_global, layout)
+    # the oracle's blocks, compiled by the same (lazy) engine
+    dr = DistSparseMatrix(A, layout, machine)
+    dr.row_maps, dr.col_maps, dr.local_blocks = _assemble_blocks_reference(
+        *intermediates
+    )
     for r in range(dv.nprocs):
         if not np.array_equal(dv.row_maps[r], dr.row_maps[r]):
             fails.append(f"rank {r}: row map differs between kernels")

@@ -7,8 +7,8 @@ make that safe to ship:
 
 **Bit-identity** (per corpus matrix, at the paper's 2D method, at every
 thread budget in 1/2/4/8): ``spmv``, ``spmm``, ``spmv_with_partials``
-and the ABFT checksum arrays produced by the ``threaded`` kernel equal
-the retained ``serial`` fused-multiply oracle **exactly** —
+and the ABFT checksum arrays produced by the threaded apply equal
+the serial fused-multiply oracle (a budget of 1) **exactly** —
 ``np.array_equal``, never a tolerance.
 
 **Balance** (the headline gate): per-block multiply times are measured
@@ -107,23 +107,21 @@ def _identity_at(engine, budget: int, baseline: dict) -> list[str]:
 
 
 def _serial_baseline(engine, rng) -> dict:
-    """Oracle outputs from the fused serial kernel, plus the inputs."""
-    from repro.runtime.threads import use_kernel
-
+    """Oracle outputs from the fused serial apply (budget 1), plus the inputs."""
     x = rng.standard_normal(engine.n)
     X = rng.standard_normal((engine.n, 8))
-    with use_kernel("serial"):
-        y, partials = engine.spmv_with_partials(x)
-        check = engine.abft_check(x, partials, y)
-        return {
-            "x": x,
-            "X": X,
-            "spmv": engine.spmv(x),
-            "spmm": engine.spmm(X),
-            "partials": partials,
-            "abft_disc": check.rank_discrepancy,
-            "abft_thr": check.rank_threshold,
-        }
+    engine.set_threads(1)
+    y, partials = engine.spmv_with_partials(x)
+    check = engine.abft_check(x, partials, y)
+    return {
+        "x": x,
+        "X": X,
+        "spmv": engine.spmv(x),
+        "spmm": engine.spmm(X),
+        "partials": partials,
+        "abft_disc": check.rank_discrepancy,
+        "abft_thr": check.rank_threshold,
+    }
 
 
 def _replay(engine, k: int, reps: int, rng) -> dict[int, dict]:

@@ -2,13 +2,16 @@
 
 The multilevel partitioner is the dominant end-to-end cost of every sweep
 in this repo, and FM refinement is its inner loop. This bench drives the
-two FM pass kernels (see :mod:`repro.partitioning.refine`) across the
-whole proxy corpus and gates on the two claims the vectorisation makes:
+shipped FM passes and the seed pass they replaced (see
+:mod:`repro.partitioning.refine`; the oracle is swapped in by
+``tests.oracles.reference_kernels``, production has no switch) across
+the whole proxy corpus and gates on the two claims the vectorisation
+makes:
 
 1. **bit identity** — the vector kernel replays the reference kernel's
    exact move sequence. Checked twice: ``fm_refine`` on a random bisection
    of every corpus matrix, and a full k-way ``partition_matrix`` per
-   corpus matrix under each kernel (coarsening, initial partitions and
+   corpus matrix both ways (coarsening, initial partitions and
    every projection level in the loop);
 2. **speedup** — aggregate ``sum(reference) / sum(vector)`` time of the
    refinement stage must be at least 3x (full mode only).
@@ -36,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # tests.oracles: the reference-kernel switch
 OUT_PATH = REPO_ROOT / "BENCH_refine.json"
 
 SPEEDUP_GATE = 3.0
@@ -58,7 +62,8 @@ def run(smoke: bool) -> tuple[list[str], dict]:
     from repro.partitioning import partition_matrix
     from repro.partitioning.initial import random_bisection
     from repro.partitioning.partgraph import PartGraph
-    from repro.partitioning.refine import fm_refine, use_kernel
+    from repro.partitioning.refine import fm_refine
+    from tests.oracles import reference_kernels
 
     if smoke:
         matrices = {
@@ -80,9 +85,11 @@ def run(smoke: bool) -> tuple[list[str], dict]:
         # case for FM: huge boundary, long move sequences)
         out = {}
         times = {}
-        for kern in ("reference", "vector"):
-            p0 = part0.copy()
-            times[kern] = _best_of(lambda: out.__setitem__(kern, fm_refine(g, p0, kernel=kern)))
+        with reference_kernels():
+            times["reference"] = _best_of(
+                lambda: out.__setitem__("reference", fm_refine(g, part0))
+            )
+        times["vector"] = _best_of(lambda: out.__setitem__("vector", fm_refine(g, part0)))
         refine_identical = bool(np.array_equal(out["reference"], out["vector"]))
         if not refine_identical:
             failures.append(
@@ -90,11 +97,10 @@ def run(smoke: bool) -> tuple[list[str], dict]:
                 f"{int(np.sum(out['reference'] != out['vector']))} of {g.n} vertices"
             )
 
-        # full-pipeline identity: k-way partition under each kernel
-        parts = {}
-        for kern in ("reference", "vector"):
-            with use_kernel(kern):
-                parts[kern] = partition_matrix(A, NPARTS, method="gp", seed=0).part
+        # full-pipeline identity: k-way partition on the oracles vs production
+        parts = {"vector": partition_matrix(A, NPARTS, method="gp", seed=0).part}
+        with reference_kernels():
+            parts["reference"] = partition_matrix(A, NPARTS, method="gp", seed=0).part
         partition_identical = bool(np.array_equal(parts["reference"], parts["vector"]))
         if not partition_identical:
             failures.append(

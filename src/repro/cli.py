@@ -117,20 +117,15 @@ def _cmd_partition(args) -> int:
     from .partitioning import partition_matrix
 
     A = _load(args.matrix)
-    kwargs = {}
-    if args.coarsen_kernel is not None:
-        kwargs["coarsen_kernel"] = args.coarsen_kernel
     if args.profile:
         with perf.profile() as prof:
             res = partition_matrix(
-                A, args.nparts, method=args.method, seed=args.seed, jobs=args.jobs,
-                **kwargs,
+                A, args.nparts, method=args.method, seed=args.seed, jobs=args.jobs
             )
     else:
         prof = None
         res = partition_matrix(
-            A, args.nparts, method=args.method, seed=args.seed, jobs=args.jobs,
-            **kwargs,
+            A, args.nparts, method=args.method, seed=args.seed, jobs=args.jobs
         )
     print(f"method     {res.method}")
     print(f"parts      {res.nparts}")
@@ -654,9 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="print a phase-time breakdown (coarsen/initial/refine/project, "
                         "with per-level match/contract under coarsen)")
-    p.add_argument("--coarsen-kernel", choices=("vector", "reference"), default=None,
-                   help="coarsening kernel for matching/contraction (default: vector; "
-                        "both produce bit-identical partitions)")
     p.set_defaults(fn=_cmd_partition)
 
     default_methods = ["1d-block", "1d-random", "1d-gp", "2d-block", "2d-random", "2d-gp"]

@@ -14,8 +14,7 @@ parallel recursive bisection
     ``hkway._split``), children are submitted as soon as their parent
     completes, and per-subtree seeds derive from the same pure function
     of tree position the serial recursion uses
-    (:func:`repro.partitioning._util.child_seeds`, which also offers a
-    collision-free ``SeedSequence.spawn`` scheme). Completion order
+    (:func:`repro.partitioning._util.child_seeds`). Completion order
     therefore cannot influence the result: parallel part vectors are
     **bit-identical** to serial ones, and the serial path remains the
     default and the reference.
@@ -284,7 +283,6 @@ def _drive_rb(
     ub_level: float,
     seed,
     executor: Executor,
-    seed_scheme: str,
     extra,
     kwargs: dict,
     trace: list | None = None,
@@ -322,7 +320,7 @@ def _drive_rb(
                     "deps": [dep] if dep else [],
                     "cpu": cpu,
                 })
-            s_left, s_right = child_seeds(sd, seed_scheme)
+            s_left, s_right = child_seeds(sd)
             dispatch(left, vertices[bis == 0], lo, k0, s_left, path + "0")
             dispatch(right, vertices[bis == 1], lo + k0, k - k0, s_right, path + "1")
     return part
@@ -335,7 +333,6 @@ def parallel_recursive_bisection(
     seed=0,
     jobs: int | None = None,
     executor: Executor | None = None,
-    seed_scheme: str = "legacy",
     trace: list | None = None,
     trace_label: str = "rb",
     root_dep: str | None = None,
@@ -343,8 +340,8 @@ def parallel_recursive_bisection(
 ) -> np.ndarray:
     """Process-pool :func:`repro.partitioning.recursive_bisection`.
 
-    Bit-identical to the serial path for every (graph, nparts, seed,
-    seed_scheme): same per-level tolerance, same node splits, same
+    Bit-identical to the serial path for every (graph, nparts, seed):
+    same per-level tolerance, same node splits, same
     subtree seeds, same final k-way balance repair. With ``jobs`` <= 1
     and no executor it simply calls the serial reference.
     """
@@ -354,9 +351,7 @@ def parallel_recursive_bisection(
         return np.zeros(g.n, dtype=np.int64)
     njobs = resolve_jobs(jobs)
     if executor is None and njobs <= 1:
-        return kway.recursive_bisection(
-            g, nparts, ub=ub, seed=seed, seed_scheme=seed_scheme, **bisect_kwargs
-        )
+        return kway.recursive_bisection(g, nparts, ub=ub, seed=seed, **bisect_kwargs)
     depth = int(np.ceil(np.log2(nparts)))
     ub_level = float(ub) ** (1.0 / depth)
     own_pool = executor is None
@@ -369,7 +364,7 @@ def parallel_recursive_bisection(
     )
     try:
         part = _drive_rb(
-            "gp", g, nparts, ub_level, seed, pool, seed_scheme, None,
+            "gp", g, nparts, ub_level, seed, pool, None,
             bisect_kwargs, trace, trace_label, root_dep,
         )
     finally:
@@ -386,7 +381,6 @@ def parallel_hypergraph_recursive_bisection(
     seed=0,
     jobs: int | None = None,
     executor: Executor | None = None,
-    seed_scheme: str = "legacy",
     trace: list | None = None,
     trace_label: str = "hrb",
     root_dep: str | None = None,
@@ -400,7 +394,7 @@ def parallel_hypergraph_recursive_bisection(
     njobs = resolve_jobs(jobs)
     if executor is None and njobs <= 1:
         return hkway.hypergraph_recursive_bisection(
-            hg, nparts, ub=ub, seed=seed, seed_scheme=seed_scheme, **bisect_kwargs
+            hg, nparts, ub=ub, seed=seed, **bisect_kwargs
         )
     depth = int(np.ceil(np.log2(nparts)))
     ub_level = float(ub) ** (1.0 / depth)
@@ -415,7 +409,7 @@ def parallel_hypergraph_recursive_bisection(
     )
     try:
         part = _drive_rb(
-            "hp", hg, nparts, ub_level, seed, pool, seed_scheme, ideal,
+            "hp", hg, nparts, ub_level, seed, pool, ideal,
             bisect_kwargs, trace, trace_label, root_dep,
         )
     finally:
@@ -455,7 +449,7 @@ def _finalize_task(A, kind: str, part: np.ndarray, nparts: int, ub: float):
     return check_part_vector(part, A.shape[0], nparts), time.process_time() - t0
 
 
-def _sweep_one(name, A, kind, nparts, seed, ub, pool, seed_scheme, trace, out):
+def _sweep_one(name, A, kind, nparts, seed, ub, pool, trace, out):
     """Orchestrate one matrix's partition pipeline (runs in a thread).
 
     Mirrors :func:`repro.partitioning.partition_matrix` exactly — build,
@@ -470,10 +464,10 @@ def _sweep_one(name, A, kind, nparts, seed, ub, pool, seed_scheme, trace, out):
     rb_ub = float(ub) ** (1.0 / depth)
     if kind == "hp":
         extra = built.total_weight()[0] / nparts
-        part = _drive_rb("hp", built, nparts, rb_ub, seed, pool, seed_scheme,
+        part = _drive_rb("hp", built, nparts, rb_ub, seed, pool,
                          extra, {}, trace, name, f"{name}:build")
     else:
-        part = _drive_rb("gp", built, nparts, rb_ub, seed, pool, seed_scheme,
+        part = _drive_rb("gp", built, nparts, rb_ub, seed, pool,
                          None, {}, trace, name, f"{name}:build")
     tree_ids = [t["id"] for t in trace if t["id"].startswith(f"{name}:r")] if trace is not None else []
     part, cpu = pool.submit(_finalize_task, A, kind, part, nparts, ub).result()
@@ -487,7 +481,6 @@ def parallel_partition_sweep(
     jobs: int | None = None,
     seed: int = 0,
     ub: float = 1.10,
-    seed_scheme: str = "legacy",
     trace: list | None = None,
 ) -> dict[str, np.ndarray]:
     """Partition many matrices concurrently over one shared process pool.
@@ -516,7 +509,7 @@ def parallel_partition_sweep(
         threads = [
             Thread(
                 target=_sweep_one,
-                args=(name, A, kind, nparts, seed, ub, pool, seed_scheme, trace, out),
+                args=(name, A, kind, nparts, seed, ub, pool, trace, out),
                 name=f"sweep-{name}",
             )
             for name, A, kind, nparts in specs

@@ -14,38 +14,19 @@ __all__ = [
     "child_seeds",
 ]
 
-#: Seed-derivation schemes for the recursive-bisection tree.
-SEED_SCHEMES = ("legacy", "spawn")
-
-
-def child_seeds(seed, scheme: str = "legacy") -> tuple:
+def child_seeds(seed: int) -> tuple[int, int]:
     """Derive the two subtree seeds of a recursive-bisection node.
 
-    ``"legacy"`` is the heap-numbering walk (``2s+1``, ``2s+2``) the
-    partitioners have always used; it is what every golden snapshot and
-    cached partition was generated under, so it stays the default. Its
-    weakness is cross-root collisions: the left child of root seed 1 and
-    the root of seed 3 share a stream.
-
-    ``"spawn"`` derives children with ``np.random.SeedSequence.spawn``,
-    giving collision-free streams keyed by tree position. The root is
-    unchanged (``default_rng(s)`` and ``default_rng(SeedSequence(s))``
-    are the same generator), so k=2 partitions agree between schemes.
-
-    Both schemes are pure functions of (seed, tree position): the serial
+    The heap-numbering walk (``2s+1``, ``2s+2``) the partitioners have
+    always used; every golden snapshot and cached partition was generated
+    under it. It is a pure function of (seed, tree position): the serial
     recursion and the process-pool driver in :mod:`repro.parallel` derive
     identical seeds for identical subtrees, which is what makes parallel
-    partitions bit-identical to serial ones.
+    partitions bit-identical to serial ones. Known weakness: cross-root
+    collisions — the left child of root seed 1 and the root of seed 3
+    share a stream.
     """
-    if scheme == "legacy":
-        if isinstance(seed, np.random.SeedSequence):
-            raise TypeError("legacy seed scheme needs an integer seed")
-        return seed * 2 + 1, seed * 2 + 2
-    if scheme == "spawn":
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        left, right = ss.spawn(2)
-        return left, right
-    raise ValueError(f"unknown seed scheme {scheme!r}; choose from {SEED_SCHEMES}")
+    return seed * 2 + 1, seed * 2 + 2
 
 
 def segment_argmax(values: np.ndarray, xadj: np.ndarray) -> np.ndarray:

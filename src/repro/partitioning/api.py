@@ -88,7 +88,7 @@ def partition_matrix(
         reference path; results are bit-identical either way.
     kwargs:
         Forwarded to the bisection driver (``min_coarse``, ``n_initial``,
-        ``refine_passes``, ``seed_scheme``, ``coarsen_kernel``).
+        ``refine_passes``).
     """
     if method not in PARTITION_METHODS:
         if method == "hp-mc":

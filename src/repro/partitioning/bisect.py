@@ -34,7 +34,6 @@ def multilevel_bisect(
     min_coarse: int = 120,
     n_initial: int = 4,
     refine_passes: int = 3,
-    coarsen_kernel: str | None = None,
 ) -> np.ndarray:
     """Bisect *g* into parts {0, 1} with target weight fractions.
 
@@ -54,10 +53,6 @@ def multilevel_bisect(
         Stop coarsening below this many vertices.
     n_initial:
         Number of greedy-graph-growing starts to try.
-    coarsen_kernel:
-        Coarsening kernel ("vector"/"reference"); ``None`` uses the module
-        default (see :func:`repro.partitioning.coarsen.use_kernel`). Both
-        kernels produce bit-identical partitions.
     """
     if abs(sum(target_fracs) - 1.0) > 1e-9:
         raise ValueError(f"target fractions must sum to 1, got {target_fracs}")
@@ -68,7 +63,7 @@ def multilevel_bisect(
     rng = np.random.default_rng(seed)
 
     with perf.phase("coarsen"):
-        levels = coarsen_to(g, min_coarse, rng, kernel=coarsen_kernel)
+        levels = coarsen_to(g, min_coarse, rng)
     gc = levels[-1][0]
     allow_c = balance_allowance(gc, target_fracs, ub)
 

@@ -7,36 +7,29 @@ loop vectorises poorly, so we use the standard parallel relaxation —
 *handshake matching*: every unmatched vertex points at its heaviest
 unmatched neighbour; mutual pointers form matches; repeat a few rounds.
 
-Two kernels implement each coarsening stage (the pattern proven on FM
-refinement, see :mod:`repro.partitioning.refine`):
-
-* ``"vector"`` (default) — matching hoists the loop-invariant
-  ``adjwgt + jitter`` keys, compacts every round onto the shrinking
-  unmatched frontier (round 1 is the only full-width round; later rounds
-  touch only still-unmatched CSR slices) and replaces the lexsort-based
-  segment argmax with the reduceat form
-  (:func:`repro.partitioning._util.segment_argmax_last`); contraction
-  replaces the scipy ``P^T W P`` triple product with one sort-based edge
-  relabel + run-length segment sum over ``(cmap[src], cmap[dst])`` keys,
-  and seeds the coarse graph's memoized derived state (adjacency matrix,
-  edge sources) from construction by-products so the next level's
-  matching and refinement skip their first-touch rebuilds;
-* ``"reference"`` — the seed implementations kept verbatim as the
-  bit-identity oracle and timing baseline.
-
-Both kernels are bit-identical by contract: same matching, same coarse
-CSR arrays, same partitions all the way up — which
-``benchmarks/bench_coarsen_kernels.py`` gates across the whole corpus.
-The vector contraction relies on
+Matching hoists the loop-invariant ``adjwgt + jitter`` keys, compacts
+every round onto the shrinking unmatched frontier (round 1 is the only
+full-width round; later rounds touch only still-unmatched CSR slices) and
+uses the reduceat segment argmax
+(:func:`repro.partitioning._util.segment_argmax_last`). Contraction is one
+sort-based edge relabel + run-length segment sum over
+``(cmap[src], cmap[dst])`` keys, and seeds the coarse graph's memoized
+derived state (adjacency matrix, edge sources) from construction
+by-products so the next level's matching and refinement skip their
+first-touch rebuilds. It relies on
 :meth:`~repro.partitioning.partgraph.PartGraph.exactly_summable_weights`
 (edge-weight sums are order-independent in float64 for the integer
 weights every graph in this package carries); graphs without that
-guarantee fall back to the reference contraction automatically.
+guarantee are contracted by the scipy ``P^T W P`` triple product
+(:func:`_contract_reference`).
+
+The seed implementations (:func:`_handshake_matching_reference`,
+:func:`_contract_reference`) stay as the bit-identity oracles the tests
+and the coarsening bench under ``benchmarks/`` call directly: same
+matching, same coarse CSR arrays, same partitions all the way up.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,41 +43,7 @@ __all__ = [
     "contract",
     "coarsen_level",
     "coarsen_to",
-    "use_kernel",
-    "COARSEN_KERNELS",
 ]
-
-#: Coarsening kernels (matching + contraction + the hypergraph stages in
-#: :mod:`repro.partitioning.hcoarsen`); module default is the vectorised one.
-COARSEN_KERNELS = ("vector", "reference")
-_DEFAULT_KERNEL = "vector"
-
-
-@contextmanager
-def use_kernel(kernel: str):
-    """Temporarily switch the module-default coarsening kernel (bench/test A/B).
-
-    Covers every stage behind the switch: graph matching and contraction
-    here, similarity graph and hypergraph contraction in
-    :mod:`repro.partitioning.hcoarsen`.
-    """
-    global _DEFAULT_KERNEL
-    if kernel not in COARSEN_KERNELS:
-        raise ValueError(f"unknown coarsen kernel {kernel!r}; choose from {COARSEN_KERNELS}")
-    prev = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = kernel
-    try:
-        yield
-    finally:
-        _DEFAULT_KERNEL = prev
-
-
-def _resolve_kernel(kernel: str | None) -> str:
-    """Validate *kernel*, defaulting to the module switch."""
-    kernel = kernel if kernel is not None else _DEFAULT_KERNEL
-    if kernel not in COARSEN_KERNELS:
-        raise ValueError(f"unknown coarsen kernel {kernel!r}; choose from {COARSEN_KERNELS}")
-    return kernel
 
 
 def handshake_matching(
@@ -92,7 +51,6 @@ def handshake_matching(
     rng: np.random.Generator,
     rounds: int = 4,
     max_vertex_weight: np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Heavy-edge handshake matching.
 
@@ -101,13 +59,9 @@ def handshake_matching(
     given, pairs whose combined primary weight would exceed it are not
     matched — this keeps giant coarse vertices (hubs absorbing everything)
     from destroying balance options later, the scale-free pitfall noted by
-    Abou-Rjeili & Karypis [3]. ``kernel`` selects the implementation
-    (``"vector"``/``"reference"``, default the module kernel, see
-    :func:`use_kernel`); both produce bit-identical matchings.
+    Abou-Rjeili & Karypis [3].
     """
-    if _resolve_kernel(kernel) == "vector":
-        return _handshake_matching_vector(g, rng, rounds, max_vertex_weight)
-    return _handshake_matching_reference(g, rng, rounds, max_vertex_weight)
+    return _handshake_matching_vector(g, rng, rounds, max_vertex_weight)
 
 
 def _handshake_matching_reference(
@@ -386,18 +340,14 @@ def _coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
     return cmap[rep], int(is_rep.sum())
 
 
-def contract(
-    g: PartGraph, match: np.ndarray, kernel: str | None = None
-) -> tuple[PartGraph, np.ndarray]:
+def contract(g: PartGraph, match: np.ndarray) -> tuple[PartGraph, np.ndarray]:
     """Contract matched pairs into coarse vertices.
 
     Returns the coarse graph and ``cmap`` (fine vertex -> coarse vertex).
     Coarse edge weights are the summed fine weights between clusters;
     internal edges vanish (they become coarse self-loops and are dropped).
-    ``kernel`` selects the implementation (``"vector"``/``"reference"``,
-    default the module kernel); both produce bit-identical coarse graphs.
     """
-    if _resolve_kernel(kernel) == "vector" and g.exactly_summable_weights():
+    if g.exactly_summable_weights():
         return _contract_vector(g, match)
     return _contract_reference(g, match)
 
@@ -527,13 +477,12 @@ def coarsen_level(
     g: PartGraph,
     rng: np.random.Generator,
     max_vertex_weight: np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> tuple[PartGraph, np.ndarray]:
     """One coarsening level: match then contract (each a profiler phase)."""
     with perf.phase("match"):
-        match = handshake_matching(g, rng, max_vertex_weight=max_vertex_weight, kernel=kernel)
+        match = handshake_matching(g, rng, max_vertex_weight=max_vertex_weight)
     with perf.phase("contract"):
-        return contract(g, match, kernel=kernel)
+        return contract(g, match)
 
 
 def coarsen_to(
@@ -542,7 +491,6 @@ def coarsen_to(
     rng: np.random.Generator,
     max_weight_fraction: float = 0.25,
     min_shrink: float = 0.95,
-    kernel: str | None = None,
 ) -> list[tuple[PartGraph, np.ndarray | None]]:
     """Coarsen until fewer than *min_vertices* vertices remain.
 
@@ -552,15 +500,13 @@ def coarsen_to(
     stalled, typical for star-like scale-free cores).
 
     ``max_weight_fraction`` bounds any coarse vertex to that fraction of
-    total weight so bisection balance stays achievable. ``kernel`` selects
-    the matching/contraction implementation for every level (see
-    :func:`use_kernel`).
+    total weight so bisection balance stays achievable.
     """
     levels: list[tuple[PartGraph, np.ndarray | None]] = [(g, None)]
     max_w = g.total_weight() * max_weight_fraction
     while levels[-1][0].n > min_vertices:
         cur = levels[-1][0]
-        gc, cmap = coarsen_level(cur, rng, max_vertex_weight=max_w, kernel=kernel)
+        gc, cmap = coarsen_level(cur, rng, max_vertex_weight=max_w)
         if gc.n >= cur.n * min_shrink:
             break
         levels.append((gc, cmap))

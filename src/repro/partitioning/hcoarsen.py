@@ -8,19 +8,12 @@ excludes very large nets — a hub column with thousands of pins would
 otherwise create a quadratic-size similarity clique while carrying almost
 no matching signal. Matching on S reuses the graph handshake matcher.
 
-Both hypergraph stages run behind the same kernel switch as the graph
-stages (:data:`repro.partitioning.coarsen.COARSEN_KERNELS`):
-
-* ``"vector"`` — :func:`similarity_graph` builds the scaled incidence
-  directly from the kept rows' CSR arrays instead of the intermediate
-  ``diags @ Hs`` matmul; :func:`hcontract` relabels pins with one sorted
-  packed-key pass (net id, coarse pin) instead of the ``H @ P`` sparse
-  matmul;
-* ``"reference"`` — the seed scipy implementations kept verbatim as the
-  bit-identity oracle.
-
-Both produce bit-identical coarse hypergraphs; the full-corpus gate lives
-in ``benchmarks/bench_coarsen_kernels.py``.
+:func:`similarity_graph` builds the scaled incidence directly from the
+kept rows' CSR arrays (no intermediate ``diags @ Hs`` matmul);
+:func:`hcontract` relabels pins with one sorted packed-key pass (net id,
+coarse pin). The seed ``H @ P`` contraction stays as
+:func:`_hcontract_reference`, the bit-identity oracle the tests and
+the coarsening bench under ``benchmarks/`` call directly.
 """
 
 from __future__ import annotations
@@ -30,22 +23,15 @@ import scipy.sparse as sp
 
 from .. import perf
 from ..graphs.csr import as_csr
-from .coarsen import _resolve_kernel, handshake_matching
+from .coarsen import _coarse_map, handshake_matching
 from .hypergraph import Hypergraph
 from .partgraph import PartGraph
 
 __all__ = ["similarity_graph", "hcontract", "hcoarsen_level", "hcoarsen_to"]
 
 
-def similarity_graph(
-    hg: Hypergraph, max_net_size: int = 50, kernel: str | None = None
-) -> PartGraph:
-    """Vertex-similarity graph weighted by shared-net overlap.
-
-    ``kernel`` selects the implementation (``"vector"``/``"reference"``,
-    default the module kernel in :mod:`repro.partitioning.coarsen`); both
-    produce bit-identical similarity graphs.
-    """
+def similarity_graph(hg: Hypergraph, max_net_size: int = 50) -> PartGraph:
+    """Vertex-similarity graph weighted by shared-net overlap."""
     sizes = hg.net_sizes()
     keep = (sizes >= 2) & (sizes <= max_net_size)
     Hs = hg.H[keep]
@@ -56,28 +42,16 @@ def similarity_graph(
         return PartGraph.from_scipy(empty, hg.vwgt)
     w = 1.0 / np.maximum(sizes[keep] - 1, 1)
     scale = np.sqrt(w * hg.netwgt[keep])
-    if _resolve_kernel(kernel) == "vector":
-        # diags(scale) @ Hs multiplies every (binary) pin entry of row e by
-        # scale[e]: with data 1.0 the products are exactly scale[e], so the
-        # scaled incidence can be assembled from Hs's own CSR arrays with a
-        # repeat — same pattern, bit-equal data, no SpGEMM
-        data = np.repeat(scale, np.diff(Hs.indptr))
-        Hw = sp.csr_matrix((data, Hs.indices, Hs.indptr), shape=Hs.shape)
-    else:
-        Hw = sp.diags(scale) @ Hs
+    # diags(scale) @ Hs multiplies every (binary) pin entry of row e by
+    # scale[e]: with data 1.0 the products are exactly scale[e], so the
+    # scaled incidence can be assembled from Hs's own CSR arrays with a
+    # repeat — same pattern, bit-equal data, no SpGEMM
+    data = np.repeat(scale, np.diff(Hs.indptr))
+    Hw = sp.csr_matrix((data, Hs.indices, Hs.indptr), shape=Hs.shape)
     S = as_csr(Hw.T @ Hw)
     S.setdiag(0.0)
     S.eliminate_zeros()
     return PartGraph.from_scipy(S, hg.vwgt)
-
-
-def _coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
-    """Fine-to-coarse vertex map: representative = min(v, match[v])."""
-    n = len(match)
-    rep = np.minimum(np.arange(n, dtype=np.int64), match)
-    is_rep = rep == np.arange(n)
-    cmap = (np.cumsum(is_rep) - 1)[rep]
-    return cmap, int(is_rep.sum())
 
 
 def _coarse_vwgt(hg: Hypergraph, cmap: np.ndarray, nc: int) -> np.ndarray:
@@ -93,21 +67,13 @@ def _coarse_vwgt(hg: Hypergraph, cmap: np.ndarray, nc: int) -> np.ndarray:
     return vwgt_c
 
 
-def hcontract(
-    hg: Hypergraph, match: np.ndarray, kernel: str | None = None
-) -> tuple[Hypergraph, np.ndarray]:
-    """Contract matched vertex pairs; drop nets that fall below 2 pins.
-
-    ``kernel`` selects the implementation; both produce bit-identical
-    coarse hypergraphs (same incidence pattern, weights, net set).
-    """
-    if _resolve_kernel(kernel) == "vector":
-        return _hcontract_vector(hg, match)
-    return _hcontract_reference(hg, match)
+def hcontract(hg: Hypergraph, match: np.ndarray) -> tuple[Hypergraph, np.ndarray]:
+    """Contract matched vertex pairs; drop nets that fall below 2 pins."""
+    return _hcontract_vector(hg, match)
 
 
 def _hcontract_reference(hg: Hypergraph, match: np.ndarray) -> tuple[Hypergraph, np.ndarray]:
-    """Seed contraction kernel: pin relabeling via the ``H @ P`` matmul."""
+    """Seed contraction (oracle): pin relabeling via the ``H @ P`` matmul."""
     n = hg.n
     cmap, nc = _coarse_map(match)
     P = sp.csr_matrix((np.ones(n), (np.arange(n), cmap)), shape=(n, nc))
@@ -162,17 +128,14 @@ def hcoarsen_level(
     rng: np.random.Generator,
     max_vertex_weight: np.ndarray | None = None,
     max_net_size: int = 50,
-    kernel: str | None = None,
 ) -> tuple[Hypergraph, np.ndarray]:
     """One coarsening level: similarity, matching, contraction (profiled)."""
     with perf.phase("similarity"):
-        sim = similarity_graph(hg, max_net_size=max_net_size, kernel=kernel)
+        sim = similarity_graph(hg, max_net_size=max_net_size)
     with perf.phase("match"):
-        match = handshake_matching(
-            sim, rng, max_vertex_weight=max_vertex_weight, kernel=kernel
-        )
+        match = handshake_matching(sim, rng, max_vertex_weight=max_vertex_weight)
     with perf.phase("contract"):
-        return hcontract(hg, match, kernel=kernel)
+        return hcontract(hg, match)
 
 
 def hcoarsen_to(
@@ -181,18 +144,13 @@ def hcoarsen_to(
     rng: np.random.Generator,
     max_weight_fraction: float = 0.25,
     min_shrink: float = 0.95,
-    kernel: str | None = None,
 ) -> list[tuple[Hypergraph, np.ndarray | None]]:
-    """Coarsen until under *min_vertices* vertices or matching stalls.
-
-    ``kernel`` selects the similarity/matching/contraction implementation
-    for every level (see :func:`repro.partitioning.coarsen.use_kernel`).
-    """
+    """Coarsen until under *min_vertices* vertices or matching stalls."""
     levels: list[tuple[Hypergraph, np.ndarray | None]] = [(hg, None)]
     max_w = hg.total_weight() * max_weight_fraction
     while levels[-1][0].n > min_vertices:
         cur = levels[-1][0]
-        hgc, cmap = hcoarsen_level(cur, rng, max_vertex_weight=max_w, kernel=kernel)
+        hgc, cmap = hcoarsen_level(cur, rng, max_vertex_weight=max_w)
         if hgc.n >= cur.n * min_shrink:
             break
         levels.append((hgc, cmap))

@@ -97,21 +97,15 @@ def multilevel_hypergraph_bisect(
     min_coarse: int = 120,
     n_initial: int = 3,
     refine_passes: int = 3,
-    coarsen_kernel: str | None = None,
 ) -> np.ndarray:
-    """Bisect hypergraph *hg* minimising connectivity-1 under balance.
-
-    ``coarsen_kernel`` selects the coarsening implementation (see
-    :func:`repro.partitioning.coarsen.use_kernel`); partitions are
-    bit-identical either way.
-    """
+    """Bisect hypergraph *hg* minimising connectivity-1 under balance."""
     if hg.n == 0:
         return np.zeros(0, dtype=np.int64)
     if hg.n == 1:
         return np.zeros(1, dtype=np.int64)
     rng = np.random.default_rng(seed)
     with perf.phase("coarsen"):
-        levels = hcoarsen_to(hg, min_coarse, rng, kernel=coarsen_kernel)
+        levels = hcoarsen_to(hg, min_coarse, rng)
     hgc = levels[-1][0]
     allow_c = hg_balance_allowance(hgc, target_fracs, ub)
 
@@ -139,7 +133,6 @@ def hypergraph_recursive_bisection(
     nparts: int,
     ub: float = 1.05,
     seed: int = 0,
-    seed_scheme: str = "legacy",
     **bisect_kwargs,
 ) -> np.ndarray:
     """K-way hypergraph partition via recursive bisection."""
@@ -154,7 +147,7 @@ def hypergraph_recursive_bisection(
     # imbalance does not compound down the recursion (see kway._rb)
     ideal = hg.total_weight()[0] / nparts
     _rb(hg, np.arange(hg.n, dtype=np.int64), 0, nparts, part, ub_level, ideal, seed,
-        bisect_kwargs, seed_scheme)
+        bisect_kwargs)
     return check_part_vector(part, hg.n, nparts)
 
 
@@ -187,13 +180,12 @@ def _rb(
     ideal: float,
     seed,
     kwargs: dict,
-    seed_scheme: str = "legacy",
 ) -> None:
     if k == 1 or len(vertices) == 0:
         part[vertices] = lo
         return
     bis, k0 = _split(hg, k, ub, ideal, seed, kwargs)
-    s_left, s_right = child_seeds(seed, seed_scheme)
+    s_left, s_right = child_seeds(seed)
     sel0, sel1 = np.flatnonzero(bis == 0), np.flatnonzero(bis == 1)
-    _rb(hg.induced(sel0), vertices[sel0], lo, k0, part, ub, ideal, s_left, kwargs, seed_scheme)
-    _rb(hg.induced(sel1), vertices[sel1], lo + k0, k - k0, part, ub, ideal, s_right, kwargs, seed_scheme)
+    _rb(hg.induced(sel0), vertices[sel0], lo, k0, part, ub, ideal, s_left, kwargs)
+    _rb(hg.induced(sel1), vertices[sel1], lo + k0, k - k0, part, ub, ideal, s_right, kwargs)

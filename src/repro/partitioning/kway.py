@@ -36,16 +36,14 @@ def recursive_bisection(
     nparts: int,
     ub: float = 1.05,
     seed: int = 0,
-    seed_scheme: str = "legacy",
     **bisect_kwargs,
 ) -> np.ndarray:
     """Partition *g* into *nparts* parts; returns the part vector.
 
     The per-level imbalance tolerance is ``ub ** (1/ceil(log2 k))`` so the
     *compounded* k-way imbalance stays near ``ub`` (RB multiplies the
-    per-level slack down the tree). ``seed_scheme`` picks how subtree
-    seeds derive from *seed* (see :func:`repro.partitioning._util.child_seeds`);
-    the default matches every historical partition and golden snapshot.
+    per-level slack down the tree). Subtree seeds derive from *seed* by
+    :func:`repro.partitioning._util.child_seeds`.
     """
     if nparts < 1:
         raise ValueError(f"nparts must be >= 1, got {nparts}")
@@ -55,7 +53,7 @@ def recursive_bisection(
     depth = int(np.ceil(np.log2(nparts)))
     ub_level = float(ub) ** (1.0 / depth)
     _rb(g, np.arange(g.n, dtype=np.int64), 0, nparts, part, ub_level, seed,
-        bisect_kwargs, seed_scheme)
+        bisect_kwargs)
     with perf.phase("balance-repair"):
         part = kway_balance_refine(g, part, nparts, ub=ub)
     return check_part_vector(part, g.n, nparts)
@@ -96,17 +94,16 @@ def _rb(
     ub: float,
     seed,
     kwargs: dict,
-    seed_scheme: str = "legacy",
 ) -> None:
     if k == 1 or len(vertices) == 0:
         part[vertices] = lo
         return
     bis, k0 = _split(g, k, ub, seed, kwargs)
-    s_left, s_right = child_seeds(seed, seed_scheme)
+    s_left, s_right = child_seeds(seed)
     g_left = g.induced_subgraph(np.flatnonzero(bis == 0))
     g_right = g.induced_subgraph(np.flatnonzero(bis == 1))
-    _rb(g_left, vertices[bis == 0], lo, k0, part, ub, s_left, kwargs, seed_scheme)
-    _rb(g_right, vertices[bis == 1], lo + k0, k - k0, part, ub, s_right, kwargs, seed_scheme)
+    _rb(g_left, vertices[bis == 0], lo, k0, part, ub, s_left, kwargs)
+    _rb(g_right, vertices[bis == 1], lo + k0, k - k0, part, ub, s_right, kwargs)
 
 
 def kway_balance_refine(

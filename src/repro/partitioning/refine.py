@@ -14,41 +14,35 @@ Classic FM with the features the multilevel scheme needs:
 The inner loop cost is proportional to the boundary size, not n, which
 keeps refinement fast even on the finest level of large graphs.
 
-Two kernels implement the pass:
+The pass (:func:`_fm_pass`) picks its implementation from ``g.ncon``:
 
-* ``"vector"`` (default) — batched boundary seeding (one heap build per
-  side), memoized graph state (adjacency matrix, edge sources, CSR list
-  mirrors — :class:`~repro.partitioning.partgraph.PartGraph` is immutable
-  after construction), scalar incremental balance tracking (no
-  per-candidate ``sw.copy()``), and a two-tier neighbour update: masked
-  fancy-indexed numpy over the CSR slice for hub moves, a plain-scalar
-  loop over the memoized list mirrors below ``_HUB_DEGREE``;
-* ``"reference"`` — the seed per-vertex kernel, kept verbatim including
-  its per-pass derived-state rebuilds (adjacency matrix, weighted
-  degrees, ``np.repeat`` edge sources), as the correctness oracle and
-  timing baseline.
+* one to three constraints — the vectorised passes: batched boundary
+  seeding (one heap build per side), memoized graph state (adjacency
+  matrix, edge sources, CSR list mirrors —
+  :class:`~repro.partitioning.partgraph.PartGraph` is immutable after
+  construction), scalar incremental balance tracking (no per-candidate
+  ``sw.copy()``), and a two-tier neighbour update: masked fancy-indexed
+  numpy over the CSR slice for hub moves, a plain-scalar loop over the
+  memoized list mirrors below ``_HUB_DEGREE``;
+* four or more — :func:`_fm_pass_reference`, the seed per-vertex pass,
+  which is also the oracle the tests and
+  ``benchmarks/bench_refine_kernels.py`` call directly.
 
-Both replay the **exact same move sequence**: every heap key, gain value
+All replay the **exact same move sequence**: every heap key, gain value
 and balance decision is arithmetically identical (see the bit-identity
-notes on :func:`_fm_pass`), which ``benchmarks/bench_refine_kernels.py``
-and the golden regression corpus verify bit-for-bit.
+notes on :func:`_fm_pass`), which the bench and the golden regression
+corpus verify bit-for-bit.
 """
 
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
 
 import numpy as np
-import scipy.sparse as sp
 
 from .partgraph import PartGraph
 
-__all__ = ["fm_refine", "balance_allowance", "is_balanced", "use_kernel"]
-
-#: FM pass kernels; module default is the vectorised one.
-FM_KERNELS = ("vector", "reference")
-_DEFAULT_KERNEL = "vector"
+__all__ = ["fm_refine", "balance_allowance", "is_balanced"]
 
 #: degree at or above which the vector kernels' neighbour update switches
 #: from the scalar loop to the masked fancy-indexed numpy path — both are
@@ -63,20 +57,6 @@ _HUB_DEGREE = 64
 #: identical either way (``tolist`` of a slice == slice of ``tolist``), so
 #: the threshold only trades constant factors.
 _MIRROR_SLOTS = 200_000
-
-
-@contextmanager
-def use_kernel(kernel: str):
-    """Temporarily switch the module-default FM kernel (bench/test A/B)."""
-    global _DEFAULT_KERNEL
-    if kernel not in FM_KERNELS:
-        raise ValueError(f"unknown FM kernel {kernel!r}; choose from {FM_KERNELS}")
-    prev = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = kernel
-    try:
-        yield
-    finally:
-        _DEFAULT_KERNEL = prev
 
 
 def balance_allowance(g, target_fracs: tuple[float, float], ub: float) -> np.ndarray:
@@ -120,42 +100,28 @@ def fm_refine(
     passes: int = 3,
     hill_limit: int = 64,
     rng: np.random.Generator | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Refine a bisection without mutating the input (returns a copy).
 
     Runs up to *passes* FM passes; stops early when a pass improves
-    neither the cut nor the balance violation. ``kernel`` selects the pass
-    implementation (``"vector"``/``"reference"``, default the module
-    kernel, see :func:`use_kernel`); both produce bit-identical results.
+    neither the cut nor the balance violation.
     """
     part = np.asarray(part, dtype=np.int64).copy()
     if g.n <= 1:
         return part
     allow = balance_allowance(g, target_fracs, ub)
     rng = rng or np.random.default_rng(0)
-    kernel = kernel if kernel is not None else _DEFAULT_KERNEL
-    if kernel not in FM_KERNELS:
-        raise ValueError(f"unknown FM kernel {kernel!r}; choose from {FM_KERNELS}")
-
-    if kernel == "vector":
-        carry: dict = {}
-        for _ in range(passes):
-            if not _fm_pass(g, part, allow, hill_limit, rng, carry):
-                break
-    else:
-        for _ in range(passes):
-            if not _fm_pass_reference(g, part, allow, hill_limit, rng):
-                break
+    carry: dict = {}
+    for _ in range(passes):
+        if not _fm_pass(g, part, allow, hill_limit, rng, carry):
+            break
     return part
 
 
 def _gains_and_boundary(g: PartGraph, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised gain (= external - internal weight) and boundary mask.
 
-    Uses the graph's memoized adjacency matrix and weighted degrees; the
-    seed rebuilt both on every pass (see
-    :func:`_gains_and_boundary_reference`).
+    Uses the graph's memoized adjacency matrix and weighted degrees.
     """
     W = g.adjacency_matrix()
     to1 = W @ (part == 1).astype(np.float64)
@@ -656,28 +622,6 @@ def _fm_pass_vecn(
     return best_prefix > 0
 
 
-def _gains_and_boundary_reference(g: PartGraph, part: np.ndarray):
-    """Seed gain/boundary computation: rebuilds derived state every call.
-
-    Kept for the reference kernel so its per-pass cost profile matches
-    the seed exactly (the vector kernels' memoized graph state is part of
-    what the bench measures).
-    """
-    W = sp.csr_matrix((g.adjwgt, g.adjncy, g.xadj), shape=(g.n, g.n))
-    to1 = W @ (part == 1).astype(np.float64)
-    degw = W @ np.ones(g.n)
-    ed = np.where(part == 0, to1, degw - to1)
-    gain = 2.0 * ed - degw
-    return gain, ed > 0.0
-
-
-def _edgecut_reference(g: PartGraph, part: np.ndarray) -> float:
-    """Seed edge-cut: rebuilds the ``np.repeat`` source array every call."""
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.xadj))
-    cut = part[src] != part[g.adjncy]
-    return float(g.adjwgt[cut].sum() / 2.0)
-
-
 def _fm_pass_reference(
     g: PartGraph,
     part: np.ndarray,
@@ -687,15 +631,13 @@ def _fm_pass_reference(
 ) -> bool:
     """Reference FM pass: the seed kernel, per-neighbour Python loops.
 
-    Kept verbatim — including the seed's per-pass rebuilds of the
-    adjacency matrix, weighted degrees and edge-source array — as the
-    bit-identity oracle and timing baseline for the vectorised kernels
-    (``benchmarks/bench_refine_kernels.py`` gates on agreement over the
-    whole corpus). Stale-entry reinserts reuse the *current* counter
-    without incrementing it — see :func:`_fm_pass` for why tie-break
-    order is still deterministic.
+    The pass for four or more constraints, and the bit-identity oracle
+    for the vectorised passes (``benchmarks/bench_refine_kernels.py``
+    gates on agreement over the whole corpus). Stale-entry reinserts
+    reuse the *current* counter without incrementing it — see
+    :func:`_fm_pass` for why tie-break order is still deterministic.
     """
-    gain, boundary = _gains_and_boundary_reference(g, part)
+    gain, boundary = _gains_and_boundary(g, part)
     sw = np.zeros((2, g.ncon))
     np.add.at(sw, part, g.vwgt)
 
@@ -713,7 +655,7 @@ def _fm_pass_reference(
         push(int(v))
 
     locked = np.zeros(g.n, dtype=bool)
-    cut0 = _edgecut_reference(g, part)
+    cut0 = g.edgecut(part)
     cur_cut = cut0
     viol0 = _violation(sw, allow)
     # prefer balanced states, then lower cut, then tighter balance — the

@@ -12,11 +12,10 @@ from .machine import MachineModel, CAB, HOPPER, ZERO_COMM, MACHINES
 from .maps import Map
 from .plan import CommPlan
 from .trace import CostLedger, FaultEvent, SPMV_PHASES, FAULT_PHASES
-from .distmatrix import DistSparseMatrix, DISTMATRIX_KERNELS, use_kernel
+from .distmatrix import DistSparseMatrix
 from .distvector import DistVectorSpace
 from .engine import SpmvEngine, AbftCheck
 from .threads import (
-    THREAD_KERNELS,
     ApplyPlan,
     balanced_row_splits,
     default_threads,
@@ -62,12 +61,9 @@ __all__ = [
     "SPMV_PHASES",
     "FAULT_PHASES",
     "DistSparseMatrix",
-    "DISTMATRIX_KERNELS",
-    "use_kernel",
     "DistVectorSpace",
     "SpmvEngine",
     "AbftCheck",
-    "THREAD_KERNELS",
     "ApplyPlan",
     "balanced_row_splits",
     "default_threads",

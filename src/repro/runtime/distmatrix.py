@@ -14,23 +14,19 @@ the owner's buffer, partial sums really are shipped to the row owner), so
 its result is bit-identical to ``A @ x`` only up to float addition order —
 tests assert agreement to tight tolerance.
 
-Cold-path kernels
------------------
-Construction and the gather/scatter helpers come in two kernels behind
-the PR 5/6 dual-kernel convention (``DISTMATRIX_KERNELS`` /
-:func:`use_kernel`): ``reference`` keeps the seed's per-rank Python
-loops as the bit-identity oracle; ``vector`` (the default) assembles
-every rank's local block from one ``lexsort`` over all nonzeros plus a
-``bincount``-cumsum row pointer, and splits/merges vectors through the
-:class:`~repro.runtime.maps.Map`'s grouped-index arrays. The two paths
-produce bit-identical blocks, maps, and SpMV results —
-``benchmarks/bench_coldstart.py`` gates that corpus-wide, the same
-contract as the refine/coarsen kernels.
+Cold path
+---------
+Construction assembles every rank's local block from one ``lexsort``
+over all nonzeros plus a ``bincount``-cumsum row pointer, and
+:meth:`~DistSparseMatrix.scatter_vector` /
+:meth:`~DistSparseMatrix.gather_vector` split/merge vectors through the
+:class:`~repro.runtime.maps.Map`'s grouped-index arrays. The seed's
+per-rank COO->CSR loop stays as :func:`_assemble_blocks_reference`, the
+oracle ``tests/test_distmatrix.py`` and ``benchmarks/bench_coldstart.py``
+compare against block by block.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,52 +40,73 @@ from .maps import Map
 from .plan import CommPlan
 from .trace import CostLedger
 
-__all__ = ["DistSparseMatrix", "DISTMATRIX_KERNELS", "use_kernel"]
-
-#: Cold-path kernels (block assembly + vector gather/scatter); module
-#: default is the vectorised one.
-DISTMATRIX_KERNELS = ("vector", "reference")
-_DEFAULT_KERNEL = "vector"
+__all__ = ["DistSparseMatrix"]
 
 
-@contextmanager
-def use_kernel(kernel: str):
-    """Temporarily switch the module-default cold-path kernel (bench/test A/B)."""
-    global _DEFAULT_KERNEL
-    if kernel not in DISTMATRIX_KERNELS:
-        raise ValueError(
-            f"unknown distmatrix kernel {kernel!r}; choose from {DISTMATRIX_KERNELS}"
+def _rank_local_coo(A: sp.csr_matrix, layout: Layout) -> tuple:
+    """Nonzeros grouped by owning rank, with per-rank compressed ids.
+
+    Returns ``(ranks_s, vals, lr, lc, starts, urow, rseg, ucol, cseg)``:
+    per nonzero (stable-sorted by rank) its rank, value and local row /
+    column id; ``starts`` the per-rank nonzero offsets; ``urow``/``ucol``
+    every rank's sorted global row/column ids concatenated, segmented by
+    ``rseg``/``cseg``.
+    """
+    n, nprocs = A.shape[0], layout.nprocs
+    coo = A.tocoo()
+    ranks = np.asarray(layout.nonzero_owner(coo.row, coo.col), dtype=np.int64)
+    order = np.argsort(ranks, kind="stable")
+    rows = coo.row[order].astype(np.int64)
+    cols = coo.col[order].astype(np.int64)
+    vals = coo.data[order]
+    ranks_s = ranks[order]
+    counts = np.bincount(ranks, minlength=nprocs)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+
+    # Per-rank compressed index sets in one sort-based pass over all
+    # nonzeros (no per-rank np.unique/searchsorted): unique (rank, id)
+    # keys give every rank's sorted map, and each nonzero's local id is
+    # its key's offset within the rank's segment.
+    def per_rank_unique(ids: np.ndarray):
+        key = ranks_s * np.int64(n) + ids
+        uniq = np.unique(key)
+        urank = uniq // n
+        uid = uniq - urank * n
+        seg = np.searchsorted(urank, np.arange(nprocs + 1))
+        local = np.searchsorted(uniq, key) - seg[ranks_s]
+        return uid, seg, local
+
+    urow, rseg, lr = per_rank_unique(rows)
+    ucol, cseg, lc = per_rank_unique(cols)
+    return ranks_s, vals, lr, lc, starts, urow, rseg, ucol, cseg
+
+
+def _assemble_blocks_reference(vals, lr, lc, starts, urow, rseg, ucol, cseg):
+    """Seed assembly (oracle): one COO->CSR conversion per rank.
+
+    Takes :func:`_rank_local_coo`'s intermediates; returns
+    ``(row_maps, col_maps, local_blocks)``.
+    """
+    row_maps: list[np.ndarray] = []
+    col_maps: list[np.ndarray] = []
+    local_blocks: list[sp.csr_matrix] = []
+    for r in range(len(starts) - 1):
+        sl = slice(starts[r], starts[r + 1])
+        rmap = urow[rseg[r] : rseg[r + 1]]
+        cmap = ucol[cseg[r] : cseg[r + 1]]
+        block = sp.csr_matrix(
+            (vals[sl], (lr[sl], lc[sl])), shape=(len(rmap), len(cmap))
         )
-    prev = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = kernel
-    try:
-        yield
-    finally:
-        _DEFAULT_KERNEL = prev
-
-
-def _resolve_kernel(kernel: str | None) -> str:
-    """Validate *kernel*, defaulting to the module switch."""
-    kernel = kernel if kernel is not None else _DEFAULT_KERNEL
-    if kernel not in DISTMATRIX_KERNELS:
-        raise ValueError(
-            f"unknown distmatrix kernel {kernel!r}; choose from {DISTMATRIX_KERNELS}"
-        )
-    return kernel
+        row_maps.append(rmap)
+        col_maps.append(cmap)
+        local_blocks.append(block)
+    return row_maps, col_maps, local_blocks
 
 
 class DistSparseMatrix:
     """A sparse matrix distributed over ``layout.nprocs`` simulated ranks."""
 
-    def __init__(
-        self,
-        A,
-        layout: Layout,
-        machine: MachineModel = CAB,
-        kernel: str | None = None,
-    ):
-        kernel = _resolve_kernel(kernel)
-        self._kernel = kernel
+    def __init__(self, A, layout: Layout, machine: MachineModel = CAB):
         A = as_csr(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"square matrices only, got {A.shape}")
@@ -102,76 +119,36 @@ class DistSparseMatrix:
         self.n = A.shape[0]
         self.vector_map = Map(layout.vector_part, layout.nprocs)
 
-        coo = A.tocoo()
-        ranks = np.asarray(layout.nonzero_owner(coo.row, coo.col), dtype=np.int64)
-        order = np.argsort(ranks, kind="stable")
-        rows = coo.row[order].astype(np.int64)
-        cols = coo.col[order].astype(np.int64)
-        vals = coo.data[order]
-        ranks_s = ranks[order]
-        counts = np.bincount(ranks, minlength=self.nprocs)
-        starts = np.concatenate([[0], np.cumsum(counts)])
-
-        # Per-rank compressed index sets in one sort-based pass over all
-        # nonzeros (no per-rank np.unique/searchsorted): unique (rank, id)
-        # keys give every rank's sorted map, and each nonzero's local id is
-        # its key's offset within the rank's segment.
-        def per_rank_unique(ids: np.ndarray):
-            key = ranks_s * np.int64(self.n) + ids
-            uniq = np.unique(key)
-            urank = uniq // self.n
-            uid = uniq - urank * self.n
-            seg = np.searchsorted(urank, np.arange(self.nprocs + 1))
-            local = np.searchsorted(uniq, key) - seg[ranks_s]
-            return uid, seg, local
-
-        urow, rseg, lr = per_rank_unique(rows)
-        ucol, cseg, lc = per_rank_unique(cols)
-        self.local_nnz = counts.astype(np.int64)
-        if kernel == "reference":
-            # seed form: one COO->CSR conversion per rank
-            self.row_maps: list[np.ndarray] = []  # global rows on rank
-            self.col_maps: list[np.ndarray] = []  # global cols on rank
-            self.local_blocks: list[sp.csr_matrix] = []
-            for r in range(self.nprocs):
-                sl = slice(starts[r], starts[r + 1])
-                rmap = urow[rseg[r] : rseg[r + 1]]
-                cmap = ucol[cseg[r] : cseg[r + 1]]
-                block = sp.csr_matrix(
-                    (vals[sl], (lr[sl], lc[sl])), shape=(len(rmap), len(cmap))
-                )
-                self.row_maps.append(rmap)
-                self.col_maps.append(cmap)
-                self.local_blocks.append(block)
-        else:
-            # One (rank, row, col) lexsort over all nonzeros replaces the
-            # per-rank conversions: within a rank that order *is* the
-            # canonical CSR entry order scipy's COO->CSR produces (row
-            # sort is stable, sum_duplicates sorts columns within rows;
-            # layouts assign each nonzero to one rank, so there are no
-            # duplicates to sum and the data vectors match bit-for-bit).
-            self.row_maps = np.split(urow, rseg[1:-1])
-            self.col_maps = np.split(ucol, cseg[1:-1])
-            order2 = np.lexsort((lc, lr, ranks_s))
-            data2 = vals[order2]
-            lc2 = lc[order2]
-            # concatenated row pointers over all ranks' compressed rows
-            # (bincount is order-free, so it runs on the pre-sort arrays)
-            row_counts = np.bincount(
-                rseg[ranks_s] + lr, minlength=int(rseg[-1])
-            )
-            indptr_all = np.concatenate(
-                [[0], np.cumsum(row_counts)]
-            ).astype(np.int64)
-            self.local_blocks = []
-            for r in range(self.nprocs):
-                r0, r1 = int(rseg[r]), int(rseg[r + 1])
-                block = sp.csr_matrix((r1 - r0, int(cseg[r + 1] - cseg[r])))
-                i0, i1 = int(starts[r]), int(starts[r + 1])
-                block.data = data2[i0:i1]
-                block.indices = lc2[i0:i1]
-                block.indptr = indptr_all[r0 : r1 + 1] - indptr_all[r0]
-                self.local_blocks.append(block)
+        ranks_s, vals, lr, lc, starts, urow, rseg, ucol, cseg = _rank_local_coo(A, layout)
+        self.local_nnz = np.diff(starts).astype(np.int64)
+        # One (rank, row, col) lexsort over all nonzeros replaces per-rank
+        # COO->CSR conversions: within a rank that order *is* the
+        # canonical CSR entry order scipy's COO->CSR produces (row sort is
+        # stable, sum_duplicates sorts columns within rows; layouts assign
+        # each nonzero to one rank, so there are no duplicates to sum and
+        # the data vectors match bit-for-bit).
+        self.row_maps = np.split(urow, rseg[1:-1])  # global rows on rank
+        self.col_maps = np.split(ucol, cseg[1:-1])  # global cols on rank
+        order2 = np.lexsort((lc, lr, ranks_s))
+        data2 = vals[order2]
+        lc2 = lc[order2]
+        # concatenated row pointers over all ranks' compressed rows
+        # (bincount is order-free, so it runs on the pre-sort arrays)
+        row_counts = np.bincount(
+            rseg[ranks_s] + lr, minlength=int(rseg[-1])
+        )
+        indptr_all = np.concatenate(
+            [[0], np.cumsum(row_counts)]
+        ).astype(np.int64)
+        self.local_blocks: list[sp.csr_matrix] = []
+        for r in range(self.nprocs):
+            r0, r1 = int(rseg[r]), int(rseg[r + 1])
+            block = sp.csr_matrix((r1 - r0, int(cseg[r + 1] - cseg[r])))
+            i0, i1 = int(starts[r]), int(starts[r + 1])
+            block.data = data2[i0:i1]
+            block.indices = lc2[i0:i1]
+            block.indptr = indptr_all[r0 : r1 + 1] - indptr_all[r0]
+            self.local_blocks.append(block)
 
         # Importer: deliver x-entries listed in each rank's column map
         self.import_plan = CommPlan.build(self.col_maps, self.vector_map)
@@ -220,31 +197,24 @@ class DistSparseMatrix:
     def scatter_vector(self, x: np.ndarray) -> list[np.ndarray]:
         """Split a global vector into per-rank owned segments.
 
-        The vector kernel performs one fancy gather in the map's grouped
-        order and splits it — the segments are the same values in the
-        same (ascending global id) order as the reference's per-rank
-        gathers, bit for bit.
+        One fancy gather in the map's grouped order, then a split — the
+        segments are the same values in the same (ascending global id)
+        order as per-rank ``x[indices_of(r)]`` gathers, bit for bit.
         """
         if x.shape != (self.n,):
             raise ValueError(f"vector shape {x.shape} != ({self.n},)")
-        if self._kernel == "reference":
-            return [x[self.vector_map.indices_of(r)] for r in range(self.nprocs)]
         vm = self.vector_map
         return np.split(x[vm.grouped_indices()], vm.starts()[1:-1])
 
     def gather_vector(self, parts: list[np.ndarray]) -> np.ndarray:
         """Reassemble per-rank owned segments into a global vector.
 
-        The vector kernel concatenates once and scatters through the
-        grouped-index array; each global slot is written exactly once
-        (ownership partitions the index space), so the result is
-        bit-identical to the reference's per-rank assignments.
+        Concatenates once and scatters through the grouped-index array;
+        each global slot is written exactly once (ownership partitions
+        the index space), so the result is bit-identical to per-rank
+        ``out[indices_of(r)] = parts[r]`` assignments.
         """
         out = np.empty(self.n)
-        if self._kernel == "reference":
-            for r in range(self.nprocs):
-                out[self.vector_map.indices_of(r)] = parts[r]
-            return out
         vm = self.vector_map
         out[vm.grouped_indices()] = np.concatenate(parts) if parts else []
         return out

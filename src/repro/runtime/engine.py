@@ -44,11 +44,11 @@ Thread-parallel apply (:mod:`repro.runtime.threads`)
 Each multiply can additionally fan out across cores: an
 :class:`~repro.runtime.threads.ApplyPlan` — nnz-balanced contiguous row
 blocks over each operator, computed once at build/load time and
-persisted through :meth:`to_arrays` — lets the ``threaded`` kernel run
+persisted through :meth:`to_arrays` — lets a thread budget above 1 run
 the row blocks on the shared GIL-releasing pool. Row-disjoint blocks
 write disjoint output slices in the same stored-entry order as the
-fused multiply, so the threaded kernel is **bit-identical** to the
-retained ``serial`` oracle (``np.array_equal``, gated corpus-wide by
+fused multiply, so the threaded apply is **bit-identical** to the
+serial one a budget of 1 runs (``np.array_equal``, gated corpus-wide by
 ``BENCH_threads.json``); the ABFT checksum dots below ride the same
 discipline over the checksum operator's rows.
 
@@ -237,11 +237,7 @@ class SpmvEngine:
 
     def _apply(self, op, blocks, X: np.ndarray) -> np.ndarray:
         """``op @ X``, fanned across row blocks when the budget allows."""
-        if (
-            self._threads <= 1
-            or len(blocks) <= 1
-            or _threads._resolve_kernel(None) != "threaded"
-        ):
+        if self._threads <= 1 or len(blocks) <= 1:
             return op @ X
         out = np.empty(
             (op.shape[0],) + X.shape[1:],
@@ -475,7 +471,7 @@ class SpmvEngine:
         S, E, Eabs = self._abft_operators()
         with phase("engine.abft"):
             observed = S @ partials
-            if self._threads > 1 and _threads._resolve_kernel(None) == "threaded":
+            if self._threads > 1:
                 _, e_blocks, eabs_blocks = self._abft_blocks()
                 expected = self._apply(E, e_blocks, x)
                 noise_scale = self._apply(Eabs, eabs_blocks, np.abs(x))

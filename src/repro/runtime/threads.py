@@ -24,9 +24,8 @@ reorders any row's entries nor shares any output element between
 blocks, so writing block results into disjoint slices of one output
 array reproduces the fused multiply **bit-for-bit** — tested and gated
 with ``np.array_equal``, never a tolerance. The serial fused multiply
-is retained as the oracle under the repo's dual-kernel convention:
-``THREAD_KERNELS = ("threaded", "serial")`` with :func:`use_kernel` to
-pin either side.
+is the oracle, and it is what a thread budget of 1 runs
+(``engine.set_threads(1)``, or a second engine built with ``threads=1``).
 
 Thread budget resolution
 ------------------------
@@ -42,14 +41,11 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "THREAD_KERNELS",
-    "use_kernel",
     "ApplyPlan",
     "balanced_row_splits",
     "bind_blocks",
@@ -60,36 +56,6 @@ __all__ = [
     "run_blocks",
     "pool_stats",
 ]
-
-#: Apply kernels, fast-first (the dual-kernel convention shared with
-#: ``distmatrix``/``coarsen``/``refine``): ``threaded`` dispatches
-#: nnz-balanced row blocks across the shared pool, ``serial`` is the
-#: fused single-multiply oracle the threaded path must match bit-for-bit.
-THREAD_KERNELS = ("threaded", "serial")
-
-_DEFAULT_KERNEL = THREAD_KERNELS[0]
-
-
-def _resolve_kernel(kernel: str | None) -> str:
-    k = _DEFAULT_KERNEL if kernel is None else kernel
-    if k not in THREAD_KERNELS:
-        raise ValueError(
-            f"unknown thread kernel {k!r}; expected one of {THREAD_KERNELS}"
-        )
-    return k
-
-
-@contextmanager
-def use_kernel(kernel: str):
-    """Temporarily pin the engine apply kernel (``threaded``/``serial``)."""
-    global _DEFAULT_KERNEL
-    prev = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = _resolve_kernel(kernel)
-    try:
-        yield
-    finally:
-        _DEFAULT_KERNEL = prev
-
 
 # -- thread-budget resolution ---------------------------------------------
 

@@ -48,18 +48,6 @@ class TestCli:
             assert phase in out
         assert "seconds" in out and "calls" in out
 
-    def test_partition_coarsen_kernel_flag(self, mtx_file, tmp_path, capsys):
-        """Both coarsening kernels are selectable and give identical parts."""
-        parts = {}
-        for kern in ("vector", "reference"):
-            out_file = tmp_path / f"{kern}.npy"
-            assert main([
-                "partition", mtx_file, "-k", "4",
-                "--coarsen-kernel", kern, "-o", str(out_file),
-            ]) == 0
-            parts[kern] = np.load(out_file)
-        assert np.array_equal(parts["vector"], parts["reference"])
-
     def test_spmv_comparison(self, mtx_file, capsys):
         assert main([
             "spmv", mtx_file, "-p", "4", "--methods", "1d-block", "2d-random",

@@ -5,17 +5,18 @@ import pytest
 
 from repro.generators import grid2d, rmat
 from repro.graphs import from_edges
-from repro.partitioning import PartGraph
+from repro.partitioning import PartGraph, partition_matrix
 from repro.partitioning.coarsen import (
-    COARSEN_KERNELS,
-    _resolve_kernel,
+    _contract_reference,
+    _handshake_matching_reference,
     _two_hop_matching,
     coarsen_level,
     coarsen_to,
     contract,
     handshake_matching,
-    use_kernel,
 )
+
+from tests.oracles import reference_kernels
 
 
 def _star(nleaves: int) -> PartGraph:
@@ -189,7 +190,7 @@ def _graphs_equal(a: PartGraph, b: PartGraph) -> bool:
 
 
 class TestCoarsenKernels:
-    """The vector kernels must replay the reference bit for bit."""
+    """The vector kernels must replay the reference oracles bit for bit."""
 
     def _cases(self):
         """(graph, cap) pairs covering every kernel branch: unmasked keys
@@ -205,62 +206,56 @@ class TestCoarsenKernels:
 
     def test_matching_bit_identical(self):
         for g, cap in self._cases():
-            out = {
-                k: handshake_matching(
-                    g, np.random.default_rng(7), max_vertex_weight=cap, kernel=k
-                )
-                for k in COARSEN_KERNELS
-            }
-            assert np.array_equal(out["reference"], out["vector"])
+            vec = handshake_matching(
+                g, np.random.default_rng(7), max_vertex_weight=cap
+            )
+            ref = _handshake_matching_reference(
+                g, np.random.default_rng(7), max_vertex_weight=cap
+            )
+            assert np.array_equal(ref, vec)
 
     def test_contract_bit_identical(self):
         for g, cap in self._cases():
             match = handshake_matching(
                 g, np.random.default_rng(1), max_vertex_weight=cap
             )
-            ref_g, ref_c = contract(g, match, kernel="reference")
-            vec_g, vec_c = contract(g, match, kernel="vector")
+            assert g.exactly_summable_weights()  # contract runs the vector form
+            ref_g, ref_c = _contract_reference(g, match)
+            vec_g, vec_c = contract(g, match)
             assert np.array_equal(ref_c, vec_c)
             assert _graphs_equal(ref_g, vec_g)
 
     def test_coarsen_to_stack_bit_identical(self, small_rmat):
         g = PartGraph.from_matrix(small_rmat, "nnz")
-        stacks = {
-            k: coarsen_to(g, 50, np.random.default_rng(0), kernel=k)
-            for k in COARSEN_KERNELS
-        }
-        ref, vec = stacks["reference"], stacks["vector"]
+        vec = coarsen_to(g, 50, np.random.default_rng(0))
+        with reference_kernels():
+            ref = coarsen_to(g, 50, np.random.default_rng(0))
         assert len(ref) == len(vec) > 1
         for (gr, cr), (gv, cv) in zip(ref, vec):
             assert _graphs_equal(gr, gv)
             assert (cr is None and cv is None) or np.array_equal(cr, cv)
 
+    @pytest.mark.parametrize("method", ["gp", "gp-mc", "hp"])
+    def test_kway_partition_bit_identical(self, small_rmat, method):
+        """Every stage on its oracle at once — matching, contraction and
+        FM — reproduces the production k-way partition."""
+        vec = partition_matrix(small_rmat, 4, method=method, seed=0).part
+        with reference_kernels():
+            ref = partition_matrix(small_rmat, 4, method=method, seed=0).part
+        assert np.array_equal(ref, vec)
+
     def test_contract_falls_back_on_inexact_weights(self, rng):
-        """Fractional edge weights void the exact-sum guarantee; the vector
-        dispatch must route to the reference kernel, not diverge."""
+        """Fractional edge weights void the exact-sum guarantee; ``contract``
+        must route to the triple-product form, not diverge."""
         W = grid2d(6, 6).astype(np.float64)
         W.data[:] = 0.1  # 0.1 is not exactly representable
         g = PartGraph.from_scipy(W)
         assert not g.exactly_summable_weights()
         match = handshake_matching(g, np.random.default_rng(2))
-        ref_g, ref_c = contract(g, match, kernel="reference")
-        vec_g, vec_c = contract(g, match, kernel="vector")
-        assert np.array_equal(ref_c, vec_c)
-        assert _graphs_equal(ref_g, vec_g)
-
-    def test_use_kernel_switches_default(self):
-        assert _resolve_kernel(None) == "vector"
-        with use_kernel("reference"):
-            assert _resolve_kernel(None) == "reference"
-        assert _resolve_kernel(None) == "vector"
-
-    def test_unknown_kernel_rejected(self):
-        g = PartGraph.from_matrix(grid2d(3, 3), "unit")
-        with pytest.raises(ValueError, match="unknown coarsen kernel"):
-            handshake_matching(g, np.random.default_rng(0), kernel="bogus")
-        with pytest.raises(ValueError, match="unknown coarsen kernel"):
-            with use_kernel("bogus"):
-                pass  # pragma: no cover
+        ref_g, ref_c = _contract_reference(g, match)
+        got_g, got_c = contract(g, match)
+        assert np.array_equal(ref_c, got_c)
+        assert _graphs_equal(ref_g, got_g)
 
 
 class TestCoarseningStalls:
@@ -287,14 +282,11 @@ class TestCoarseningStalls:
         A = from_edges(r, c, (nleaves + 1, nleaves + 1), symmetrize=True)
         g = PartGraph.from_matrix(A, "nnz")  # hub weight 33, leaves 1
         cap = np.array([4.0])
-        out = {
-            k: handshake_matching(
-                g, np.random.default_rng(0), max_vertex_weight=cap, kernel=k
-            )
-            for k in COARSEN_KERNELS
-        }
-        assert np.array_equal(out["reference"], out["vector"])
-        match = out["vector"]
+        match = handshake_matching(g, np.random.default_rng(0), max_vertex_weight=cap)
+        ref = _handshake_matching_reference(
+            g, np.random.default_rng(0), max_vertex_weight=cap
+        )
+        assert np.array_equal(ref, match)
         _check_matching(g, match)
         assert match[0] == 0  # hub stays single: every pairing busts the cap
         leaves = np.arange(1, nleaves + 1)

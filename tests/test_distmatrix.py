@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.generators import rmat
 from repro.layouts import make_layout, process_grid_shape
 from repro.runtime import CAB, ZERO_COMM, CostLedger, DistSparseMatrix, comm_stats
+from repro.runtime.distmatrix import _assemble_blocks_reference, _rank_local_coo
 
 ALL_CHEAP = ["1d-block", "1d-random", "2d-block", "2d-random"]
 
@@ -168,50 +169,45 @@ class TestScatterGather:
             dist.scatter_vector(np.zeros(3))
 
 
-class TestAssemblyKernels:
-    """Vector vs reference cold-path kernels: bit-identical by contract."""
+class TestAssemblyOracles:
+    """Vectorised cold path vs the per-rank oracles: bit-identical."""
 
     @pytest.mark.parametrize("method", ALL_CHEAP + ["2d-gp"])
     def test_assembly_bit_identical(self, small_powerlaw, method, rng):
         A = small_powerlaw
         lay = make_layout(method, A, 6, seed=3)
-        dv = DistSparseMatrix(A, lay, kernel="vector")
-        dr = DistSparseMatrix(A, lay, kernel="reference")
-        for r in range(dv.nprocs):
-            assert np.array_equal(dv.row_maps[r], dr.row_maps[r])
-            assert np.array_equal(dv.col_maps[r], dr.col_maps[r])
-            bv, br = dv.local_blocks[r], dr.local_blocks[r]
+        dist = DistSparseMatrix(A, lay)
+        _, *intermediates = _rank_local_coo(dist.A_global, lay)
+        row_maps, col_maps, blocks = _assemble_blocks_reference(*intermediates)
+        assert len(blocks) == dist.nprocs
+        for r in range(dist.nprocs):
+            assert np.array_equal(dist.row_maps[r], row_maps[r])
+            assert np.array_equal(dist.col_maps[r], col_maps[r])
+            bv, br = dist.local_blocks[r], blocks[r]
+            assert bv.shape == br.shape
             assert np.array_equal(bv.data, br.data)
             assert np.array_equal(bv.indices, br.indices)
             assert np.array_equal(bv.indptr, br.indptr)
+        # the oracle's blocks, compiled by the same (lazy) engine
+        ref = DistSparseMatrix(A, lay)
+        ref.row_maps, ref.col_maps, ref.local_blocks = row_maps, col_maps, blocks
         x = rng.standard_normal(A.shape[0])
-        assert np.array_equal(dv.spmv(x), dr.spmv(x))
+        assert np.array_equal(dist.spmv(x), ref.spmv(x))
 
     def test_scatter_gather_bit_identical(self, small_rmat, rng):
         lay = make_layout("2d-random", small_rmat, 5, seed=4)
-        dv = DistSparseMatrix(small_rmat, lay, kernel="vector")
-        dr = DistSparseMatrix(small_rmat, lay, kernel="reference")
-        x = rng.standard_normal(small_rmat.shape[0])
-        sv, sr = dv.scatter_vector(x), dr.scatter_vector(x)
-        assert all(np.array_equal(a, b) for a, b in zip(sv, sr))
-        assert np.array_equal(dv.gather_vector(sv), dr.gather_vector(sr))
-
-    def test_use_kernel_switches_default(self, small_rmat):
-        from repro.runtime import use_kernel
-
-        lay = make_layout("1d-block", small_rmat, 3)
-        with use_kernel("reference"):
-            dist = DistSparseMatrix(small_rmat, lay)
-            assert dist._kernel == "reference"
         dist = DistSparseMatrix(small_rmat, lay)
-        assert dist._kernel == "vector"
+        vm = dist.vector_map
+        x = rng.standard_normal(small_rmat.shape[0])
+        parts = dist.scatter_vector(x)
+        per_rank = [x[vm.indices_of(r)] for r in range(dist.nprocs)]
+        assert all(np.array_equal(a, b) for a, b in zip(parts, per_rank))
+        out = np.empty(dist.n)
+        for r in range(dist.nprocs):
+            out[vm.indices_of(r)] = per_rank[r]
+        assert np.array_equal(dist.gather_vector(parts), out)
 
-    def test_unknown_kernel_rejected(self, small_rmat):
-        from repro.runtime import use_kernel
-
+    def test_kernel_parameter_is_gone(self, small_rmat):
         lay = make_layout("1d-block", small_rmat, 2)
-        with pytest.raises(ValueError, match="unknown distmatrix kernel"):
-            DistSparseMatrix(small_rmat, lay, kernel="simd")
-        with pytest.raises(ValueError, match="unknown distmatrix kernel"):
-            with use_kernel("simd"):
-                pass
+        with pytest.raises(TypeError):
+            DistSparseMatrix(small_rmat, lay, kernel="reference")

@@ -1,0 +1,58 @@
+"""DESIGN.md's module map (section 3) must describe the tree that exists."""
+
+import re
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = REPO_ROOT / "src" / "repro"
+
+
+def _module_map_paths() -> set[str]:
+    """Paths named in the map, relative to ``src/repro/``.
+
+    The map is the first fenced block of section 3: two-space entries sit
+    directly under ``src/repro/`` (``name/`` opens a package, ``name.py``
+    is a module), four-space entries are modules of the open package.
+    Deeper-indented lines are description continuations.
+    """
+    text = (REPO_ROOT / "DESIGN.md").read_text()
+    section = text.split("## 3. System inventory (module map)", 1)[1]
+    block = section.split("```", 2)[1]
+    paths: set[str] = set()
+    package = ""
+    for line in block.splitlines():
+        m = re.match(r"^( {2}| {4})([\w.]+(?:\.py|/))(\s|$)", line)
+        if not m:
+            continue
+        indent, name = len(m.group(1)), m.group(2)
+        if indent == 2:
+            package = name if name.endswith("/") else ""
+            paths.add(name.rstrip("/"))
+        else:
+            assert package, f"module {name!r} listed outside any package"
+            paths.add(package + name)
+    return paths
+
+
+def test_every_path_in_the_module_map_exists():
+    paths = _module_map_paths()
+    assert len(paths) > 50  # the parser found the map, not a stray block
+    missing = sorted(p for p in paths if not (PACKAGE / p).exists())
+    assert not missing, f"DESIGN.md §3 names paths that do not exist: {missing}"
+
+
+def test_every_module_is_in_the_module_map():
+    paths = _module_map_paths()
+    # a package's __init__.py is covered by the package's own entry
+    modules = {
+        f.relative_to(PACKAGE).as_posix()
+        for f in PACKAGE.rglob("*.py")
+        if f.name != "__init__.py"
+    }
+    packages = {
+        d.relative_to(PACKAGE).as_posix()
+        for d in PACKAGE.rglob("*")
+        if d.is_dir() and (d / "__init__.py").exists()
+    }
+    unlisted = sorted((modules | packages) - paths)
+    assert not unlisted, f"DESIGN.md §3 omits: {unlisted}"

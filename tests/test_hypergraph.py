@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.graphs import from_edges
-from repro.partitioning import Hypergraph, hypergraph_recursive_bisection
-from repro.partitioning.coarsen import COARSEN_KERNELS, handshake_matching
+from repro.graphs.csr import as_csr
+from repro.partitioning import Hypergraph, PartGraph, hypergraph_recursive_bisection
+from repro.partitioning.coarsen import _coarse_map, handshake_matching
 from repro.partitioning.hcoarsen import (
-    _coarse_map,
     _coarse_vwgt,
+    _hcontract_reference,
     hcoarsen_to,
     hcontract,
     similarity_graph,
 )
 from repro.partitioning.hkway import multilevel_hypergraph_bisect
 from repro.partitioning.hrefine import fm_refine_hypergraph, hg_balance_allowance
+
+from tests.oracles import reference_kernels
 
 
 @pytest.fixture
@@ -85,13 +89,26 @@ class TestCoarsening:
         assert cmap[0] == cmap[1]
 
 
+def _similarity_graph_diags(hg: Hypergraph, max_net_size: int = 50) -> PartGraph:
+    """The seed similarity graph: scaled incidence via ``diags(scale) @ Hs``."""
+    sizes = hg.net_sizes()
+    keep = (sizes >= 2) & (sizes <= max_net_size)
+    Hs = hg.H[keep]
+    w = 1.0 / np.maximum(sizes[keep] - 1, 1)
+    scale = np.sqrt(w * hg.netwgt[keep])
+    Hw = sp.diags(scale) @ Hs
+    S = as_csr(Hw.T @ Hw)
+    S.setdiag(0.0)
+    S.eliminate_zeros()
+    return PartGraph.from_scipy(S, hg.vwgt)
+
+
 class TestHcoarsenKernels:
     """Vector and reference hypergraph stages must be bit-identical."""
 
     def test_similarity_graph_bit_identical(self, small_rmat):
         hg = Hypergraph.from_matrix_column_net(small_rmat)
-        sims = {k: similarity_graph(hg, kernel=k) for k in COARSEN_KERNELS}
-        ref, vec = sims["reference"], sims["vector"]
+        ref, vec = _similarity_graph_diags(hg), similarity_graph(hg)
         assert np.array_equal(ref.xadj, vec.xadj)
         assert np.array_equal(ref.adjncy, vec.adjncy)
         assert np.array_equal(ref.adjwgt, vec.adjwgt)
@@ -100,8 +117,8 @@ class TestHcoarsenKernels:
         hg = Hypergraph.from_matrix_column_net(small_rmat)
         sim = similarity_graph(hg)
         match = handshake_matching(sim, np.random.default_rng(0))
-        out = {k: hcontract(hg, match, kernel=k) for k in COARSEN_KERNELS}
-        (ref, ref_c), (vec, vec_c) = out["reference"], out["vector"]
+        ref, ref_c = _hcontract_reference(hg, match)
+        vec, vec_c = hcontract(hg, match)
         assert np.array_equal(ref_c, vec_c)
         assert np.array_equal(ref.H.indptr, vec.H.indptr)
         assert np.array_equal(ref.H.indices, vec.H.indices)
@@ -111,11 +128,9 @@ class TestHcoarsenKernels:
 
     def test_hcoarsen_to_stack_bit_identical(self, small_powerlaw):
         hg = Hypergraph.from_matrix_column_net(small_powerlaw)
-        stacks = {
-            k: hcoarsen_to(hg, 20, np.random.default_rng(0), kernel=k)
-            for k in COARSEN_KERNELS
-        }
-        ref, vec = stacks["reference"], stacks["vector"]
+        vec = hcoarsen_to(hg, 20, np.random.default_rng(0))
+        with reference_kernels():
+            ref = hcoarsen_to(hg, 20, np.random.default_rng(0))
         assert len(ref) == len(vec) > 1
         for (hr, cr), (hv, cv) in zip(ref, vec):
             assert np.array_equal(hr.H.indptr, hv.H.indptr)
@@ -136,16 +151,13 @@ class TestHcoarsenKernels:
         assert np.array_equal(got, expect)
 
     def test_empty_similarity_graph_stalls_coarsening(self):
-        """All-singleton nets leave no usable similarity edges: both
-        kernels return the empty graph and hcoarsen_to stops at level 0."""
-        import scipy.sparse as sp
-
+        """All-singleton nets leave no usable similarity edges: the
+        similarity graph is empty and hcoarsen_to stops at level 0."""
         hg = Hypergraph.from_matrix_column_net(sp.identity(8, format="csr"))
-        for k in COARSEN_KERNELS:
-            sim = similarity_graph(hg, kernel=k)
-            assert sim.xadj[-1] == 0
-            levels = hcoarsen_to(hg, 2, np.random.default_rng(0), kernel=k)
-            assert len(levels) == 1
+        assert similarity_graph(hg).xadj[-1] == 0
+        assert len(hcoarsen_to(hg, 2, np.random.default_rng(0))) == 1
+        with reference_kernels():
+            assert len(hcoarsen_to(hg, 2, np.random.default_rng(0))) == 1
 
 
 class TestHypergraphFM:

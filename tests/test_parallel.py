@@ -61,61 +61,18 @@ def test_parallel_map_accepts_external_executor():
 
 
 # ---------------------------------------------------------------------------
-# seed schemes
+# subtree seeds
 # ---------------------------------------------------------------------------
 
 
-def test_child_seeds_legacy_is_heap_walk():
+def test_child_seeds_is_heap_walk():
     assert child_seeds(0) == (1, 2)
-    assert child_seeds(5, "legacy") == (11, 12)
+    assert child_seeds(5) == (11, 12)
 
 
-def test_child_seeds_legacy_rejects_seedsequence():
+def test_child_seeds_rejects_seedsequence():
     with pytest.raises(TypeError):
-        child_seeds(np.random.SeedSequence(3), "legacy")
-
-
-def test_child_seeds_unknown_scheme():
-    with pytest.raises(ValueError, match="unknown seed scheme"):
-        child_seeds(0, "nope")
-
-
-def test_child_seeds_spawn_deterministic():
-    # spawning twice from the same root yields identical child entropy
-    a_l, a_r = child_seeds(42, "spawn")
-    b_l, b_r = child_seeds(42, "spawn")
-    assert a_l.entropy == b_l.entropy and a_l.spawn_key == b_l.spawn_key
-    assert a_r.entropy == b_r.entropy and a_r.spawn_key == b_r.spawn_key
-    # and child streams differ from each other
-    rng_l = np.random.default_rng(a_l)
-    rng_r = np.random.default_rng(a_r)
-    assert not np.array_equal(rng_l.random(8), rng_r.random(8))
-
-
-def test_child_seeds_spawn_accepts_seedsequence():
-    root = np.random.SeedSequence(7)
-    left, right = child_seeds(root, "spawn")
-    # grandchildren keyed by tree position, reproducibly
-    gl, _ = child_seeds(left, "spawn")
-    gl2, _ = child_seeds(child_seeds(np.random.SeedSequence(7), "spawn")[0], "spawn")
-    assert gl.spawn_key == gl2.spawn_key
-
-
-def test_spawn_scheme_root_bisection_matches_legacy(small_rmat):
-    # default_rng(s) == default_rng(SeedSequence(s)): k=2 agrees across schemes
-    g = PartGraph.from_matrix(small_rmat, vertex_weights="nnz")
-    legacy = recursive_bisection(g, 2, seed=3, seed_scheme="legacy")
-    spawn = recursive_bisection(g, 2, seed=3, seed_scheme="spawn")
-    assert np.array_equal(legacy, spawn)
-
-
-def test_spawn_scheme_is_reproducible(small_rmat):
-    g = PartGraph.from_matrix(small_rmat, vertex_weights="nnz")
-    a = recursive_bisection(g, 8, seed=3, seed_scheme="spawn")
-    b = recursive_bisection(g, 8, seed=3, seed_scheme="spawn")
-    assert np.array_equal(a, b)
-    # and it is a genuinely different tree seeding than legacy at k>2
-    assert not np.array_equal(a, recursive_bisection(g, 8, seed=3))
+        child_seeds(np.random.SeedSequence(3))
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +80,10 @@ def test_spawn_scheme_is_reproducible(small_rmat):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", ["legacy", "spawn"])
-def test_parallel_rb_bit_identical_gp(small_rmat, scheme):
+def test_parallel_rb_bit_identical_gp(small_rmat):
     g = PartGraph.from_matrix(small_rmat, vertex_weights="nnz")
-    ser = recursive_bisection(g, 8, ub=1.10, seed=3, seed_scheme=scheme)
-    par = parallel_recursive_bisection(g, 8, ub=1.10, seed=3, jobs=3, seed_scheme=scheme)
+    ser = recursive_bisection(g, 8, ub=1.10, seed=3)
+    par = parallel_recursive_bisection(g, 8, ub=1.10, seed=3, jobs=3)
     assert np.array_equal(ser, par)
 
 

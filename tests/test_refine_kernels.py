@@ -7,6 +7,7 @@ scale-free, mesh and degenerate (star, edgeless, disconnected) inputs.
 """
 
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,12 +27,16 @@ from repro.partitioning.hrefine import (
 )
 from repro.partitioning.hypergraph import Hypergraph
 from repro.partitioning.initial import greedy_graph_growing, random_bisection
-from repro.partitioning.refine import (
-    FM_KERNELS,
-    balance_allowance,
-    fm_refine,
-    use_kernel,
-)
+from repro.partitioning import refine
+from repro.partitioning.refine import balance_allowance, fm_refine
+
+from tests.oracles import reference_kernels
+
+
+def fm_refine_reference(*args, **kwargs) -> np.ndarray:
+    """``fm_refine`` with every pass run by ``_fm_pass_reference``."""
+    with reference_kernels():
+        return fm_refine(*args, **kwargs)
 
 
 def _star(nleaves: int, vw="nnz") -> PartGraph:
@@ -49,55 +54,54 @@ class TestKernelIdentity:
     def test_rmat_bit_identical(self, small_rmat, vw, seed):
         g = PartGraph.from_matrix(small_rmat, vertex_weights=vw)
         part0 = (np.random.default_rng(seed).random(g.n) < 0.5).astype(np.int64)
-        a = fm_refine(g, part0, kernel="vector")
-        b = fm_refine(g, part0, kernel="reference")
+        a = fm_refine(g, part0)
+        b = fm_refine_reference(g, part0)
         assert np.array_equal(a, b)
 
     def test_grid_uneven_targets(self, small_grid):
         g = PartGraph.from_matrix(small_grid, "unit")
         part0 = (np.arange(g.n) % 2).astype(np.int64)
-        a = fm_refine(g, part0, (0.4, 0.6), 1.02, kernel="vector")
-        b = fm_refine(g, part0, (0.4, 0.6), 1.02, kernel="reference")
+        a = fm_refine(g, part0, (0.4, 0.6), 1.02)
+        b = fm_refine_reference(g, part0, (0.4, 0.6), 1.02)
         assert np.array_equal(a, b)
 
     def test_star_hub_path(self):
         """A 200-leaf hub exercises the fancy-indexed hub update tier."""
         g = _star(200)
         part0 = (np.arange(g.n) % 2).astype(np.int64)
-        a = fm_refine(g, part0, kernel="vector")
-        b = fm_refine(g, part0, kernel="reference")
+        a = fm_refine(g, part0)
+        b = fm_refine_reference(g, part0)
         assert np.array_equal(a, b)
 
-    def test_use_kernel_switches_default(self, small_grid):
-        g = PartGraph.from_matrix(small_grid, "unit")
+    def test_kernel_parameter_is_gone(self):
+        with pytest.raises(TypeError):
+            fm_refine(_star(4), np.zeros(5, dtype=np.int64), kernel="vector")
+
+    def test_four_constraints_run_the_reference_pass(self):
+        """Above three constraints ``_fm_pass`` routes to the per-vertex
+        pass; the result is balanced and no worse than the input cut."""
+        g = PartGraph.from_matrix(grid2d(12, 12), ("unit", "nnz", "unit", "nnz"))
+        assert g.ncon == 4
         part0 = (np.arange(g.n) % 2).astype(np.int64)
-        with use_kernel("reference"):
-            a = fm_refine(g, part0)
-        b = fm_refine(g, part0)  # default (vector) restored on exit
-        assert np.array_equal(a, b)
-
-    def test_use_kernel_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown FM kernel"):
-            with use_kernel("simd"):
-                pass
-        with pytest.raises(ValueError, match="unknown FM kernel"):
-            fm_refine(_star(4), np.zeros(5, dtype=np.int64), kernel="simd")
-
-    def test_kernel_registry(self):
-        assert FM_KERNELS == ("vector", "reference")
+        with mock.patch.object(
+            refine, "_fm_pass_reference", wraps=refine._fm_pass_reference
+        ) as spy:
+            refined = fm_refine(g, part0)
+        assert spy.called
+        allow = balance_allowance(g, (0.5, 0.5), 1.05)
+        assert (g.part_weights(refined, 2) <= allow + 1e-9).all()
+        assert g.edgecut(refined) <= g.edgecut(part0)
 
     def test_mirror_threshold_paths_identical(self, small_rmat, monkeypatch):
         """Above _MIRROR_SLOTS the vector passes skip the full Python-list
         adjacency mirrors and slice-convert per move; both paths must make
         identical moves."""
-        from repro.partitioning import refine
-
         g = PartGraph.from_matrix(small_rmat, "nnz")
         part0 = (np.random.default_rng(3).random(g.n) < 0.5).astype(np.int64)
-        with_mirrors = fm_refine(g, part0, kernel="vector")
+        with_mirrors = fm_refine(g, part0)
         monkeypatch.setattr(refine, "_MIRROR_SLOTS", 1)  # force the big-graph path
         g2 = PartGraph.from_matrix(small_rmat, "nnz")  # fresh memoized state
-        without_mirrors = fm_refine(g2, part0, kernel="vector")
+        without_mirrors = fm_refine(g2, part0)
         assert np.array_equal(with_mirrors, without_mirrors)
 
 
@@ -105,8 +109,8 @@ class TestFMRollback:
     """Hill climbing must roll every speculative move back when no prefix
     improves the (balance, cut) key."""
 
-    @pytest.mark.parametrize("kernel", ["vector", "reference"])
-    def test_optimal_cycle_bisection_unchanged(self, kernel):
+    @pytest.mark.parametrize("refiner", [fm_refine, fm_refine_reference])
+    def test_optimal_cycle_bisection_unchanged(self, refiner):
         # even cycle split into two arcs: the 2-edge cut is optimal and
         # balanced, so the pass climbs hills and rolls everything back
         n = 40
@@ -114,11 +118,11 @@ class TestFMRollback:
         A = from_edges(i, (i + 1) % n, (n, n), symmetrize=True)
         g = PartGraph.from_matrix(A, "unit")
         part0 = (i >= n // 2).astype(np.int64)
-        refined = fm_refine(g, part0, passes=3, hill_limit=16, kernel=kernel)
+        refined = refiner(g, part0, passes=3, hill_limit=16)
         assert np.array_equal(refined, part0)
 
-    @pytest.mark.parametrize("kernel", ["vector", "reference"])
-    def test_rollback_restores_partial_prefix(self, kernel):
+    @pytest.mark.parametrize("refiner", [fm_refine, fm_refine_reference])
+    def test_rollback_restores_partial_prefix(self, refiner):
         # interleaved grid columns: many improving moves exist, the pass
         # keeps climbing past the optimum and must rewind to the best
         # prefix — the result may never be worse than the input on the
@@ -126,7 +130,7 @@ class TestFMRollback:
         g = PartGraph.from_matrix(grid2d(12, 12), "unit")
         part0 = (np.arange(g.n) % 2).astype(np.int64)
         allow = balance_allowance(g, (0.5, 0.5), 1.05)
-        refined = fm_refine(g, part0, passes=1, hill_limit=64, kernel=kernel)
+        refined = refiner(g, part0, passes=1, hill_limit=64)
         sw = np.zeros((2, g.ncon))
         np.add.at(sw, refined, g.vwgt)
         assert (sw <= allow + 1e-9).all()

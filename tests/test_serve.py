@@ -42,7 +42,6 @@ from repro.serve import (
     ServeConfig,
     start_in_thread,
 )
-from repro.runtime import threads as thread_kernels
 from repro.serve.loadgen import reference_engine, run_loadgen
 from repro.serve.protocol import decode_vector, encode_message, encode_vector
 from repro.serve.residency import EngineKey, EngineResidency, ResidentEngine
@@ -900,7 +899,7 @@ def test_threaded_server_with_worker_pool_bit_identical(serve_env):
 
     A server running a multi-threaded apply budget *and* a process pool
     for cold partitions must still answer bit-identically to the serial
-    reference engine — the threaded kernel is exact, and pool workers
+    reference engine — the threaded apply is exact, and pool workers
     pin their own budgets to 1 rather than nesting thread pools.
     """
     sock = os.path.join(serve_env["tmp"], "thr.sock")
@@ -915,6 +914,7 @@ def test_threaded_server_with_worker_pool_bit_identical(serve_env):
     try:
         n = serve_env["A"].shape[0]
         engine, _ = reference_engine(serve_env["mtx"], "2d-gp", PROCS, 0)
+        engine.set_threads(1)  # the serial oracle, whatever the process default
         with ServeClient(sock, timeout=300.0) as c:
             xs = [
                 np.random.default_rng(400 + i).standard_normal(n)
@@ -923,8 +923,7 @@ def test_threaded_server_with_worker_pool_bit_identical(serve_env):
             for x in xs:
                 resp, y = _matvec(c, serve_env, x)
                 assert resp["ok"], resp.get("error")
-                with thread_kernels.use_kernel("serial"):
-                    assert np.array_equal(y, engine.spmv(x))
+                assert np.array_equal(y, engine.spmv(x))
             health, _ = c.request({"op": "health"})
             assert health["engine_threads"] == 4
             stats, _ = c.request({"op": "stats"})
