@@ -83,15 +83,13 @@ def _evict_rpart(matrix: str, procs: int, seed: int) -> None:
     entirely, so a kill injection stamped on the warm-up request would
     never fire on a warm rerun.
     """
-    from repro.bench.harness import _matrix_hash, default_cache_dir
+    from repro.bench.harness import rpart_cache_path
     from repro.generators.corpus import CORPUS, load_corpus_matrix
-    from repro.runtime.store import EngineKey, EngineStore
+    from repro.runtime.store import EngineKey, EngineStore, matrix_hash
 
     kind = CORPUS[matrix].partitioner
-    mhash = _matrix_hash(load_corpus_matrix(matrix))
-    (default_cache_dir() / f"{mhash}_{kind}_k{procs}_s{seed}.npy").unlink(
-        missing_ok=True
-    )
+    mhash = matrix_hash(load_corpus_matrix(matrix))
+    rpart_cache_path(mhash, kind, procs, seed).unlink(missing_ok=True)
     EngineStore().evict(EngineKey(mhash, f"2d-{kind}", procs, seed))
 
 

@@ -148,17 +148,17 @@ def run(
         # the injected death only happens if a partition actually runs, so
         # evict any cached rpart for the fault key (prior runs share the
         # cache directory) to guarantee a cold pool partition
-        from repro.bench.harness import _matrix_hash, default_cache_dir
+        from repro.bench.harness import rpart_cache_path
         from repro.generators.corpus import CORPUS, load_corpus_matrix
+        from repro.runtime.store import EngineKey, EngineStore, matrix_hash
 
         fault_kind = CORPUS[fault_matrix].partitioner
-        fault_hash = _matrix_hash(load_corpus_matrix(fault_matrix))
-        (default_cache_dir() / f"{fault_hash}_{fault_kind}_k{fault_procs}_s9999.npy"
-         ).unlink(missing_ok=True)
+        fault_hash = matrix_hash(load_corpus_matrix(fault_matrix))
+        rpart_cache_path(fault_hash, fault_kind, fault_procs, 9999).unlink(
+            missing_ok=True
+        )
         # ... and the engine artifact for the same key: a store hit would
         # skip the partition entirely and the injection would never fire
-        from repro.runtime.store import EngineKey, EngineStore
-
         fault_method = f"2d-{fault_kind}"
         EngineStore().evict(EngineKey(fault_hash, fault_method, fault_procs, 9999))
         t0 = time.perf_counter()

@@ -20,6 +20,7 @@ from ..generators.corpus import load_corpus_matrix
 from ..graphs.csr import as_csr
 from ..graphs.ops import normalized_laplacian
 from ..runtime import CAB, CommStats, DistSparseMatrix, MachineModel, comm_stats
+from ..runtime.store import matrix_hash
 from ..solvers.replay import SolveProfile, modeled_solve_seconds, solve_profile
 from .harness import PROXY_PROCS, default_cache_dir, layout_for
 
@@ -43,9 +44,7 @@ class EigenRecord:
 
 
 def _profile_path(matrix_name: str, k: int, tol: float, seed: int):
-    from .harness import _matrix_hash
-
-    h = _matrix_hash(load_corpus_matrix(matrix_name))
+    h = matrix_hash(load_corpus_matrix(matrix_name))
     return default_cache_dir() / f"profile_{matrix_name}_{h}_k{k}_t{tol:g}_s{seed}.npz"
 
 

@@ -28,9 +28,9 @@ from ..generators.corpus import corpus_spec, load_corpus_matrix
 from ..graphs.csr import as_csr
 from ..layouts import make_layout
 from ..layouts.base import Layout
-from ..partitioning import partition_matrix
-from ..partitioning.kway import derive_nested_partition, kway_balance_refine
-from ..partitioning.partgraph import PartGraph
+from ..partitioning import PARTITION_METHODS, partition_matrix
+from ..partitioning.api import _repair
+from ..partitioning.kway import derive_nested_partition
 from ..runtime import CAB, CommStats, DistSparseMatrix, MachineModel, comm_stats
 from ..runtime.store import EngineKey, EngineStore, matrix_hash
 
@@ -40,6 +40,8 @@ __all__ = [
     "SpmvRecord",
     "default_cache_dir",
     "atomic_save_npy",
+    "rpart_cache_path",
+    "load_cached_rpart",
     "cached_rpart",
     "layout_for",
     "engine_store_key",
@@ -91,8 +93,20 @@ def atomic_save_npy(path: Path, arr: np.ndarray) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _load_cached_part(path: Path, n: int) -> np.ndarray | None:
-    """Double-checked cache read: any unreadable/stale file is a miss."""
+def rpart_cache_path(
+    mhash: str, kind: str, nparts: int, seed: int, cache_dir: Path | None = None
+) -> Path:
+    """Where the rpart of (matrix content hash, kind, nparts, seed) is cached.
+
+    Entries are keyed by partitioner kind ("gp"), not layout method
+    ("2d-gp"): the 1D and 2D layouts of a cell share one partition.
+    """
+    cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
+    return cache_dir / f"{mhash}_{kind}_k{nparts}_s{seed}.npy"
+
+
+def load_cached_rpart(path: Path, n: int) -> np.ndarray | None:
+    """Double-checked cache read: a missing/unreadable/stale file is a miss."""
     try:
         part = np.load(path)
     except (OSError, ValueError, EOFError):
@@ -100,11 +114,6 @@ def _load_cached_part(path: Path, n: int) -> np.ndarray | None:
     if part.ndim != 1 or len(part) != n:
         return None
     return part.astype(np.int64)
-
-
-#: Canonical content hash lives with the engine store now; the partition
-#: cache and the engine artifacts share one digest per matrix.
-_matrix_hash = matrix_hash
 
 
 def cached_rpart(
@@ -137,22 +146,13 @@ def cached_rpart(
         part = derive_nested_partition(fine, nested_from, nparts)
         # the RB tree balanced each level to its own tolerance; grouping
         # leaves compounds those errors (and hub granularity at the fine
-        # level disappears at the coarse one), so repair at the target k —
-        # same weights (and the same row-awareness for hp) that
-        # partition_matrix itself balances
-        if kind == "hp":
-            g = PartGraph.from_matrix(A, vertex_weights=("unit", "nnz"))
-            return kway_balance_refine(g, part, nparts, ub=np.array([1.15, 1.25]))
-        weights = ("unit", "nnz") if kind == "gp-mc" else "nnz"
-        g = PartGraph.from_matrix(A, vertex_weights=weights)
-        return kway_balance_refine(g, part, nparts, ub=1.10)
-    cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-    key = f"{_matrix_hash(A)}_{kind}_k{nparts}_s{seed}.npy"
-    path = cache_dir / key
-    if path.exists():
-        part = _load_cached_part(path, A.shape[0])
-        if part is not None:
-            return part
+        # level disappears at the coarse one), so repair at the target k,
+        # the way partition_matrix itself repairs this kind at its default ub
+        return _repair(A, kind, part, nparts, 1.10)[0]
+    path = rpart_cache_path(matrix_hash(A), kind, nparts, seed, cache_dir)
+    part = load_cached_rpart(path, A.shape[0])
+    if part is not None:
+        return part
     part = partition_matrix(
         A, nparts, method=kind, seed=seed, jobs=jobs, executor=executor
     ).part
@@ -183,7 +183,7 @@ def layout_for(
     method = method.lower()
     _, _, kind = method.partition("-")
     rpart = None
-    if kind in ("gp", "hp", "gp-mc"):
+    if kind in PARTITION_METHODS:
         rpart = cached_rpart(
             A, kind, nprocs, seed=seed, cache_dir=cache_dir, nested_from=nested_from
         )

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..partitioning import PARTITION_METHODS
 from .base import Layout, process_grid_shape
 from .cartesian import cartesian_layout
 from .oned import oned_layout
@@ -47,8 +48,6 @@ _DISPLAY = {
     "2d-hp": "2D-HP", "2d-gp-mc": "2D-GP-MC",
 }
 
-_PARTITIONER_OF = {"gp": "gp", "hp": "hp", "gp-mc": "gp-mc"}
-
 
 def canonical_name(method: str) -> str:
     """Display name used in the paper's tables (e.g. ``"2D-GP"``)."""
@@ -65,9 +64,9 @@ def paper_methods(partitioner: str, include_mc: bool = False) -> list[str]:
     ``include_mc`` appends the multiconstraint variants (Table 4's extra
     columns; only defined for GP matrices).
     """
-    if partitioner not in _PARTITIONER_OF:
+    if partitioner not in PARTITION_METHODS:
         raise ValueError(f"unknown partitioner {partitioner!r}; choose from "
-                         f"{sorted(_PARTITIONER_OF)}")
+                         f"{sorted(PARTITION_METHODS)}")
     methods = [
         "1d-block", "1d-random", f"1d-{partitioner}",
         "2d-block", "2d-random", f"2d-{partitioner}",
@@ -126,7 +125,7 @@ def make_layout(
             rpart = random_rpart(n, nprocs, seed=seed)
         else:
             rpart = partitioned_rpart(
-                A, nprocs, method=_PARTITIONER_OF[kind], seed=seed, **partition_kwargs
+                A, nprocs, method=kind, seed=seed, **partition_kwargs
             )
     else:
         rpart = np.asarray(rpart, dtype=np.int64)

@@ -1,23 +1,23 @@
-"""Process-pool execution layer: parallel RB, sweep fan-out, makespan replay.
+"""Process-pool execution layer: worker pools, sweep fan-out, makespan replay.
 
 The paper treats partitioning as a reusable pre-processing step; PR 1
 made the modeled machine fast, which left host wall-clock dominated by
 the *partitioner* and by cell sweeps that run strictly serially. This
-module parallelises both without changing a single output bit:
+module supplies the pools that parallelise both without changing a
+single output bit:
 
-parallel recursive bisection
+recursive bisection over a pool
     After a bisection, the two induced subgraphs are independent — the
     classic parallel-RB observation of multilevel partitioners (METIS,
-    Zoltan PHG). :func:`parallel_recursive_bisection` expands the RB tree
-    event-driven over a ``ProcessPoolExecutor``: every tree node is one
-    picklable task (:func:`repro.partitioning.kway._split` /
-    ``hkway._split``), children are submitted as soon as their parent
-    completes, and per-subtree seeds derive from the same pure function
-    of tree position the serial recursion uses
-    (:func:`repro.partitioning._util.child_seeds`). Completion order
-    therefore cannot influence the result: parallel part vectors are
-    **bit-identical** to serial ones, and the serial path remains the
-    default and the reference.
+    Zoltan PHG). There is one RB tree walker,
+    :func:`repro.partitioning._util.walk_rb`; handed an executor
+    (``partition_matrix(..., jobs=N)`` / ``executor=pool``) it ships every
+    tree node as one picklable task
+    (:func:`repro.partitioning.kway._split` / ``hkway._split``) and
+    submits children as soon as their parent lands. Seeds and part ids
+    are pure functions of tree position, so completion order cannot
+    influence the result. This module only creates the pool
+    (:func:`_worker_pool`).
 
 sweep fan-out
     :func:`parallel_map` fans independent cells (one corpus matrix's
@@ -28,9 +28,9 @@ sweep fan-out
     serial sweep — matrix-level fan-out alone caps below 2x).
 
 schedule accounting
-    Workers report per-task CPU seconds (``time.process_time``, immune
-    to host time-slicing) and the drivers record the task DAG. A run
-    can therefore be replayed onto k virtual workers with
+    Partition tasks report their CPU seconds (``time.process_time``,
+    immune to host time-slicing) and the partition recipe records the
+    task DAG. A run can therefore be replayed onto k virtual workers with
     :func:`schedule_makespan` — the same greedy list scheduling the
     executor performs — giving a host-independent account of what the
     schedule achieves. On a host with >= jobs idle cores the replayed
@@ -43,30 +43,21 @@ from __future__ import annotations
 
 import heapq
 import os
-import time
 from concurrent.futures import (
-    FIRST_COMPLETED,
     BrokenExecutor,
     Executor,
     ProcessPoolExecutor,
+    ThreadPoolExecutor,
     TimeoutError as FutureTimeoutError,
-    wait,
 )
-from threading import Lock, Thread
+from contextlib import contextmanager
+from threading import Lock
 
 import numpy as np
-
-from .partitioning import hkway, kway
-from .partitioning._util import check_part_vector, child_seeds
-from .partitioning.hypergraph import Hypergraph
-from .partitioning.kway import kway_balance_refine
-from .partitioning.partgraph import PartGraph
 
 __all__ = [
     "resolve_jobs",
     "parallel_map",
-    "parallel_recursive_bisection",
-    "parallel_hypergraph_recursive_bisection",
     "parallel_partition_sweep",
     "schedule_makespan",
     "ResilientPool",
@@ -116,6 +107,24 @@ def _pin_worker_threads() -> None:
     set_default_threads(1)
 
 
+@contextmanager
+def _worker_pool(jobs: int | None, executor: Executor | None = None):
+    """Yield the executor pool tasks should run on, or None for "inline".
+
+    The one place a ``jobs=N`` process pool is created: *executor* if the
+    caller brought one (left open), else a fresh pinned pool for
+    ``jobs`` > 1 (shut down on exit), else None.
+    """
+    njobs = resolve_jobs(jobs)
+    if executor is not None or njobs <= 1:
+        yield executor
+        return
+    with ProcessPoolExecutor(
+        max_workers=njobs, initializer=_pin_worker_threads
+    ) as pool:
+        yield pool
+
+
 def parallel_map(fn, items, jobs: int | None = None, executor: Executor | None = None):
     """Order-preserving map over a process pool.
 
@@ -124,14 +133,10 @@ def parallel_map(fn, items, jobs: int | None = None, executor: Executor | None =
     straight through. *fn* and every item must be picklable.
     """
     items = list(items)
-    if executor is not None:
-        return list(executor.map(fn, items))
-    njobs = resolve_jobs(jobs)
-    if njobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(
-        max_workers=min(njobs, len(items)), initializer=_pin_worker_threads
-    ) as pool:
+    njobs = max(1, min(resolve_jobs(jobs), len(items)))
+    with _worker_pool(njobs, executor) as pool:
+        if pool is None:
+            return [fn(item) for item in items]
         return list(pool.map(fn, items))
 
 
@@ -254,226 +259,8 @@ class ResilientPool:
 
 
 # ---------------------------------------------------------------------------
-# parallel recursive bisection
-# ---------------------------------------------------------------------------
-
-
-def _split_task(kind: str, sub, lo: int, k: int, ub: float, seed, extra, kwargs: dict):
-    """Worker unit: one RB node — bisect and build both induced subgraphs.
-
-    Runs the exact serial node functions, so (subgraph, seed) alone
-    determine the output. Returns CPU seconds for schedule replay.
-    """
-    t0 = time.process_time()
-    if kind == "hp":
-        bis, k0 = hkway._split(sub, k, ub, extra, seed, kwargs)
-        sel0, sel1 = np.flatnonzero(bis == 0), np.flatnonzero(bis == 1)
-        left, right = sub.induced(sel0), sub.induced(sel1)
-    else:
-        bis, k0 = kway._split(sub, k, ub, seed, kwargs)
-        sel0, sel1 = np.flatnonzero(bis == 0), np.flatnonzero(bis == 1)
-        left, right = sub.induced_subgraph(sel0), sub.induced_subgraph(sel1)
-    return bis, k0, left, right, time.process_time() - t0
-
-
-def _drive_rb(
-    kind: str,
-    g,
-    nparts: int,
-    ub_level: float,
-    seed,
-    executor: Executor,
-    extra,
-    kwargs: dict,
-    trace: list | None = None,
-    label: str = "rb",
-    root_dep: str | None = None,
-) -> np.ndarray:
-    """Event-driven RB tree expansion over *executor*.
-
-    Children are dispatched the moment their parent's bisection lands, so
-    the pool stays busy down the whole tree; the only serial dependency
-    left is each matrix's root-to-leaf chain. Every write into ``part``
-    is indexed by the node's own vertex set, so completion order cannot
-    change the result.
-    """
-    part = np.zeros(g.n, dtype=np.int64)
-    pending: dict = {}
-
-    def dispatch(sub, vertices, lo, k, sd, path):
-        if k == 1 or len(vertices) == 0:
-            part[vertices] = lo
-            return
-        fut = executor.submit(_split_task, kind, sub, lo, k, ub_level, sd, extra, kwargs)
-        pending[fut] = (vertices, lo, k, sd, path)
-
-    dispatch(g, np.arange(g.n, dtype=np.int64), 0, nparts, seed, "r")
-    while pending:
-        done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-        for fut in done:
-            vertices, lo, k, sd, path = pending.pop(fut)
-            bis, k0, left, right, cpu = fut.result()
-            if trace is not None:
-                dep = f"{label}:{path[:-1]}" if len(path) > 1 else root_dep
-                trace.append({
-                    "id": f"{label}:{path}",
-                    "deps": [dep] if dep else [],
-                    "cpu": cpu,
-                })
-            s_left, s_right = child_seeds(sd)
-            dispatch(left, vertices[bis == 0], lo, k0, s_left, path + "0")
-            dispatch(right, vertices[bis == 1], lo + k0, k - k0, s_right, path + "1")
-    return part
-
-
-def parallel_recursive_bisection(
-    g: PartGraph,
-    nparts: int,
-    ub: float = 1.05,
-    seed=0,
-    jobs: int | None = None,
-    executor: Executor | None = None,
-    trace: list | None = None,
-    trace_label: str = "rb",
-    root_dep: str | None = None,
-    **bisect_kwargs,
-) -> np.ndarray:
-    """Process-pool :func:`repro.partitioning.recursive_bisection`.
-
-    Bit-identical to the serial path for every (graph, nparts, seed):
-    same per-level tolerance, same node splits, same
-    subtree seeds, same final k-way balance repair. With ``jobs`` <= 1
-    and no executor it simply calls the serial reference.
-    """
-    if nparts < 1:
-        raise ValueError(f"nparts must be >= 1, got {nparts}")
-    if nparts == 1 or g.n == 0:
-        return np.zeros(g.n, dtype=np.int64)
-    njobs = resolve_jobs(jobs)
-    if executor is None and njobs <= 1:
-        return kway.recursive_bisection(g, nparts, ub=ub, seed=seed, **bisect_kwargs)
-    depth = int(np.ceil(np.log2(nparts)))
-    ub_level = float(ub) ** (1.0 / depth)
-    own_pool = executor is None
-    pool = (
-        executor
-        if executor is not None
-        else ProcessPoolExecutor(
-            max_workers=njobs, initializer=_pin_worker_threads
-        )
-    )
-    try:
-        part = _drive_rb(
-            "gp", g, nparts, ub_level, seed, pool, None,
-            bisect_kwargs, trace, trace_label, root_dep,
-        )
-    finally:
-        if own_pool:
-            pool.shutdown()
-    part = kway_balance_refine(g, part, nparts, ub=ub)
-    return check_part_vector(part, g.n, nparts)
-
-
-def parallel_hypergraph_recursive_bisection(
-    hg: Hypergraph,
-    nparts: int,
-    ub: float = 1.05,
-    seed=0,
-    jobs: int | None = None,
-    executor: Executor | None = None,
-    trace: list | None = None,
-    trace_label: str = "hrb",
-    root_dep: str | None = None,
-    **bisect_kwargs,
-) -> np.ndarray:
-    """Process-pool :func:`repro.partitioning.hypergraph_recursive_bisection`."""
-    if nparts < 1:
-        raise ValueError(f"nparts must be >= 1, got {nparts}")
-    if nparts == 1 or hg.n == 0:
-        return np.zeros(hg.n, dtype=np.int64)
-    njobs = resolve_jobs(jobs)
-    if executor is None and njobs <= 1:
-        return hkway.hypergraph_recursive_bisection(
-            hg, nparts, ub=ub, seed=seed, **bisect_kwargs
-        )
-    depth = int(np.ceil(np.log2(nparts)))
-    ub_level = float(ub) ** (1.0 / depth)
-    ideal = hg.total_weight()[0] / nparts
-    own_pool = executor is None
-    pool = (
-        executor
-        if executor is not None
-        else ProcessPoolExecutor(
-            max_workers=njobs, initializer=_pin_worker_threads
-        )
-    )
-    try:
-        part = _drive_rb(
-            "hp", hg, nparts, ub_level, seed, pool, ideal,
-            bisect_kwargs, trace, trace_label, root_dep,
-        )
-    finally:
-        if own_pool:
-            pool.shutdown()
-    return check_part_vector(part, hg.n, nparts)
-
-
-# ---------------------------------------------------------------------------
 # multi-matrix partition sweep over one shared pool
 # ---------------------------------------------------------------------------
-
-
-def _build_task(A, kind: str, nparts: int):
-    """Worker unit: build the partitioning structure for one matrix."""
-    t0 = time.process_time()
-    if kind == "hp":
-        built = Hypergraph.from_matrix_column_net(A, vertex_weights="nnz")
-    else:
-        weights = ("unit", "nnz") if kind == "gp-mc" else "nnz"
-        built = PartGraph.from_matrix(A, vertex_weights=weights)
-    return built, time.process_time() - t0
-
-
-def _finalize_task(A, kind: str, part: np.ndarray, nparts: int, ub: float):
-    """Worker unit: the k-way balance repair :func:`partition_matrix` applies."""
-    t0 = time.process_time()
-    if kind == "hp":
-        g_bal = PartGraph.from_matrix(A, vertex_weights=("unit", "nnz"))
-        part = kway_balance_refine(
-            g_bal, part, nparts, ub=np.array([1.15, max(ub, 1.25)])
-        )
-    else:
-        weights = ("unit", "nnz") if kind == "gp-mc" else "nnz"
-        g = PartGraph.from_matrix(A, vertex_weights=weights)
-        part = kway_balance_refine(g, part, nparts, ub=ub)
-    return check_part_vector(part, A.shape[0], nparts), time.process_time() - t0
-
-
-def _sweep_one(name, A, kind, nparts, seed, ub, pool, trace, out):
-    """Orchestrate one matrix's partition pipeline (runs in a thread).
-
-    Mirrors :func:`repro.partitioning.partition_matrix` exactly — build,
-    RB tree, balance repair — but every CPU-bearing step is a pool task,
-    so the thread only shepherds futures and the trace records honest
-    per-task CPU seconds.
-    """
-    built, cpu = pool.submit(_build_task, A, kind, nparts).result()
-    if trace is not None:
-        trace.append({"id": f"{name}:build", "deps": [], "cpu": cpu})
-    depth = int(np.ceil(np.log2(nparts)))
-    rb_ub = float(ub) ** (1.0 / depth)
-    if kind == "hp":
-        extra = built.total_weight()[0] / nparts
-        part = _drive_rb("hp", built, nparts, rb_ub, seed, pool,
-                         extra, {}, trace, name, f"{name}:build")
-    else:
-        part = _drive_rb("gp", built, nparts, rb_ub, seed, pool,
-                         None, {}, trace, name, f"{name}:build")
-    tree_ids = [t["id"] for t in trace if t["id"].startswith(f"{name}:r")] if trace is not None else []
-    part, cpu = pool.submit(_finalize_task, A, kind, part, nparts, ub).result()
-    if trace is not None:
-        trace.append({"id": f"{name}:refine", "deps": tree_ids or [f"{name}:build"], "cpu": cpu})
-    out[name] = part
 
 
 def parallel_partition_sweep(
@@ -485,40 +272,36 @@ def parallel_partition_sweep(
 ) -> dict[str, np.ndarray]:
     """Partition many matrices concurrently over one shared process pool.
 
-    *specs* is an iterable of ``(name, matrix, kind, nparts)``. All RB
-    trees are multiplexed onto a single ``jobs``-worker pool (one
-    orchestration thread per matrix, threads only wait on futures), so a
-    corpus dominated by one huge matrix still fills every worker: the
-    big matrix's subtrees and the small matrices' nodes interleave.
+    *specs* is an iterable of ``(name, matrix, kind, nparts)``. Each
+    matrix runs the one partition recipe
+    (:func:`repro.partitioning.api._partition`: build, RB tree, balance
+    repair) with every step a task of a single ``jobs``-worker pool; one
+    orchestration thread per matrix only waits on futures, so a corpus
+    dominated by one huge matrix still fills every worker: the big
+    matrix's subtrees and the small matrices' nodes interleave. With
+    ``jobs`` <= 1 the same recipe runs inline, one matrix after another.
+    *trace* collects the recipe's ``{id, deps, cpu}`` rows, ids prefixed by
+    the matrix name.
 
     Returns ``{name: part}`` with each part bit-identical to
-    ``partition_matrix(matrix, nparts, method=kind, seed=seed).part``.
+    ``partition_matrix(matrix, nparts, method=kind, seed=seed).part``,
+    and raises what ``partition_matrix`` would raise, at any ``jobs``.
     """
-    specs = list(specs)
-    njobs = resolve_jobs(jobs)
-    out: dict[str, np.ndarray] = {}
-    if njobs <= 1 or not specs:
-        from .partitioning import partition_matrix
+    from .partitioning.api import _partition
 
-        for name, A, kind, nparts in specs:
-            out[name] = partition_matrix(A, nparts, method=kind, seed=seed, ub=ub).part
-        return out
-    with ProcessPoolExecutor(
-        max_workers=njobs, initializer=_pin_worker_threads
-    ) as pool:
-        threads = [
-            Thread(
-                target=_sweep_one,
-                args=(name, A, kind, nparts, seed, ub, pool, trace, out),
-                name=f"sweep-{name}",
-            )
-            for name, A, kind, nparts in specs
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    return out
+    specs = list(specs)
+
+    def one(spec):
+        name, A, kind, nparts = spec
+        return name, _partition(A, nparts, kind, seed, ub, pool, {}, trace, name)[0]
+
+    with _worker_pool(jobs) as pool:
+        if pool is None or not specs:
+            return dict(map(one, specs))
+        with ThreadPoolExecutor(
+            max_workers=len(specs), thread_name_prefix="sweep"
+        ) as threads:
+            return dict(threads.map(one, specs))
 
 
 # ---------------------------------------------------------------------------

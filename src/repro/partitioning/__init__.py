@@ -28,7 +28,7 @@ from .hypergraph import Hypergraph
 from .bisect import multilevel_bisect
 from .kway import recursive_bisection, partition_quality, derive_nested_partition
 from .hkway import hypergraph_recursive_bisection
-from .api import partition_matrix, PartitionResult
+from .api import PARTITION_METHODS, partition_matrix, PartitionResult
 
 __all__ = [
     "PartGraph",
@@ -40,4 +40,5 @@ __all__ = [
     "derive_nested_partition",
     "partition_matrix",
     "PartitionResult",
+    "PARTITION_METHODS",
 ]

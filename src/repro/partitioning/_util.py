@@ -1,6 +1,9 @@
-"""Shared numpy helpers for the partitioners."""
+"""Shared numpy helpers for the partitioners, and the one RB tree walker."""
 
 from __future__ import annotations
+
+import time
+from concurrent.futures import FIRST_COMPLETED, wait
 
 import numpy as np
 
@@ -12,6 +15,9 @@ __all__ = [
     "gather_csr_slots",
     "check_part_vector",
     "child_seeds",
+    "two_sided",
+    "run_task",
+    "walk_rb",
 ]
 
 def child_seeds(seed: int) -> tuple[int, int]:
@@ -19,14 +25,104 @@ def child_seeds(seed: int) -> tuple[int, int]:
 
     The heap-numbering walk (``2s+1``, ``2s+2``) the partitioners have
     always used; every golden snapshot and cached partition was generated
-    under it. It is a pure function of (seed, tree position): the serial
-    recursion and the process-pool driver in :mod:`repro.parallel` derive
-    identical seeds for identical subtrees, which is what makes parallel
-    partitions bit-identical to serial ones. Known weakness: cross-root
-    collisions — the left child of root seed 1 and the root of seed 3
-    share a stream.
+    under it. It is a pure function of (seed, tree position), so the order
+    in which :func:`walk_rb` lands its nodes cannot reach the seeds. Known
+    weakness: cross-root collisions — the left child of root seed 1 and
+    the root of seed 3 share a stream.
     """
     return seed * 2 + 1, seed * 2 + 2
+
+
+def two_sided(bis: np.ndarray, weight: np.ndarray, frac0: float) -> np.ndarray:
+    """Return *bis*, or a proportional split if it left one side empty.
+
+    A degenerate bisection can happen on tiny/star graphs; falling back to
+    a (frac0 : 1-frac0) split of the weight-sorted vertex list keeps every
+    part id of the subtree populated.
+    """
+    if (bis == 0).any() and (bis == 1).any():
+        return bis
+    n = len(bis)
+    order = np.argsort(-weight, kind="stable")
+    nleft = max(1, min(n - 1, int(round(n * frac0))))
+    bis = np.ones(n, dtype=np.int64)
+    bis[order[:nleft]] = 0
+    return bis
+
+
+def _timed(fn, *args):
+    """``(fn(*args), CPU seconds it took)`` — the unit every pool task ships as.
+
+    ``time.process_time`` is immune to host time-slicing, which is what
+    lets :func:`repro.parallel.schedule_makespan` replay a trace.
+    """
+    t0 = time.process_time()
+    out = fn(*args)
+    return out, time.process_time() - t0
+
+
+def run_task(executor, fn, *args):
+    """Run ``fn(*args)`` inline, or as one task of *executor*; ``(result, cpu)``."""
+    if executor is None:
+        return _timed(fn, *args)
+    return executor.submit(_timed, fn, *args).result()
+
+
+def walk_rb(node, root, nparts: int, ub: float, seed: int, executor=None, trace=None):
+    """Recursive bisection of *root* into *nparts* parts; returns the part vector.
+
+    The one owner of the RB node rule. A tree node is a leaf when it has
+    one part id left or no vertices; otherwise ``node(sub, k0, k, ub_level,
+    seed) -> (bis, left, right)`` bisects it (k0 : k-k0)-proportionally
+    and induces both sides, the left subtree takes ids ``[lo, lo+k0)`` and
+    the right ``[lo+k0, lo+k)`` with ``k0 = k // 2``, and subtree seeds come
+    from :func:`child_seeds`. The per-level tolerance is
+    ``ub ** (1/ceil(log2 nparts))`` so the *compounded* k-way imbalance
+    stays near ``ub`` (RB multiplies the per-level slack down the tree).
+
+    With no *executor* nodes run inline, depth-first, left before right.
+    With one (*node* and the structures must then pickle) each node is a
+    pool task and children are submitted the moment their parent lands, so
+    the pool stays busy down the whole tree. Every write into the part
+    vector is indexed by the node's own vertex set and every seed is a
+    function of tree position, so completion order cannot change the
+    result. *trace*, when a list, receives one ``(path, cpu_seconds)`` per
+    bisected node; paths are ``"r"`` for the root plus one ``0``/``1`` per
+    level.
+    """
+    if nparts < 1:
+        raise ValueError(f"nparts must be >= 1, got {nparts}")
+    part = np.zeros(root.n, dtype=np.int64)
+    if nparts == 1 or root.n == 0:
+        return part
+    ub_level = float(ub) ** (1.0 / int(np.ceil(np.log2(nparts))))
+    pending: dict = {}
+
+    def visit(sub, vertices, lo, k, sd, path):
+        if k == 1 or len(vertices) == 0:
+            part[vertices] = lo
+            return
+        k0 = k // 2
+        where = (vertices, lo, k0, k, sd, path)
+        if executor is None:
+            land(_timed(node, sub, k0, k, ub_level, sd), *where)
+        else:
+            pending[executor.submit(_timed, node, sub, k0, k, ub_level, sd)] = where
+
+    def land(result, vertices, lo, k0, k, sd, path):
+        (bis, left, right), cpu = result
+        if trace is not None:
+            trace.append((path, cpu))
+        s_left, s_right = child_seeds(sd)
+        visit(left, vertices[bis == 0], lo, k0, s_left, path + "0")
+        visit(right, vertices[bis == 1], lo + k0, k - k0, s_right, path + "1")
+
+    visit(root, np.arange(root.n, dtype=np.int64), 0, nparts, seed, "r")
+    while pending:
+        done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
+        for fut in done:
+            land(fut.result(), *pending.pop(fut))
+    return part
 
 
 def segment_argmax(values: np.ndarray, xadj: np.ndarray) -> np.ndarray:

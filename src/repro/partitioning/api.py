@@ -10,19 +10,70 @@ by the paper's eigensolver experiments).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .. import perf
-from .hkway import hypergraph_recursive_bisection
+from ..parallel import _worker_pool
+from . import hkway, kway
+from ._util import check_part_vector, run_task, walk_rb
 from .hypergraph import Hypergraph
-from .kway import kway_balance_refine, recursive_bisection
 from .partgraph import PartGraph
 
 __all__ = ["partition_matrix", "PartitionResult", "PARTITION_METHODS"]
 
+
+class _Recipe(NamedTuple):
+    """How one partition method turns a matrix into a k-way partition."""
+
+    #: ``A -> structure`` the RB tree is walked on (a pool task: picklable)
+    build: Callable
+    #: ``(structure, nparts, bisect_kwargs) -> node function`` for the walker
+    node: Callable
+    #: vertex weights of the :class:`PartGraph` the k-way repair balances
+    repair_weights: str | tuple[str, ...]
+    #: ``ub -> tolerance`` of that repair (scalar or per constraint)
+    repair_ub: Callable
+    #: ``(structure, part, nparts) -> the partitioner's own objective value``
+    cut: Callable
+
+
+def _graph_recipe(weights) -> _Recipe:
+    # a graph method walks and repairs the same PartGraph, at the caller's ub
+    return _Recipe(
+        build=partial(PartGraph.from_matrix, vertex_weights=weights),
+        node=lambda g, nparts, kwargs: partial(kway._split, kwargs=kwargs),
+        repair_weights=weights,
+        repair_ub=lambda ub: ub,
+        cut=lambda g, part, nparts: g.edgecut(part),
+    )
+
+
+_RECIPES = {
+    "gp": _graph_recipe("nnz"),
+    "hp": _Recipe(
+        build=partial(Hypergraph.from_matrix_column_net, vertex_weights="nnz"),
+        node=hkway._node,
+        # hypergraph FM controls the cut well but leaves more imbalance than
+        # the graph path; reuse the k-way balance repair on the adjacency
+        # structure (balance is a vertex-weight property, not a cut-model
+        # property, so the graph view is the right tool for both methods).
+        # Rows are repaired alongside nonzeros: an nnz-only-balanced
+        # partition of a power-law graph concentrates low-degree rows, and
+        # the resulting vector imbalance poisons every vector-bound use of
+        # the partition (the production tools this emulates do not exhibit
+        # that pathology at their operating scale)
+        repair_weights=("unit", "nnz"),
+        repair_ub=lambda ub: np.array([1.15, max(ub, 1.25)]),
+        cut=lambda hg, part, nparts: float(hg.cut_connectivity_minus_one(part, nparts)),
+    ),
+    "gp-mc": _graph_recipe(("unit", "nnz")),
+}
+
 #: Methods accepted by :func:`partition_matrix`.
-PARTITION_METHODS = ("gp", "hp", "gp-mc")
+PARTITION_METHODS = tuple(_RECIPES)
 
 
 @dataclass(frozen=True)
@@ -48,6 +99,71 @@ class PartitionResult:
     seed: int
     edgecut: float
     imbalance: tuple[float, ...]
+
+
+def _partition(A, nparts, method, seed, ub, executor, kwargs, trace=None, label="rb"):
+    """The one recipe: validate, build, walk the RB tree, repair balance.
+
+    Every CPU-bearing step is one :func:`run_task` unit — inline without
+    an *executor*, a pool task with one. Returns ``(part, structure,
+    imbalance)``. *trace*, when a list, gains this partition's task DAG
+    as ``{id, deps, cpu}`` rows (``label:build``, one ``label:r...`` per
+    RB node, ``label:refine``) for :func:`repro.parallel.schedule_makespan`.
+    """
+    if method not in PARTITION_METHODS:
+        if method == "hp-mc":
+            raise ValueError(
+                "multiconstraint partitioning is not available with the "
+                "hypergraph partitioner (the paper hits the same limitation: "
+                "'multiconstraint partitioning was not available with "
+                "hypergraph partitioning')"
+            )
+        raise ValueError(f"unknown method {method!r}; choose from {PARTITION_METHODS}")
+    if nparts < 1:
+        raise ValueError(f"nparts must be >= 1, got {nparts}")
+    recipe = _RECIPES[method]
+    with perf.phase("build-graph"):
+        built, build_cpu = run_task(executor, recipe.build, A)
+    nodes: list[tuple[str, float]] = []
+    part = walk_rb(
+        recipe.node(built, nparts, kwargs), built, nparts, ub, seed, executor, nodes
+    )
+    # a graph method's structure is its balance graph; hp's is rebuilt from A
+    src = built if isinstance(built, PartGraph) else A
+    (part, imb), repair_cpu = run_task(executor, _repair, src, method, part, nparts, ub)
+    if trace is not None:
+        rows = [{"id": f"{label}:build", "deps": [], "cpu": build_cpu}]
+        rows += [
+            {"id": f"{label}:{path}", "deps": [f"{label}:{path[:-1] or 'build'}"], "cpu": cpu}
+            for path, cpu in nodes
+        ]
+        rows.append({
+            "id": f"{label}:refine",
+            "deps": [row["id"] for row in rows[1:]] or [rows[0]["id"]],
+            "cpu": repair_cpu,
+        })
+        trace.extend(rows)
+    return part, built, imb
+
+
+def _repair(src, method: str, part: np.ndarray, nparts: int, ub: float):
+    """The recipe's repair step: k-way balance repair as *method* does it.
+
+    *src* is the matrix, or an already built balance graph of it. Returns
+    the repaired part vector and its per-constraint imbalance. Also what
+    repairs a nested-derived partition at its coarser part count
+    (:func:`repro.bench.harness.cached_rpart`).
+    """
+    recipe = _RECIPES[method]
+    g = (
+        src
+        if isinstance(src, PartGraph)
+        else PartGraph.from_matrix(src, vertex_weights=recipe.repair_weights)
+    )
+    with perf.phase("balance-repair"):
+        part = kway.kway_balance_refine(g, part, nparts, ub=recipe.repair_ub(ub))
+    imb = tuple(float(x) for x in g.imbalance(part, nparts))
+    return check_part_vector(part, g.n, nparts), imb
 
 
 def partition_matrix(
@@ -83,66 +199,17 @@ def partition_matrix(
         graphs a single hub row can exceed the average part weight, in
         which case the realised imbalance is vertex-granularity-bound.
     jobs, executor:
-        Fan the recursive-bisection tree across a process pool
-        (:mod:`repro.parallel`). ``jobs=None``/``1`` keeps the serial
-        reference path; results are bit-identical either way.
+        Run the build, every recursive-bisection node and the balance
+        repair as tasks of a process pool — *executor*, or a fresh
+        ``jobs``-worker pool — instead of inline. The tree walk is the
+        same function either way (:func:`repro.partitioning._util.walk_rb`)
+        and completion order cannot reach the result, so the part vector
+        is bit-identical at any ``jobs``.
     kwargs:
         Forwarded to the bisection driver (``min_coarse``, ``n_initial``,
         ``refine_passes``).
     """
-    if method not in PARTITION_METHODS:
-        if method == "hp-mc":
-            raise ValueError(
-                "multiconstraint partitioning is not available with the "
-                "hypergraph partitioner (the paper hits the same limitation: "
-                "'multiconstraint partitioning was not available with "
-                "hypergraph partitioning')"
-            )
-        raise ValueError(f"unknown method {method!r}; choose from {PARTITION_METHODS}")
-    if nparts < 1:
-        raise ValueError(f"nparts must be >= 1, got {nparts}")
-
-    parallel_rb = (jobs is not None and int(jobs) != 1) or executor is not None
-
-    if method == "hp":
-        with perf.phase("build-graph"):
-            hg = Hypergraph.from_matrix_column_net(A, vertex_weights="nnz")
-        if parallel_rb:
-            from ..parallel import parallel_hypergraph_recursive_bisection
-
-            part = parallel_hypergraph_recursive_bisection(
-                hg, nparts, ub=ub, seed=seed, jobs=jobs, executor=executor, **kwargs
-            )
-        else:
-            part = hypergraph_recursive_bisection(hg, nparts, ub=ub, seed=seed, **kwargs)
-        # hypergraph FM controls the cut well but leaves more imbalance than
-        # the graph path; reuse the k-way balance repair on the adjacency
-        # structure (balance is a vertex-weight property, not a cut-model
-        # property, so the graph view is the right tool for both methods).
-        # Rows are repaired alongside nonzeros: an nnz-only-balanced
-        # partition of a power-law graph concentrates low-degree rows, and
-        # the resulting vector imbalance poisons every vector-bound use of
-        # the partition (the production tools this emulates do not exhibit
-        # that pathology at their operating scale)
-        g_bal = PartGraph.from_matrix(A, vertex_weights=("unit", "nnz"))
-        with perf.phase("balance-repair"):
-            part = kway_balance_refine(
-                g_bal, part, nparts, ub=np.array([1.15, max(ub, 1.25)])
-            )
-        cut = hg.cut_connectivity_minus_one(part, nparts)
-        imb = tuple(float(x) for x in g_bal.imbalance(part, nparts))  # (rows, nnz)
-        return PartitionResult(part, nparts, method, seed, float(cut), imb)
-
-    weights = ("unit", "nnz") if method == "gp-mc" else "nnz"
-    with perf.phase("build-graph"):
-        g = PartGraph.from_matrix(A, vertex_weights=weights)
-    if parallel_rb:
-        from ..parallel import parallel_recursive_bisection
-
-        part = parallel_recursive_bisection(
-            g, nparts, ub=ub, seed=seed, jobs=jobs, executor=executor, **kwargs
-        )
-    else:
-        part = recursive_bisection(g, nparts, ub=ub, seed=seed, **kwargs)
-    imb = tuple(float(x) for x in g.imbalance(part, nparts))
-    return PartitionResult(part, nparts, method, seed, g.edgecut(part), imb)
+    with _worker_pool(jobs, executor) as pool:
+        part, built, imb = _partition(A, nparts, method, seed, ub, pool, kwargs)
+    cut = _RECIPES[method].cut(built, part, nparts)
+    return PartitionResult(part, nparts, method, seed, cut, imb)

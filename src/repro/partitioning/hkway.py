@@ -8,10 +8,12 @@ applies to hypergraph partitions too.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .. import perf
-from ._util import check_part_vector, child_seeds, gather_slices
+from ._util import check_part_vector, gather_slices, two_sided, walk_rb
 from .hcoarsen import hcoarsen_to
 from .hrefine import fm_refine_hypergraph, hg_balance_allowance
 from .hypergraph import Hypergraph
@@ -135,57 +137,30 @@ def hypergraph_recursive_bisection(
     seed: int = 0,
     **bisect_kwargs,
 ) -> np.ndarray:
-    """K-way hypergraph partition via recursive bisection."""
-    if nparts < 1:
-        raise ValueError(f"nparts must be >= 1, got {nparts}")
-    part = np.zeros(hg.n, dtype=np.int64)
-    if nparts == 1 or hg.n == 0:
-        return part
-    depth = int(np.ceil(np.log2(nparts)))
-    ub_level = float(ub) ** (1.0 / depth)
-    # root-level ideal part weight: splits below target multiples of it so
-    # imbalance does not compound down the recursion (see kway._rb)
-    ideal = hg.total_weight()[0] / nparts
-    _rb(hg, np.arange(hg.n, dtype=np.int64), 0, nparts, part, ub_level, ideal, seed,
-        bisect_kwargs)
+    """K-way hypergraph partition via recursive bisection (no balance repair)."""
+    part = walk_rb(_node(hg, nparts, bisect_kwargs), hg, nparts, ub, seed)
     return check_part_vector(part, hg.n, nparts)
 
 
 def _split(
-    hg: Hypergraph, k: int, ub: float, ideal: float, seed, kwargs: dict
-) -> tuple[np.ndarray, int]:
+    hg: Hypergraph, k0: int, k: int, ub: float, seed, ideal: float, kwargs: dict
+) -> tuple[np.ndarray, Hypergraph, Hypergraph]:
     """One hypergraph RB node; pure function of its arguments (see kway._split)."""
-    k0 = k // 2
     total = hg.total_weight()[0]
     frac0 = float(np.clip(k0 * ideal / max(total, 1e-300), 0.05, 0.95))
     with perf.phase("bisect"):
         bis = multilevel_hypergraph_bisect(
             hg, (frac0, 1.0 - frac0), ub=ub, seed=seed, **kwargs
         )
-    if (bis == 0).sum() == 0 or (bis == 1).sum() == 0:
-        order = np.argsort(-hg.vwgt[:, 0], kind="stable")
-        nleft = max(1, min(hg.n - 1, int(round(hg.n * frac0))))
-        bis = np.ones(hg.n, dtype=np.int64)
-        bis[order[:nleft]] = 0
-    return bis, k0
+    bis = two_sided(bis, hg.vwgt[:, 0], frac0)
+    return bis, hg.induced(np.flatnonzero(bis == 0)), hg.induced(np.flatnonzero(bis == 1))
 
 
-def _rb(
-    hg: Hypergraph,
-    vertices: np.ndarray,
-    lo: int,
-    k: int,
-    part: np.ndarray,
-    ub: float,
-    ideal: float,
-    seed,
-    kwargs: dict,
-) -> None:
-    if k == 1 or len(vertices) == 0:
-        part[vertices] = lo
-        return
-    bis, k0 = _split(hg, k, ub, ideal, seed, kwargs)
-    s_left, s_right = child_seeds(seed)
-    sel0, sel1 = np.flatnonzero(bis == 0), np.flatnonzero(bis == 1)
-    _rb(hg.induced(sel0), vertices[sel0], lo, k0, part, ub, ideal, s_left, kwargs)
-    _rb(hg.induced(sel1), vertices[sel1], lo + k0, k - k0, part, ub, ideal, s_right, kwargs)
+def _node(hg: Hypergraph, nparts: int, kwargs: dict):
+    """The walker's node function for a hypergraph partition (picklable).
+
+    Binds the root-level ideal part weight: splits below target multiples
+    of it so imbalance does not compound down the recursion. (An invalid
+    *nparts* is the walker's to reject, hence the clamp.)
+    """
+    return partial(_split, ideal=hg.total_weight()[0] / max(nparts, 1), kwargs=kwargs)

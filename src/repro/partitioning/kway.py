@@ -13,12 +13,13 @@ deep partition across every process count of a scaling study
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .. import perf
-from ._util import check_part_vector, child_seeds
+from ._util import check_part_vector, two_sided, walk_rb
 from .bisect import multilevel_bisect
 from .partgraph import PartGraph
 
@@ -40,33 +41,26 @@ def recursive_bisection(
 ) -> np.ndarray:
     """Partition *g* into *nparts* parts; returns the part vector.
 
-    The per-level imbalance tolerance is ``ub ** (1/ceil(log2 k))`` so the
-    *compounded* k-way imbalance stays near ``ub`` (RB multiplies the
-    per-level slack down the tree). Subtree seeds derive from *seed* by
-    :func:`repro.partitioning._util.child_seeds`.
+    The RB tree of :func:`repro.partitioning._util.walk_rb` (per-level
+    tolerance, hierarchical ids, position-derived seeds) over
+    :func:`_split` nodes, then the k-way balance repair at *ub*.
     """
-    if nparts < 1:
-        raise ValueError(f"nparts must be >= 1, got {nparts}")
-    part = np.zeros(g.n, dtype=np.int64)
-    if nparts == 1 or g.n == 0:
-        return part
-    depth = int(np.ceil(np.log2(nparts)))
-    ub_level = float(ub) ** (1.0 / depth)
-    _rb(g, np.arange(g.n, dtype=np.int64), 0, nparts, part, ub_level, seed,
-        bisect_kwargs)
+    part = walk_rb(partial(_split, kwargs=bisect_kwargs), g, nparts, ub, seed)
     with perf.phase("balance-repair"):
         part = kway_balance_refine(g, part, nparts, ub=ub)
     return check_part_vector(part, g.n, nparts)
 
 
-def _split(g: PartGraph, k: int, ub: float, seed, kwargs: dict) -> tuple[np.ndarray, int]:
-    """One RB node: bisect *g* (k0 : k-k0)-proportionally.
+def _split(
+    g: PartGraph, k0: int, k: int, ub: float, seed, kwargs: dict
+) -> tuple[np.ndarray, PartGraph, PartGraph]:
+    """One RB node: bisect *g* (k0 : k-k0)-proportionally, induce both sides.
 
-    Returns the 0/1 side vector and k0. This is the unit of work the
-    process-pool driver (:mod:`repro.parallel`) ships to workers, so it
-    must stay a pure function of its arguments.
+    Returns the 0/1 side vector and the two induced subgraphs. This is the
+    unit of work :func:`repro.partitioning._util.walk_rb` runs inline or
+    ships to a pool worker, so it must stay a pure function of its
+    arguments.
     """
-    k0 = k // 2
     # proportional target: excess weight inherited from upper levels is
     # spread across both subtrees rather than pushed into one part
     # (targeting multiples of a root-level ideal instead concentrates all
@@ -74,36 +68,12 @@ def _split(g: PartGraph, k: int, ub: float, seed, kwargs: dict) -> tuple[np.ndar
     frac0 = k0 / k
     with perf.phase("bisect"):
         bis = multilevel_bisect(g, (frac0, 1.0 - frac0), ub=ub, seed=seed, **kwargs)
-    # degenerate split (can happen on tiny/star graphs): fall back to a
-    # proportional split of the weight-sorted vertex list so every part id
-    # stays populated
-    if (bis == 0).sum() == 0 or (bis == 1).sum() == 0:
-        order = np.argsort(-g.vwgt[:, 0], kind="stable")
-        nleft = max(1, min(g.n - 1, int(round(g.n * frac0))))
-        bis = np.ones(g.n, dtype=np.int64)
-        bis[order[:nleft]] = 0
-    return bis, k0
-
-
-def _rb(
-    g: PartGraph,
-    vertices: np.ndarray,
-    lo: int,
-    k: int,
-    part: np.ndarray,
-    ub: float,
-    seed,
-    kwargs: dict,
-) -> None:
-    if k == 1 or len(vertices) == 0:
-        part[vertices] = lo
-        return
-    bis, k0 = _split(g, k, ub, seed, kwargs)
-    s_left, s_right = child_seeds(seed)
-    g_left = g.induced_subgraph(np.flatnonzero(bis == 0))
-    g_right = g.induced_subgraph(np.flatnonzero(bis == 1))
-    _rb(g_left, vertices[bis == 0], lo, k0, part, ub, s_left, kwargs)
-    _rb(g_right, vertices[bis == 1], lo + k0, k - k0, part, ub, s_right, kwargs)
+    bis = two_sided(bis, g.vwgt[:, 0], frac0)
+    return (
+        bis,
+        g.induced_subgraph(np.flatnonzero(bis == 0)),
+        g.induced_subgraph(np.flatnonzero(bis == 1)),
+    )
 
 
 def kway_balance_refine(

@@ -54,8 +54,6 @@ __all__ = [
     "run_chaos_soak",
 ]
 
-_PARTITIONED_KINDS = ("gp", "hp", "gp-mc")
-
 
 def reference_engine(matrix: str, method: str, procs: int, seed: int):
     """Build the serial-answer oracle: same cache, same layout, same bits.
@@ -66,10 +64,9 @@ def reference_engine(matrix: str, method: str, procs: int, seed: int):
     built from identical partitions and their answers are bit-identical.
     Returns ``(engine, n)``.
     """
-    from ..bench.harness import cached_rpart
+    from ..bench.harness import layout_for
     from ..generators.corpus import CORPUS, load_corpus_matrix
     from ..graphs.csr import as_csr
-    from ..layouts import make_layout
     from ..runtime import CAB, DistSparseMatrix
 
     if matrix in CORPUS:
@@ -79,13 +76,7 @@ def reference_engine(matrix: str, method: str, procs: int, seed: int):
 
         A = read_matrix_market(matrix)
     A = as_csr(A)
-    method = method.lower()
-    kind = method.partition("-")[2]
-    rpart = None
-    if kind in _PARTITIONED_KINDS:
-        rpart = cached_rpart(A, kind, procs, seed=seed)
-    layout = make_layout(method, A, procs, seed=seed, rpart=rpart)
-    dist = DistSparseMatrix(A, layout, CAB)
+    dist = DistSparseMatrix(A, layout_for(A, method, procs, seed=seed), CAB)
     return dist.engine, A.shape[0]
 
 

@@ -87,9 +87,6 @@ from .residency import EngineKey, EngineResidency, ResidentEngine
 
 __all__ = ["ServeConfig", "MatvecServer", "ServerHandle", "start_in_thread"]
 
-#: Layout kinds that require a partitioner run (vs. spatial methods).
-_PARTITIONED_KINDS = ("gp", "hp", "gp-mc")
-
 
 def _pool_start_method() -> str:
     """Start method for the partition pool's workers.
@@ -404,9 +401,9 @@ class MatvecServer:
             return cached
 
         def load():
-            from ..bench.harness import _matrix_hash
             from ..generators.corpus import CORPUS, load_corpus_matrix
             from ..graphs.csr import as_csr
+            from ..runtime.store import matrix_hash
 
             if ref in CORPUS:
                 A = load_corpus_matrix(ref)
@@ -424,7 +421,7 @@ class MatvecServer:
             A = as_csr(A)
             if A.shape[0] != A.shape[1]:
                 raise ProtocolError(f"square matrices only, got {A.shape}")
-            return name, A, _matrix_hash(A)
+            return name, A, matrix_hash(A)
 
         out = await asyncio.to_thread(load)
         self._matrices[ref] = out
@@ -477,17 +474,12 @@ class MatvecServer:
         """
 
         def build():
-            from ..bench.harness import cached_rpart
-            from ..layouts import make_layout
+            from ..bench.harness import layout_for
             from ..runtime import CAB, DistSparseMatrix
 
-            kind = method.partition("-")[2]
-            rpart = None
-            if kind in _PARTITIONED_KINDS:
-                rpart = cached_rpart(
-                    A, kind, procs, seed=seed, cache_dir=self._cache_dir()
-                )
-            layout = make_layout(method, A, procs, seed=seed, rpart=rpart)
+            layout = layout_for(
+                A, method, procs, seed=seed, cache_dir=self._cache_dir()
+            )
             return DistSparseMatrix(A, layout, CAB)
 
         return build
@@ -525,16 +517,14 @@ class MatvecServer:
         deaths_before = self.pool.deaths
         t0 = time.perf_counter()
         partition_seconds = 0.0
-        if kind in _PARTITIONED_KINDS:
-            # rpart cache entries are keyed by kind ("gp"), not layout
-            # method ("2d-gp"): 1d and 2d layouts share the same partition
-            cache_path = (
-                self._cache_dir() / f"{key.matrix_hash}_{kind}_k{procs}_s{seed}.npy"
-            )
-            from ..bench.harness import _load_cached_part, cached_rpart
+        from ..bench.harness import cached_rpart, load_cached_rpart, rpart_cache_path
+        from ..partitioning import PARTITION_METHODS
 
-            if cache_path.exists():
-                rpart = await asyncio.to_thread(_load_cached_part, cache_path, A.shape[0])
+        if kind in PARTITION_METHODS:
+            cache_path = rpart_cache_path(
+                key.matrix_hash, kind, procs, seed, self._cache_dir()
+            )
+            rpart = await asyncio.to_thread(load_cached_rpart, cache_path, A.shape[0])
             if rpart is not None:
                 meta["partition_source"] = "cache"
             else:

@@ -1,35 +1,33 @@
-"""Parallel execution layer: bit-identity, cache safety, seed schemes.
+"""Parallel execution layer: bit-identity, cache safety, subtree seeds.
 
 The contract under test is absolute: at any job count, every public
-entry point produces output bit-identical to its serial reference.
-Parallelism is an execution detail — if any of these tests fails, the
-process-pool layer has leaked scheduling into results.
+entry point produces output bit-identical to its inline run. There is one
+RB tree walker and one partition recipe; an executor only changes where
+their tasks run and in which order they land — if any of these tests
+fails, scheduling has leaked into results.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.bench.harness import atomic_save_npy, cached_rpart, default_cache_dir, spmv_grid
 from repro.parallel import (
-    parallel_hypergraph_recursive_bisection,
     parallel_map,
     parallel_partition_sweep,
-    parallel_recursive_bisection,
     resolve_jobs,
     schedule_makespan,
 )
-from repro.partitioning import partition_matrix
-from repro.partitioning._util import child_seeds
-from repro.partitioning.hkway import hypergraph_recursive_bisection
-from repro.partitioning.hypergraph import Hypergraph
-from repro.partitioning.kway import recursive_bisection
+from repro.partitioning import PARTITION_METHODS, _util, kway, partition_matrix
+from repro.partitioning._util import child_seeds, walk_rb
 from repro.partitioning.partgraph import PartGraph
 from repro.regress import GridSpec, check_goldens, generate_goldens
 from repro.runtime import FaultPlan
@@ -76,53 +74,128 @@ def test_child_seeds_rejects_seedsequence():
 
 
 # ---------------------------------------------------------------------------
-# parallel RB bit-identity
+# completion order cannot leak (no processes: a fake executor picks the order)
 # ---------------------------------------------------------------------------
 
 
-def test_parallel_rb_bit_identical_gp(small_rmat):
+class _HeldFuture(Future):
+    """A submitted task that runs only when someone lands it."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self._task = (fn, args)
+
+    def land(self):
+        fn, args = self._task
+        self.set_result(fn(*args))
+
+    def result(self, timeout=None):
+        if not self.done():
+            self.land()
+        return super().result(timeout)
+
+
+class HeldExecutor:
+    """Executor double: holds every submitted task; :meth:`wait` (patched in
+    for the walker's ``concurrent.futures.wait``) lands exactly one of the
+    pending tasks, the one ``pick(n_pending)`` indexes."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def submit(self, fn, *args):
+        return _HeldFuture(fn, args)
+
+    def wait(self, fs, return_when=None):
+        fut = fs[self.pick(len(fs))]
+        fut.land()
+        return {fut}, set(fs) - {fut}
+
+
+def _newest_first(n):
+    return n - 1
+
+
+def _held(monkeypatch, pick) -> HeldExecutor:
+    fake = HeldExecutor(pick)
+    monkeypatch.setattr(_util, "wait", fake.wait)
+    return fake
+
+
+def test_held_executor_really_reorders_the_walk(small_rmat, monkeypatch):
     g = PartGraph.from_matrix(small_rmat, vertex_weights="nnz")
-    ser = recursive_bisection(g, 8, ub=1.10, seed=3)
-    par = parallel_recursive_bisection(g, 8, ub=1.10, seed=3, jobs=3)
-    assert np.array_equal(ser, par)
+    node = partial(kway._split, kwargs={})
+    inline, reordered = [], []
+    ref = walk_rb(node, g, 8, 1.10, 3, trace=inline)
+    got = walk_rb(node, g, 8, 1.10, 3, _held(monkeypatch, _newest_first), reordered)
+    assert [p for p, _ in inline] == ["r", "r0", "r00", "r01", "r1", "r10", "r11"]
+    assert [p for p, _ in reordered] == ["r", "r1", "r11", "r10", "r0", "r01", "r00"]
+    assert np.array_equal(ref, got)
 
 
-def test_parallel_rb_bit_identical_gp_mc(small_grid):
-    g = PartGraph.from_matrix(small_grid, vertex_weights=("unit", "nnz"))
-    ser = recursive_bisection(g, 6, ub=1.10, seed=1)
-    par = parallel_recursive_bisection(g, 6, ub=1.10, seed=1, jobs=2)
-    assert np.array_equal(ser, par)
-
-
-def test_parallel_rb_bit_identical_hp(small_powerlaw):
-    hg = Hypergraph.from_matrix_column_net(small_powerlaw, vertex_weights="nnz")
-    ser = hypergraph_recursive_bisection(hg, 4, ub=1.10, seed=5)
-    par = parallel_hypergraph_recursive_bisection(hg, 4, ub=1.10, seed=5, jobs=2)
-    assert np.array_equal(ser, par)
-
-
-def test_parallel_rb_serial_fallback_is_reference(small_rmat):
-    # jobs=None/1 must not even spin up a pool — identical by construction
-    g = PartGraph.from_matrix(small_rmat, vertex_weights="nnz")
-    assert np.array_equal(
-        parallel_recursive_bisection(g, 8, seed=2, jobs=None),
-        recursive_bisection(g, 8, seed=2),
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("k", [1, 4, 6, 8])  # 6 = uneven split
+@pytest.mark.parametrize("method", PARTITION_METHODS)
+def test_completion_order_cannot_leak(small_rmat, monkeypatch, method, k, order):
+    rng = np.random.default_rng(k)
+    pick = _newest_first if order == "reversed" else (lambda n: int(rng.integers(n)))
+    ref = partition_matrix(small_rmat, k, method=method, seed=2)
+    got = partition_matrix(
+        small_rmat, k, method=method, seed=2, executor=_held(monkeypatch, pick)
     )
+    assert np.array_equal(ref.part, got.part)
+    assert (ref.edgecut, ref.imbalance) == (got.edgecut, got.imbalance)
 
 
-def test_parallel_rb_shared_executor(small_rmat):
-    g = PartGraph.from_matrix(small_rmat, vertex_weights="nnz")
-    ser = recursive_bisection(g, 4, seed=0)
+# ---------------------------------------------------------------------------
+# process-pool bit-identity
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pool2():
     with ProcessPoolExecutor(max_workers=2) as pool:
-        par = parallel_recursive_bisection(g, 4, seed=0, executor=pool)
-    assert np.array_equal(ser, par)
+        yield pool
 
 
-def test_partition_matrix_jobs_bit_identical(small_rmat):
-    for method in ("gp", "hp", "gp-mc"):
-        ser = partition_matrix(small_rmat, 4, method=method, seed=2)
-        par = partition_matrix(small_rmat, 4, method=method, seed=2, jobs=2)
-        assert np.array_equal(ser.part, par.part), method
+@pytest.mark.parametrize(
+    "fixture,method,k,seed",
+    [("small_rmat", "gp", 8, 3), ("small_grid", "gp-mc", 6, 1), ("small_powerlaw", "hp", 4, 5)],
+)
+def test_partition_matrix_jobs_bit_identical(request, fixture, method, k, seed):
+    A = request.getfixturevalue(fixture)
+    ser = partition_matrix(A, k, method=method, seed=seed)
+    par = partition_matrix(A, k, method=method, seed=seed, jobs=2)
+    assert np.array_equal(ser.part, par.part)
+    assert (ser.edgecut, ser.imbalance) == (par.edgecut, par.imbalance)
+
+
+@pytest.mark.parametrize("method", PARTITION_METHODS)
+def test_partition_matrix_shared_executor(small_rmat, pool2, method):
+    ser = partition_matrix(small_rmat, 4, method=method, seed=2)
+    par = partition_matrix(small_rmat, 4, method=method, seed=2, executor=pool2)
+    assert np.array_equal(ser.part, par.part), method
+
+
+def _star(n: int) -> sp.csr_matrix:
+    A = sp.coo_matrix((np.ones(n - 1), (np.zeros(n - 1, dtype=int), np.arange(1, n))),
+                      shape=(n, n))
+    return sp.csr_matrix(A + A.T)
+
+
+@pytest.mark.parametrize(
+    "A,k",
+    [(_star(5), 8), (_star(40), 4), (sp.csr_matrix((12, 12)), 4)],
+    ids=["nparts>n", "star", "no-edges"],
+)
+@pytest.mark.parametrize("method", PARTITION_METHODS)
+def test_degenerate_inputs_inline_and_pooled(pool2, monkeypatch, A, k, method):
+    ref = partition_matrix(A, k, method=method, seed=1).part
+    assert ref.shape == (A.shape[0],) and ref.min() >= 0 and ref.max() < k
+    pooled = partition_matrix(A, k, method=method, seed=1, executor=pool2).part
+    assert np.array_equal(ref, pooled)
+    held = _held(monkeypatch, _newest_first)
+    assert np.array_equal(ref, partition_matrix(A, k, method=method, seed=1, executor=held).part)
 
 
 @pytest.mark.parametrize(
@@ -158,9 +231,28 @@ def test_parallel_sweep_matches_partition_matrix(small_rmat, small_grid):
 
 
 def test_parallel_sweep_serial_path(small_rmat):
-    out = parallel_partition_sweep([("m", small_rmat, "gp", 4)], jobs=1, seed=0)
+    trace: list = []
+    out = parallel_partition_sweep([("m", small_rmat, "gp", 4)], jobs=1, seed=0, trace=trace)
     ref = partition_matrix(small_rmat, 4, method="gp", seed=0).part
     assert np.array_equal(out["m"], ref)
+    # the inline run records the same DAG a pooled run would
+    assert [t["id"] for t in trace] == ["m:build", "m:r", "m:r0", "m:r1", "m:refine"]
+    assert parallel_partition_sweep([], jobs=2) == {}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "kind,nparts,match",
+    [("nope", 4, "unknown method"), ("hp-mc", 4, "multiconstraint"), ("gp", 0, "nparts")],
+)
+def test_parallel_sweep_raises_what_partition_matrix_raises(
+    small_rmat, small_grid, jobs, kind, nparts, match
+):
+    """A bad spec must fail the call at every job count, never be partitioned
+    as something else or dropped from the result."""
+    specs = [("ok", small_grid, "gp", 2), ("bad", small_rmat, kind, nparts)]
+    with pytest.raises(ValueError, match=match):
+        parallel_partition_sweep(specs, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
