@@ -12,7 +12,8 @@ vectorisation makes:
    of ``handshake_matching``, the coarse CSR arrays of ``contract``, the
    full ``coarsen_to`` level stack (graphs and cmaps), a k-way
    ``partition_matrix`` per corpus matrix both ways, and the
-   hypergraph path (``hcoarsen_to`` stack + hp partition) on the
+   hypergraph path (``hcoarsen_to`` stack + hp partition, the latter
+   with hypergraph FM on ``hrefine._pass_reference`` too) on the
    hypergraph-partitioned corpus entries;
 2. **speedup** — aggregate ``sum(reference) / sum(vector)`` time of
    ``coarsen_to`` must be at least 3x, with per-stage floors of 2x for
@@ -202,7 +203,7 @@ def run(smoke: bool) -> tuple[list[str], dict]:
                 hstack_ok and np.array_equal(hparts["reference"], hparts["vector"])
             )
             if not hp_identical:
-                failures.append(f"{name}: hypergraph coarsening kernels diverge")
+                failures.append(f"{name}: hypergraph coarsening/refinement kernels diverge")
 
         for stage in tot:
             tot[stage][0] += times[stage]["reference"]

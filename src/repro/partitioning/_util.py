@@ -14,6 +14,7 @@ __all__ = [
     "gather_slices",
     "gather_csr_slots",
     "check_part_vector",
+    "exactly_summable",
     "child_seeds",
     "two_sided",
     "run_task",
@@ -231,6 +232,16 @@ def gather_csr_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     offs = sub_xadj[:-1]
     rel = np.arange(total, dtype=np.int64) - np.repeat(offs, counts)
     return np.repeat(starts, counts) + rel, sub_xadj
+
+
+def exactly_summable(w: np.ndarray) -> bool:
+    """True when every sum of entries of *w* is exact in float64.
+
+    Holds for integer-valued weights whose total stays below 2**53 — the
+    condition under which an incrementally tracked cut or gain is
+    bit-identical to a fresh recomputation, in any summation order.
+    """
+    return bool(len(w) == 0 or (np.all(w == np.floor(w)) and np.abs(w).sum() < 2.0**53))
 
 
 def check_part_vector(part: np.ndarray, n: int, nparts: int) -> np.ndarray:

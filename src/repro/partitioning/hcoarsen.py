@@ -9,7 +9,8 @@ otherwise create a quadratic-size similarity clique while carrying almost
 no matching signal. Matching on S reuses the graph handshake matcher.
 
 :func:`similarity_graph` builds the scaled incidence directly from the
-kept rows' CSR arrays (no intermediate ``diags @ Hs`` matmul);
+kept rows' CSR arrays (no intermediate ``diags @ Hs`` matmul) and drops
+the diagonal of the product with one mask pass (no ``setdiag``);
 :func:`hcontract` relabels pins with one sorted packed-key pass (net id,
 coarse pin). The seed ``H @ P`` contraction stays as
 :func:`_hcontract_reference`, the bit-identity oracle the tests and
@@ -49,9 +50,15 @@ def similarity_graph(hg: Hypergraph, max_net_size: int = 50) -> PartGraph:
     data = np.repeat(scale, np.diff(Hs.indptr))
     Hw = sp.csr_matrix((data, Hs.indices, Hs.indptr), shape=Hs.shape)
     S = as_csr(Hw.T @ Hw)
-    S.setdiag(0.0)
-    S.eliminate_zeros()
-    return PartGraph.from_scipy(S, hg.vwgt)
+    # ``S.setdiag(0.0); S.eliminate_zeros()`` leaves the off-diagonal
+    # entries of the canonical S in place (as_csr already dropped every
+    # stored zero); one mask pass selects the same slots without scipy's
+    # per-entry diagonal lookup, which cost as much as the product itself
+    rows = np.repeat(np.arange(hg.n), np.diff(S.indptr))
+    off = S.indices != rows
+    xadj = np.zeros(hg.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[off], minlength=hg.n), out=xadj[1:])
+    return PartGraph(xadj, S.indices[off], S.data[off], hg.vwgt)
 
 
 def _coarse_vwgt(hg: Hypergraph, cmap: np.ndarray, nc: int) -> np.ndarray:

@@ -15,9 +15,9 @@ import numpy as np
 from .. import perf
 from ._util import check_part_vector, gather_slices, two_sided, walk_rb
 from .hcoarsen import hcoarsen_to
-from .hrefine import fm_refine_hypergraph, hg_balance_allowance
+from .hrefine import fm_refine_hypergraph
 from .hypergraph import Hypergraph
-from .refine import is_balanced
+from .refine import balance_allowance, is_balanced
 
 __all__ = ["multilevel_hypergraph_bisect", "hypergraph_recursive_bisection"]
 
@@ -85,8 +85,7 @@ def _random_bisection(hg: Hypergraph, target_frac: float, rng: np.random.Generat
 
 
 def _score(hg: Hypergraph, part: np.ndarray, allow: np.ndarray) -> tuple:
-    sw = np.zeros((2, hg.ncon))
-    np.add.at(sw, part, hg.vwgt)
+    sw = hg.part_weights(part, 2)
     over = float(np.maximum(sw - allow, 0.0).sum())
     return (not is_balanced(sw, allow), over, hg.cut_connectivity_minus_one(part, 2))
 
@@ -109,13 +108,13 @@ def multilevel_hypergraph_bisect(
     with perf.phase("coarsen"):
         levels = hcoarsen_to(hg, min_coarse, rng)
     hgc = levels[-1][0]
-    allow_c = hg_balance_allowance(hgc, target_fracs, ub)
+    allow_c = balance_allowance(hgc, target_fracs, ub)
 
     with perf.phase("initial"):
         candidates = [_greedy_net_growing(hgc, target_fracs[0], rng) for _ in range(n_initial)]
         candidates.append(_random_bisection(hgc, target_fracs[0], rng))
         refined = [
-            fm_refine_hypergraph(hgc, p, target_fracs, ub, passes=refine_passes, rng=rng)
+            fm_refine_hypergraph(hgc, p, target_fracs, ub, passes=refine_passes)
             for p in candidates
         ]
         part = min(refined, key=lambda p: _score(hgc, p, allow_c))
@@ -124,9 +123,7 @@ def multilevel_hypergraph_bisect(
         with perf.phase("project"):
             part = part[cmap]
         with perf.phase("refine"):
-            part = fm_refine_hypergraph(
-                hg_fine, part, target_fracs, ub, passes=refine_passes, rng=rng
-            )
+            part = fm_refine_hypergraph(hg_fine, part, target_fracs, ub, passes=refine_passes)
     return part
 
 

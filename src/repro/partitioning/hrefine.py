@@ -7,36 +7,76 @@ side t is::
     gain(v) = sum_{e in nets(v), pins_s(e) == 1} w_e     (net becomes uncut)
             - sum_{e in nets(v), pins_t(e) == 0} w_e     (net becomes cut)
 
-The pass uses lazy heaps with recompute-on-pop: hypergraph gain updates
-have many threshold cases, and recomputing a popped vertex's gain from the
-current per-net pin counts (O(net-degree)) is both simpler and immune to
-update bugs. Stale entries are reinserted with their fresh gain.
+The pass (:func:`_pass`) picks its implementation from what it can observe
+in the hypergraph:
 
-The batch paths — heap seeding and waking the pins of a threshold-crossing
-net — compute gains through :func:`_compute_gain_many`, which gathers every
-vertex's net slice into one concatenated fancy-indexed pass and then sums
-each vertex's contiguous slice with ``np.sum``. The slices have the same
-lengths and contents as the per-vertex arrays, so numpy applies the same
-pairwise-summation tree and the batched gains are bit-identical to the
-scalar ones (``np.add.reduceat`` would not be: it accumulates strictly left
-to right).
+* one balance constraint and exactly summable net weights (integer-valued,
+  total below 2**53 — every hypergraph this package builds: column-net
+  weights are 1.0 and contraction only restricts them) —
+  :func:`_pass_incremental`, which keeps ``counts[side, net]`` and one
+  ``gain[n]`` array resident and updates both per move;
+* anything else — :func:`_pass_reference`, the seed recompute-on-pop pass,
+  which is also the oracle the tests and ``tests/oracles.py`` call.
+
+Both replay the **exact same move sequence**. Why no decision can change:
+
+* *Exact deltas.* A move s -> t of v changes the gain of another pin u of
+  net e only when e sits at a threshold. With F/T the from/to-side pin
+  counts of e **before** the move: ``T == 0`` adds ``w_e`` to every other
+  pin (all on s: leaving no longer cuts e), ``F == 2`` adds ``w_e`` to the
+  one pin left on s (it can now uncut e), ``T == 1`` takes ``w_e`` from
+  the one pin on t (it no longer uncuts e), ``F == 1`` takes ``w_e`` from
+  every other pin (all on t: leaving now cuts e). With exactly summable
+  weights every gain, every delta and every partial sum of them is an
+  integer of magnitude at most the total net weight, below 2**53, so
+  float64 addition is exact in any order: ``gain[u]`` **is** the number a
+  fresh :func:`_compute_gain` returns, the stale test fires on the same
+  pops, pushed keys are the same floats, and the tracked cut is the same
+  number. Seeding all n gains with one pin-wise ``bincount`` is exact for
+  the same reason.
+* *Batch wake equals sequential wake.* The reference scans the moved
+  vertex's nets in net order and, per net that crossed ``T == 0`` or
+  ``F <= 2``, pushes the pins that are neither locked nor in the heap, in
+  pin order, marking them as it goes. Counts and gains are final before
+  the first push (the reference updates all of v's nets first, and its
+  woken gains are recomputed from those counts), and the marks change only
+  through the pushes themselves — so the pushed sequence is the
+  concatenated pins of the waking nets, filtered by the marks at move
+  start, deduplicated by first occurrence. That is what the pass builds:
+  one gather of the threshold nets' pins, one vector filter, and a scalar
+  first-occurrence dedupe that also hands out the counters.
+* *Balance.* With one constraint the (2, 1) side-weight array collapses to
+  two floats carried through the same IEEE operations in the same order
+  (the argument :func:`repro.partitioning.refine._fm_pass_vec1` makes).
+* *One mark.* A vertex is pushed when seeded, when its only entry was
+  just popped stale, or when woken while neither locked nor in the heap,
+  so it has at most one heap entry and a locked vertex has none: the
+  reference's ``locked`` test on pop never fires, "locked or in the heap"
+  is one byte per vertex, and a moved vertex's gain is dead state that
+  the update leaves unmaintained (the next pass seeds afresh).
+
+The reference's batch paths — heap seeding and waking the pins of a
+threshold-crossing net — compute gains through :func:`_compute_gain_many`,
+which gathers every vertex's net slice into one concatenated fancy-indexed
+pass and then sums each vertex's contiguous slice with ``np.sum``. The
+slices have the same lengths and contents as the per-vertex arrays, so
+numpy applies the same pairwise-summation tree and the batched gains are
+bit-identical to the scalar ones (``np.add.reduceat`` would not be: it
+accumulates strictly left to right).
 """
 
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 import numpy as np
 
-from ._util import gather_slices
+from ._util import exactly_summable, gather_csr_slots, gather_slices
 from .hypergraph import Hypergraph
 from .refine import balance_allowance, is_balanced
 
-__all__ = ["hg_balance_allowance", "fm_refine_hypergraph"]
-
-#: Alias of the shared (duck-typed) allowance helper in :mod:`.refine` —
-#: the graph and hypergraph refiners use the identical widening rule.
-hg_balance_allowance = balance_allowance
+__all__ = ["fm_refine_hypergraph"]
 
 
 def _violation(sw: np.ndarray, allow: np.ndarray) -> float:
@@ -50,17 +90,214 @@ def fm_refine_hypergraph(
     ub: float = 1.05,
     passes: int = 3,
     hill_limit: int = 64,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Refine a hypergraph bisection; returns an improved copy."""
     part = np.asarray(part, dtype=np.int64).copy()
     if hg.n <= 1 or hg.nnets == 0:
         return part
-    allow = hg_balance_allowance(hg, target_fracs, ub)
+    allow = balance_allowance(hg, target_fracs, ub)
     for _ in range(passes):
         if not _pass(hg, part, allow, hill_limit):
             break
     return part
+
+
+def _pass(hg: Hypergraph, part: np.ndarray, allow: np.ndarray, hill_limit: int) -> bool:
+    """One FM pass over the hypergraph bisection; returns True if it moved.
+
+    Stale-entry counter semantics (both implementations): a popped entry
+    whose recorded gain no longer matches the current one is reinserted at
+    the true gain with a **fresh** counter value (the counter increments
+    on every push, reinserts included) — unlike the graph-FM kernels in
+    :mod:`~repro.partitioning.refine`, which reuse the current counter.
+    Either convention is deterministic: the counter sequence is a pure
+    function of the move history, so ``(-gain, counter, v)`` tuples give
+    the same total order on every run with the same inputs. What matters
+    for golden stability is only that each kernel keeps its own
+    convention fixed.
+    """
+    if hg.ncon == 1 and exactly_summable(hg.netwgt):
+        return _pass_incremental(hg, part, allow, hill_limit)
+    return _pass_reference(hg, part, allow, hill_limit)
+
+
+class _Pins(NamedTuple):
+    """Int64 views of a hypergraph's incidence, both directions.
+
+    scipy keeps CSR index arrays in int32; every fancy index through them
+    would convert to intp again, once per move.
+    """
+
+    indptr: np.ndarray  # pin slots of net e are indptr[e]:indptr[e + 1]
+    size: np.ndarray  # pin count of each net
+    pin: np.ndarray  # vertex of each pin slot
+    net_of_pin: np.ndarray  # net of each pin slot
+    vstart: list[int]  # net slots of vertex v are vstart[v]:vstart[v + 1]
+    vnet: np.ndarray  # net of each of those slots
+
+
+def _pins(hg: Hypergraph) -> _Pins:
+    H, HT = hg.H, hg.transpose_incidence()
+    indptr = H.indptr.astype(np.int64)
+    size = np.diff(indptr)
+    return _Pins(
+        indptr=indptr,
+        size=size,
+        pin=H.indices.astype(np.int64),
+        net_of_pin=np.repeat(np.arange(hg.nnets, dtype=np.int64), size),
+        vstart=HT.indptr.tolist(),
+        vnet=HT.indices.astype(np.int64),
+    )
+
+
+def _seed(
+    P: _Pins, netwgt: np.ndarray, part: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``counts[side, net]`` and ``gain[v]`` of *part*, one pin-wise pass each."""
+    nnets = len(netwgt)
+    side = part[P.pin]
+    own = side * nnets + P.net_of_pin  # flat (side, net) slot of each pin
+    flat = np.bincount(own, minlength=2 * nnets)
+    other = own + (1 - 2 * side) * nnets
+    contrib = netwgt[P.net_of_pin] * ((flat[own] == 1) - 1.0 * (flat[other] == 0))
+    return flat.reshape(2, nnets), np.bincount(P.pin, weights=contrib, minlength=n)
+
+
+def _apply_move(
+    P: _Pins,
+    netwgt: np.ndarray,
+    part: np.ndarray,
+    counts: np.ndarray,
+    gain: np.ndarray,
+    v: int,
+) -> np.ndarray:
+    """Move *v* to the other side, updating *part*, *counts* and *gain*.
+
+    Returns the pins of the nets the move wakes (``T == 0`` or ``F <= 2``
+    before it), in net order then pin order, duplicates kept. ``gain[v]``
+    itself is left meaningless: v is locked for the rest of the pass.
+    """
+    s = part.item(v)
+    nets = P.vnet[P.vstart[v] : P.vstart[v + 1]]
+    cf, ct = counts[s], counts[1 - s]
+    F1 = cf[nets] - 1  # from-side pins left after the move
+    T = ct[nets]  # to-side pins before it
+    cf[nets] = F1
+    ct[nets] = T + 1
+    part[v] = 1 - s
+    thr = np.minimum(T, F1) <= 1  # T in {0, 1} or F in {1, 2}
+    nets = nets[thr]
+    if len(nets) == 0:
+        return nets
+    T = T[thr]
+    F1 = F1[thr]
+    size = P.size[nets]
+    pins = P.pin[gather_csr_slots(P.indptr, nets)[0]]
+    w = netwgt[nets]
+    up = w * ((T == 0) + 1.0 * (F1 == 1))  # to pins on s: T == 0, F == 2
+    down = w * ((T == 1) + 1.0 * (F1 == 0))  # from pins on t: T == 1, F == 1
+    np.add.at(gain, pins, np.where(part[pins] == s, up.repeat(size), -down.repeat(size)))
+    return pins[((T == 0) | (F1 <= 1)).repeat(size)]
+
+
+def _pass_incremental(
+    hg: Hypergraph, part: np.ndarray, allow: np.ndarray, hill_limit: int
+) -> bool:
+    """Array-resident pass: O(1) gain reads, batched per-move updates.
+
+    See the module notes for why it replays :func:`_pass_reference`.
+    """
+    n = hg.n
+    P = _pins(hg)
+    netwgt = hg.netwgt
+    counts, gain = _seed(P, netwgt, part, n)
+    vw = hg.vwgt[:, 0].tolist()
+    sw0, sw1 = hg.part_weights(part, 2)[:, 0].tolist()
+    a0, a1 = allow[:, 0].tolist()
+    a0e = a0 + 1e-9
+    a1e = a1 + 1e-9
+
+    # boundary vertices: pins of cut nets
+    cut = (counts[0] > 0) & (counts[1] > 0)
+    seen = bytearray(n)  # locked or in the heap
+    seen_np = np.frombuffer(seen, dtype=np.uint8)
+    if cut.any():
+        seen_np[P.pin[cut[P.net_of_pin]]] = 1
+        boundary = np.flatnonzero(seen_np)
+    elif sw0 <= a0e and sw1 <= a1e:
+        return False
+    else:
+        boundary = np.arange(n)
+        seen_np[:] = 1
+
+    heap = [
+        (-g, i, v)
+        for i, (g, v) in enumerate(zip(gain[boundary].tolist(), boundary.tolist()))
+    ]
+    heapq.heapify(heap)
+    ctr = len(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    gain_of = gain.item
+    side_of = part.item
+
+    cur_cut = float(netwgt[cut].sum())
+    d0 = sw0 - a0
+    d1 = sw1 - a1
+    viol = (d0 if d0 > 0.0 else 0.0) + (d1 if d1 > 0.0 else 0.0)
+    best_key = (viol > 1e-9, cur_cut)
+    moves: list[int] = []
+    best_prefix = 0
+    since_best = 0
+    max_pops = 30 * n + 1000
+
+    pops = 0
+    while since_best < hill_limit and pops < max_pops:
+        pops += 1
+        if not heap:
+            break
+        negg, _, v = heappop(heap)
+        g = gain_of(v)
+        if g != -negg:
+            heappush(heap, (-g, ctr, v))  # stale: reinsert at the true gain
+            ctr += 1
+            continue
+        seen[v] = 0
+        w = vw[v]
+        if side_of(v) == 0:
+            n0 = sw0 - w
+            n1 = sw1 + w
+        else:
+            n1 = sw1 - w
+            n0 = sw0 + w
+        d0 = n0 - a0
+        d1 = n1 - a1
+        new_viol = (d0 if d0 > 0.0 else 0.0) + (d1 if d1 > 0.0 else 0.0)
+        if not ((n0 <= a0e and n1 <= a1e) or new_viol < viol - 1e-12):
+            continue  # this vertex can't move now; it stays out of the heap
+
+        seen[v] = 1  # locked
+        sw0, sw1, viol = n0, n1, new_viol
+        cur_cut -= g
+        moves.append(v)
+        woken = _apply_move(P, netwgt, part, counts, gain, v)
+        woken = woken[seen_np[woken] == 0]
+        for u, gu in zip(woken.tolist(), gain[woken].tolist()):
+            if not seen[u]:  # first occurrence only: a pin shared by two nets
+                seen[u] = 1
+                heappush(heap, (-gu, ctr, u))
+                ctr += 1
+
+        key = (viol > 1e-9, cur_cut)
+        if key < best_key:
+            best_key = key
+            best_prefix = len(moves)
+            since_best = 0
+        else:
+            since_best += 1
+
+    undo = np.asarray(moves[best_prefix:], dtype=np.int64)
+    part[undo] = 1 - part[undo]
+    return best_prefix > 0
 
 
 def _gain_from_nets(
@@ -106,27 +343,22 @@ def _compute_gain_many(
     return out
 
 
-def _pass(hg: Hypergraph, part: np.ndarray, allow: np.ndarray, hill_limit: int) -> bool:
-    """One FM pass over the hypergraph bisection; returns True if it moved.
+def _pass_reference(
+    hg: Hypergraph, part: np.ndarray, allow: np.ndarray, hill_limit: int
+) -> bool:
+    """The seed pass (oracle): lazy heap, gains recomputed on every pop.
 
-    Stale-entry counter semantics: a popped entry whose recorded gain no
-    longer matches the recomputed one is reinserted at the true gain with
-    a **fresh** counter value (the counter increments on every push,
-    reinserts included) — unlike the graph-FM kernels in
-    :mod:`~repro.partitioning.refine`, which reuse the current counter.
-    Either convention is deterministic: the counter sequence is a pure
-    function of the move history, so ``(-gain, counter, v)`` tuples give
-    the same total order on every run with the same inputs. What matters
-    for golden stability is only that each kernel keeps its own
-    convention fixed.
+    Recomputing a popped vertex's gain from the current per-net pin counts
+    costs O(net-degree) per pop but needs no update rules and no
+    assumption on the weights; stale entries are reinserted with their
+    fresh gain (counter convention: see :func:`_pass`).
     """
     nparts = 2
     counts = np.zeros((hg.nnets, nparts), dtype=np.int64)
     M = hg.net_part_counts(part, nparts).toarray().astype(np.int64)
     counts[:, : M.shape[1]] = M
 
-    sw = np.zeros((2, hg.ncon))
-    np.add.at(sw, part, hg.vwgt)
+    sw = hg.part_weights(part, 2)
 
     # cached net/pin slice bounds: the hot loop indexes the incidence CSR
     # arrays directly instead of going through nets_of()/pins() accessors

@@ -151,9 +151,17 @@ class Hypergraph:
         return int((self.connectivity(part, nparts) > 1).sum())
 
     def part_weights(self, part: np.ndarray, nparts: int) -> np.ndarray:
-        """Per-part vertex weights, shape ``(nparts, ncon)``."""
-        out = np.zeros((nparts, self.ncon))
-        np.add.at(out, np.asarray(part, dtype=np.int64), self.vwgt)
+        """Per-part vertex weights, shape ``(nparts, ncon)``.
+
+        A per-constraint ``np.bincount`` histogram: it sums in vertex
+        order, exactly like the former ``np.add.at`` accumulation (the
+        argument :func:`repro.partitioning.hcoarsen._coarse_vwgt` makes;
+        identity test in ``tests/test_hypergraph.py``).
+        """
+        part = np.asarray(part, dtype=np.int64)
+        out = np.empty((nparts, self.ncon))
+        for c in range(self.ncon):
+            out[:, c] = np.bincount(part, weights=self.vwgt[:, c], minlength=nparts)
         return out
 
     def induced(self, vertices: np.ndarray) -> "Hypergraph":

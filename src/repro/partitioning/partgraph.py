@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from ..graphs.csr import as_csr, drop_diagonal, nonzeros_per_row
 from ..graphs.ops import symmetrize
+from ._util import exactly_summable
 
 __all__ = ["PartGraph"]
 
@@ -215,10 +216,7 @@ class PartGraph:
         recomputation.
         """
         if self._intw is None:
-            a = self.adjwgt
-            self._intw = bool(
-                len(a) == 0 or (np.all(a == np.floor(a)) and np.abs(a).sum() < 2.0**53)
-            )
+            self._intw = exactly_summable(self.adjwgt)
         return self._intw
 
     # -- partition metrics -------------------------------------------------

@@ -70,9 +70,8 @@ def balance_allowance(g, target_fracs: tuple[float, float], ub: float) -> np.nda
 
     *g* may be a :class:`PartGraph` or a
     :class:`~repro.partitioning.hypergraph.Hypergraph` — both expose the
-    ``total_weight`` / ``vwgt`` / ``ncon`` / ``n`` surface this needs (the
-    hypergraph refiner's ``hg_balance_allowance`` is an alias of this
-    function).
+    ``total_weight`` / ``vwgt`` / ``ncon`` / ``n`` surface this needs, and
+    the graph and hypergraph refiners share the one widening rule.
     """
     total = g.total_weight()  # (ncon,)
     vmax = g.vwgt.max(axis=0) if g.n else np.zeros(g.ncon)

@@ -2,11 +2,52 @@
 
 from __future__ import annotations
 
+import faulthandler
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.generators import chung_lu, grid2d, powerlaw_degree_sequence, rmat
+
+
+#: CI passes ``--timeout=300`` (pytest-timeout, dev extra). Where the plugin
+#: is absent that flag does not exist and a spinning loop — an FM pass with
+#: a bad gain update, say — would hang the run forever, so the same
+#: ceiling is armed through faulthandler instead: it dumps every thread's
+#: stack and exits the process.
+_HANG_CEILING_S = 300
+_HANG_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # output capture is suspended while plugins configure, so fd 2 is still
+    # the terminal here; inside a test it is the capture's temp file, and a
+    # dump written there would die with the process
+    if importlib.util.find_spec("pytest_timeout") is None:
+        config.stash[_HANG_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    fd = config.stash.get(_HANG_STDERR, None)
+    if fd is not None:
+        del config.stash[_HANG_STDERR]
+        os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def _hang_ceiling(request):
+    fd = request.config.stash.get(_HANG_STDERR, None)
+    if fd is None:
+        yield
+        return
+    faulthandler.dump_traceback_later(_HANG_CEILING_S, exit=True, file=fd)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

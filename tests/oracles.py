@@ -12,7 +12,7 @@ Single-stage comparisons call the ``_reference`` functions directly.
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
-from repro.partitioning import coarsen, hcoarsen, refine
+from repro.partitioning import coarsen, hcoarsen, hrefine, refine
 
 
 def _fm_pass_reference(g, part, allow, hill_limit, rng, carry=None):
@@ -22,13 +22,14 @@ def _fm_pass_reference(g, part, allow, hill_limit, rng, carry=None):
 
 @contextmanager
 def reference_kernels():
-    """Run FM, matching and (hyper)graph contraction on the seed oracles.
+    """Run (hyper)graph FM, matching and contraction on the seed oracles.
 
     In-process only: pool workers import fresh modules, so keep
     ``jobs=None`` inside the block.
     """
     twins = (
         (refine, "_fm_pass", _fm_pass_reference),
+        (hrefine, "_pass", hrefine._pass_reference),
         (coarsen, "_handshake_matching_vector", coarsen._handshake_matching_reference),
         (coarsen, "_contract_vector", coarsen._contract_reference),
         (hcoarsen, "_hcontract_vector", hcoarsen._hcontract_reference),

@@ -16,7 +16,8 @@ from repro.partitioning.hcoarsen import (
     similarity_graph,
 )
 from repro.partitioning.hkway import multilevel_hypergraph_bisect
-from repro.partitioning.hrefine import fm_refine_hypergraph, hg_balance_allowance
+from repro.partitioning.hrefine import fm_refine_hypergraph
+from repro.partitioning.refine import balance_allowance
 
 from tests.oracles import reference_kernels
 
@@ -106,9 +107,14 @@ def _similarity_graph_diags(hg: Hypergraph, max_net_size: int = 50) -> PartGraph
 class TestHcoarsenKernels:
     """Vector and reference hypergraph stages must be bit-identical."""
 
-    def test_similarity_graph_bit_identical(self, small_rmat):
+    @pytest.mark.parametrize("max_net_size", [50, 4])
+    def test_similarity_graph_bit_identical(self, small_rmat, max_net_size):
+        """At 4 most vertices sit in no kept net and have no diagonal entry
+        in the product, the case ``setdiag`` had to insert for."""
         hg = Hypergraph.from_matrix_column_net(small_rmat)
-        ref, vec = _similarity_graph_diags(hg), similarity_graph(hg)
+        ref = _similarity_graph_diags(hg, max_net_size)
+        vec = similarity_graph(hg, max_net_size)
+        assert 0 < len(vec.adjncy)
         assert np.array_equal(ref.xadj, vec.xadj)
         assert np.array_equal(ref.adjncy, vec.adjncy)
         assert np.array_equal(ref.adjwgt, vec.adjwgt)
@@ -150,6 +156,16 @@ class TestHcoarsenKernels:
         np.add.at(expect, cmap, hg.vwgt)
         assert np.array_equal(got, expect)
 
+    @pytest.mark.parametrize("vw", ["nnz", ("unit", "nnz")])
+    def test_part_weights_bincount_matches_add_at(self, small_rmat, vw):
+        """Same vertex-order argument for the per-part histogram that FM
+        seeding, candidate scoring and the metrics all read."""
+        hg = Hypergraph.from_matrix_column_net(small_rmat, vw)
+        part = np.random.default_rng(4).integers(0, 5, hg.n)
+        expect = np.zeros((6, hg.ncon))  # part 5 stays empty
+        np.add.at(expect, part, hg.vwgt)
+        assert np.array_equal(hg.part_weights(part, 6), expect)
+
     def test_empty_similarity_graph_stalls_coarsening(self):
         """All-singleton nets leave no usable similarity edges: the
         similarity graph is empty and hcoarsen_to stops at level 0."""
@@ -170,7 +186,7 @@ class TestHypergraphFM:
         assert hg.cut_connectivity_minus_one(refined, 2) < before
 
     def test_allowance_shape(self, tiny_hg):
-        allow = hg_balance_allowance(tiny_hg, (0.5, 0.5), 1.05)
+        allow = balance_allowance(tiny_hg, (0.5, 0.5), 1.05)
         assert allow.shape == (2, tiny_hg.ncon)
 
 

@@ -1,9 +1,10 @@
 """Tests for the vectorised refinement kernels and the phase profiler.
 
-The vector FM kernel, the batched hypergraph gain computation and the
-vectorised BFS region growers all claim *bit identity* with the scalar
-reference implementations they replaced — these tests hold them to it on
-scale-free, mesh and degenerate (star, edgeless, disconnected) inputs.
+The vector FM kernel, the incremental-gain hypergraph FM pass, the batched
+hypergraph gain computation and the vectorised BFS region growers all
+claim *bit identity* with the scalar reference implementations they
+replaced — these tests hold them to it on scale-free, mesh, degenerate
+(star, edgeless, disconnected) and generated inputs.
 """
 
 from collections import deque
@@ -12,18 +13,19 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import perf
-from repro.generators import grid2d, rmat
+from repro.generators import bter, grid2d, rmat
 from repro.graphs import from_edges
-from repro.partitioning import PartGraph
+from repro.partitioning import PartGraph, hrefine, partition_matrix
 from repro.partitioning._util import gather_slices
 from repro.partitioning.hkway import _greedy_net_growing
 from repro.partitioning.hrefine import (
     _compute_gain,
     _compute_gain_many,
     fm_refine_hypergraph,
-    hg_balance_allowance,
 )
 from repro.partitioning.hypergraph import Hypergraph
 from repro.partitioning.initial import greedy_graph_growing, random_bisection
@@ -138,9 +140,8 @@ class TestFMRollback:
 
 
 class TestBalanceAllowanceShared:
-    def test_hypergraph_alias(self, small_rmat):
-        """hg_balance_allowance is the shared duck-typed helper."""
-        assert hg_balance_allowance is balance_allowance
+    def test_one_rule_for_graphs_and_hypergraphs(self, small_rmat):
+        """balance_allowance is duck-typed over both structures."""
         hg = Hypergraph.from_matrix_column_net(small_rmat, "nnz")
         g = PartGraph.from_matrix(small_rmat, "nnz")
         a = balance_allowance(hg, (0.4, 0.6), 1.03)
@@ -283,6 +284,139 @@ class TestHypergraphGainBatch:
         hg = Hypergraph.from_matrix_column_net(small_rmat, "nnz")
         part0 = (np.random.default_rng(0).random(hg.n) < 0.5).astype(np.int64)
         refined = fm_refine_hypergraph(hg, part0)
+        assert hg.cut_connectivity_minus_one(refined, 2) < hg.cut_connectivity_minus_one(part0, 2)
+
+
+def fm_refine_hypergraph_reference(*args, **kwargs) -> np.ndarray:
+    """``fm_refine_hypergraph`` with every pass run by ``_pass_reference``."""
+    with reference_kernels():
+        return fm_refine_hypergraph(*args, **kwargs)
+
+
+@st.composite
+def _small_hypergraphs(draw):
+    """(hypergraph, bisection) pairs built around the shapes FM trips on.
+
+    Beside the drawn nets every hypergraph carries a hub net over all
+    connected vertices, a duplicate of its first net and a 2-pin net; drawn
+    nets may be empty or single-pin, and the last vertex is in no net at all. Bisections include the all-on-one-side
+    and the one-vertex-out (unbalanced) starts. Net weights are small
+    integers, so the incremental pass is the one that runs.
+    """
+    n = draw(st.integers(3, 12))
+    pin = st.integers(0, n - 2)
+    nets = draw(st.lists(st.lists(pin, max_size=6), min_size=1, max_size=8))
+    nets += [list(range(n - 1)), nets[0], [draw(pin), draw(pin)]]
+    rows = np.repeat(np.arange(len(nets)), [len(e) for e in nets])
+    cols = np.concatenate([np.asarray(e, dtype=np.int64) for e in nets])
+    H = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(nets), n))
+    vwgt = np.asarray(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
+    netwgt = np.asarray(
+        draw(st.lists(st.integers(1, 5), min_size=len(nets), max_size=len(nets))), float
+    )
+    part = draw(
+        st.one_of(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.sampled_from([[0] * n, [1] * n, [1] + [0] * (n - 1)]),
+        )
+    )
+    return Hypergraph(H, vwgt[:, None], netwgt), np.asarray(part, dtype=np.int64)
+
+
+class TestIncrementalHypergraphFM:
+    """The array-resident pass replays ``_pass_reference`` move for move."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_hypergraphs(), st.randoms(use_true_random=False))
+    def test_state_matches_recomputation_after_every_move(self, case, random):
+        """After each applied move: ``counts`` equals ``net_part_counts``,
+        ``gain[u]`` equals ``_compute_gain`` for every unlocked u, and the
+        woken pins are the reference's net-order, pin-order scan."""
+        hg, part = case
+        P = hrefine._pins(hg)
+        counts, gain = hrefine._seed(P, hg.netwgt, part, hg.n)
+        unlocked = list(range(hg.n))
+        random.shuffle(unlocked)
+        while True:
+            assert np.array_equal(counts.T, hg.net_part_counts(part, 2).toarray())
+            for u in unlocked:
+                assert gain[u] == _compute_gain(hg, part, counts.T, u)
+            if not unlocked:
+                break
+            v = unlocked.pop()
+            s = int(part[v])
+            woken = hrefine._apply_move(P, hg.netwgt, part, counts, gain, v)
+            assert part[v] == 1 - s
+            expect = [
+                hg.pins(e)
+                for e in hg.nets_of(v)
+                if counts[1 - s, e] == 1 or counts[s, e] <= 1
+            ]
+            assert np.array_equal(woken, np.concatenate(expect or [woken[:0]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_hypergraphs(), st.sampled_from([1.0, 1.05, 1.5]), st.integers(1, 8))
+    def test_generated_refinements_bit_identical(self, case, ub, hill_limit):
+        hg, part = case
+        args = (hg, part, (0.5, 0.5), ub)
+        a = fm_refine_hypergraph(*args, hill_limit=hill_limit)
+        b = fm_refine_hypergraph_reference(*args, hill_limit=hill_limit)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("start", ["random", "one-sided", "lopsided"])
+    @pytest.mark.parametrize("fracs", [(0.5, 0.5), (0.3, 0.7)])
+    def test_refinement_bit_identical(self, small_rmat, small_powerlaw, start, fracs):
+        for A in (small_rmat, small_powerlaw):
+            hg = Hypergraph.from_matrix_column_net(A, "nnz")
+            part0 = {
+                "random": np.random.default_rng(5).integers(0, 2, hg.n),
+                "one-sided": np.zeros(hg.n, dtype=np.int64),
+                "lopsided": (np.arange(hg.n) < hg.n // 10).astype(np.int64),
+            }[start]
+            a = fm_refine_hypergraph(hg, part0, fracs)
+            b = fm_refine_hypergraph_reference(hg, part0, fracs)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("nparts", [4, 16])
+    @pytest.mark.parametrize(
+        "make", [lambda: rmat(10, 8, seed=1), lambda: bter(1500, seed=4)], ids=["rmat", "bter"]
+    )
+    def test_hp_partition_bit_identical(self, make, nparts):
+        """Whole pipeline: every pass of every bisection, both ways."""
+        A = make()
+        with mock.patch.object(
+            hrefine, "_pass_incremental", wraps=hrefine._pass_incremental
+        ) as spy:
+            a = partition_matrix(A, nparts, method="hp", seed=0).part
+        assert spy.called
+        with reference_kernels():
+            b = partition_matrix(A, nparts, method="hp", seed=0).part
+        assert np.array_equal(a, b)
+
+    def test_fractional_net_weights_take_the_reference_pass(self, small_rmat):
+        """Sums of non-integer weights depend on their order, so the pass is
+        picked from the input: the reference runs, and its result is a
+        balanced bisection with a cut no worse than the start."""
+        hg = Hypergraph.from_matrix_column_net(small_rmat, "nnz")
+        hg = Hypergraph(hg.H, hg.vwgt, np.random.default_rng(0).uniform(0.5, 1.5, hg.nnets))
+        part0 = np.random.default_rng(1).integers(0, 2, hg.n)
+        with mock.patch.object(hrefine, "_pass_incremental") as incremental, \
+                mock.patch.object(
+                    hrefine, "_pass_reference", wraps=hrefine._pass_reference
+                ) as reference:
+            refined = fm_refine_hypergraph(hg, part0)
+        assert reference.called and not incremental.called
+        assert set(np.unique(refined)) <= {0, 1}
+        allow = balance_allowance(hg, (0.5, 0.5), 1.05)
+        assert (hg.part_weights(refined, 2) <= allow + 1e-9).all()
+        assert hg.cut_connectivity_minus_one(refined, 2) <= hg.cut_connectivity_minus_one(part0, 2)
+
+    def test_two_constraints_take_the_reference_pass(self, small_rmat):
+        hg = Hypergraph.from_matrix_column_net(small_rmat, ("unit", "nnz"))
+        part0 = np.random.default_rng(1).integers(0, 2, hg.n)
+        with mock.patch.object(hrefine, "_pass_incremental") as incremental:
+            refined = fm_refine_hypergraph(hg, part0)
+        assert not incremental.called
         assert hg.cut_connectivity_minus_one(refined, 2) < hg.cut_connectivity_minus_one(part0, 2)
 
 
