@@ -12,9 +12,9 @@ vectorisation makes:
    of ``handshake_matching``, the coarse CSR arrays of ``contract``, the
    full ``coarsen_to`` level stack (graphs and cmaps), a k-way
    ``partition_matrix`` per corpus matrix both ways, and the
-   hypergraph path (``hcoarsen_to`` stack + hp partition, the latter
-   with hypergraph FM on ``hrefine._pass_reference`` too) on the
-   hypergraph-partitioned corpus entries;
+   hypergraph path (``coarsen_to`` stack with ``hcoarsen_level`` + hp
+   partition, the latter with hypergraph FM on ``hrefine._pass_reference``
+   too) on the hypergraph-partitioned corpus entries;
 2. **speedup** — aggregate ``sum(reference) / sum(vector)`` time of
    ``coarsen_to`` must be at least 3x, with per-stage floors of 2x for
    matching and 1.25x for contraction (full mode only; the contraction
@@ -107,7 +107,7 @@ def run(smoke: bool) -> tuple[list[str], dict]:
         contract,
         handshake_matching,
     )
-    from repro.partitioning.hcoarsen import hcoarsen_to
+    from repro.partitioning.hcoarsen import hcoarsen_level
     from repro.partitioning.hypergraph import Hypergraph
     from repro.partitioning.partgraph import PartGraph
     from tests.oracles import reference_kernels
@@ -190,10 +190,14 @@ def run(smoke: bool) -> tuple[list[str], dict]:
         hp_identical = None
         if name in hp_names:
             hg = Hypergraph.from_matrix_column_net(A, vertex_weights="nnz")
-            hstacks = {"vector": hcoarsen_to(hg, 64, np.random.default_rng(0))}
+            hstacks = {
+                "vector": coarsen_to(hg, 64, np.random.default_rng(0), level=hcoarsen_level)
+            }
             hparts = {"vector": partition_matrix(A, NPARTS, method="hp", seed=0).part}
             with reference_kernels():
-                hstacks["reference"] = hcoarsen_to(hg, 64, np.random.default_rng(0))
+                hstacks["reference"] = coarsen_to(
+                    hg, 64, np.random.default_rng(0), level=hcoarsen_level
+                )
                 hparts["reference"] = partition_matrix(A, NPARTS, method="hp", seed=0).part
             hstack_ok = len(hstacks["reference"]) == len(hstacks["vector"]) and all(
                 np.array_equal(ca, cb)

@@ -18,8 +18,9 @@ import numpy as np
 
 from repro.generators import grid2d, load_corpus_matrix
 from repro.layouts import cartesian_layout, nonzero_partition
-from repro.partitioning import PartGraph, partition_matrix
+from repro.partitioning import Hypergraph, PartGraph, multilevel_bisect, partition_matrix
 from repro.partitioning.coarsen import coarsen_to
+from repro.partitioning.hcoarsen import hcoarsen_level
 from repro.runtime import DistSparseMatrix, comm_stats
 
 
@@ -41,10 +42,17 @@ def stop2_multilevel() -> None:
     print("=== 2. inside the multilevel partitioner ===")
     A = load_corpus_matrix("bter")
     g = PartGraph.from_matrix(A, "nnz")
+    hg = Hypergraph.from_matrix_column_net(A, "nnz")
+    # one coarsen-until loop; the level step is the only per-structure part
     levels = coarsen_to(g, 120, np.random.default_rng(0))
-    sizes = [lv[0].n for lv in levels]
-    print(f"  coarsening ladder (vertices per level): {sizes}")
-    print(f"  edges kept coarse: {levels[-1][0].nedges} of {g.nedges}\n")
+    hlevels = coarsen_to(hg, 120, np.random.default_rng(0), level=hcoarsen_level)
+    print(f"  graph coarsening ladder:      {[lv[0].n for lv in levels]}")
+    print(f"  hypergraph coarsening ladder: {[lv[0].n for lv in hlevels]}")
+    print(f"  edges kept coarse: {levels[-1][0].nedges} of {g.nedges}")
+    # one multilevel bisection; the input's type picks refiner and cut
+    print(f"  bisection edge cut (graph):              {g.edgecut(multilevel_bisect(g)):.0f}")
+    print(f"  bisection connectivity-1 (hypergraph):   "
+          f"{hg.cut_connectivity_minus_one(multilevel_bisect(hg), 2):.0f}\n")
 
 
 def stop3_algorithm2() -> None:

@@ -601,6 +601,8 @@ def _cmd_loadgen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .partitioning import PARTITION_METHODS
+
     parser = argparse.ArgumentParser(
         prog="repro", description="2D Cartesian graph partitioning toolkit (SC13 reproduction)"
     )
@@ -644,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[seeded, jobbed])
     p.add_argument("matrix")
     p.add_argument("-k", "--nparts", type=int, required=True)
-    p.add_argument("--method", choices=("gp", "hp", "gp-mc"), default="gp")
+    p.add_argument("--method", choices=PARTITION_METHODS, default="gp")
     p.add_argument("-o", "--output", help="save the part vector as .npy")
     p.add_argument("--profile", action="store_true",
                    help="print a phase-time breakdown (coarsen/initial/refine/project, "

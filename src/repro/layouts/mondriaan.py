@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graphs.csr import as_csr
-from ..partitioning.hkway import multilevel_hypergraph_bisect
+from ..partitioning.bisect import multilevel_bisect
 from ..partitioning.hypergraph import Hypergraph
 from .explicit import ExplicitLayout
 
@@ -49,7 +49,7 @@ def _bisect_block(
         )  # nnz per vertex (row or column) within the block
         keep = np.diff(inc.indptr) >= 2
         hg = Hypergraph(as_csr(inc[keep]), vwgt, np.ones(int(keep.sum())))
-        part = multilevel_hypergraph_bisect(hg, (frac0, 1.0 - frac0), ub=ub, seed=seed)
+        part = multilevel_bisect(hg, (frac0, 1.0 - frac0), ub=ub, seed=seed)
         if len(np.unique(part)) < 2:
             continue
         cut = hg.cut_connectivity_minus_one(part, 2)

@@ -4,15 +4,15 @@ This subpackage plays the role ParMETIS 4.0.2 and Zoltan's parallel
 hypergraph partitioner (PHG) play in the paper: given a sparse matrix, it
 produces the row/column part vector ``rpart`` that Algorithm 1 consumes.
 
-Both partitioners follow the standard multilevel scheme the cited tools
-use:
+Both follow the cited tools' multilevel scheme, written once in
+:func:`multilevel_bisect` (the input's type picks the substrate pieces):
 
 coarsening
     heavy-edge matching (graphs) / heavy-overlap matching (hypergraphs),
     implemented as a vectorised handshake matching;
 initial partitioning
-    greedy graph growing, spectral (Fiedler) bisection and random starts,
-    best-of-k after refinement;
+    greedy growing (through edges or nets), spectral (Fiedler) bisection
+    for graphs and random starts, best-of-k after refinement;
 refinement
     Fiduccia-Mattheyses boundary refinement with hill-climbing and
     multiconstraint balance support;

@@ -14,6 +14,7 @@ __all__ = [
     "gather_slices",
     "gather_csr_slots",
     "check_part_vector",
+    "weights_by_part",
     "exactly_summable",
     "child_seeds",
     "two_sided",
@@ -242,6 +243,20 @@ def exactly_summable(w: np.ndarray) -> bool:
     bit-identical to a fresh recomputation, in any summation order.
     """
     return bool(len(w) == 0 or (np.all(w == np.floor(w)) and np.abs(w).sum() < 2.0**53))
+
+
+def weights_by_part(part: np.ndarray, vwgt: np.ndarray, nparts: int) -> np.ndarray:
+    """Per-part vertex weight, shape ``(nparts, ncon)``.
+
+    One ``np.bincount`` per constraint: it sums in vertex order, exactly
+    like an ``np.add.at`` accumulation, so the result is bit-identical to
+    it (the identity test lives in ``tests/test_partitioning_util.py``)
+    and several times faster on fine graphs.
+    """
+    out = np.empty((nparts, vwgt.shape[1]))
+    for c in range(vwgt.shape[1]):
+        out[:, c] = np.bincount(part, weights=vwgt[:, c], minlength=nparts)
+    return out
 
 
 def check_part_vector(part: np.ndarray, n: int, nparts: int) -> np.ndarray:

@@ -1,38 +1,90 @@
 """Multilevel bisection driver: coarsen -> initial partition -> refine up.
 
-Mirrors the METIS pipeline. The initial partition is chosen best-of-k:
-several greedy-graph-growing starts, a spectral split, and a random split
-are each FM-refined on the coarsest graph, and the (balanced, min-cut)
-winner is projected back up with refinement at every level.
+One skeleton for graphs (the METIS / ParMETIS pipeline behind 2D-GP) and
+hypergraphs (the Zoltan PHG pipeline behind 2D-HP). The initial partition
+is chosen best-of-k: several greedy-growing starts, an optional extra
+candidate (a spectral split for graphs) and a random split are each
+FM-refined on the coarsest level, and the (balanced, min-cut) winner is
+projected back up with refinement at every level.
+
+The structure's type picks its row of :data:`_SUBSTRATES`, which holds
+only what differs between the two: the coarsening level step, the
+grower's frontier gather, the refiner, the cut, the extra candidate and
+the default number of growers. Neither refiner reads the random stream,
+so both draw from it in the same order — coarsening, then the growers,
+then the random split.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .. import perf
-from .coarsen import coarsen_to
-from .initial import greedy_graph_growing, random_bisection, spectral_bisection
+from ._util import gather_slices
+from .coarsen import coarsen_level, coarsen_to
+from .hcoarsen import hcoarsen_level
+from .hrefine import fm_refine_hypergraph
+from .hypergraph import Hypergraph
+from .initial import greedy_growing, random_bisection, spectral_bisection
 from .partgraph import PartGraph
-from .refine import balance_allowance, fm_refine, is_balanced
+from .refine import _violation, balance_allowance, fm_refine, is_balanced
 
 __all__ = ["multilevel_bisect"]
 
 
-def _score(g: PartGraph, part: np.ndarray, allow) -> tuple:
-    sw = np.zeros((2, g.ncon))
-    np.add.at(sw, part, g.vwgt)
-    over = float(np.maximum(sw - allow, 0.0).sum())
-    return (not is_balanced(sw, allow), over, g.edgecut(part))
+class _Substrate(NamedTuple):
+    level: Callable  # (g, rng, max_vertex_weight=) -> (coarse, cmap)
+    neighbours: Callable  # (g, frontier) -> reached vertices, visit order
+    refine: Callable  # (g, part, target_fracs, ub, passes=) -> part
+    cut: Callable  # (g, part) -> bisection objective
+    extra: Callable  # (g, frac0) -> one more candidate, or None
+    n_initial: int  # default number of greedy-growing starts
+
+
+def _edge_neighbours(g: PartGraph, frontier: np.ndarray) -> np.ndarray:
+    return gather_slices(g.xadj, g.adjncy, frontier)
+
+
+def _pin_neighbours(hg: Hypergraph, frontier: np.ndarray) -> np.ndarray:
+    HT = hg.transpose_incidence()
+    nets = gather_slices(HT.indptr, HT.indices, frontier)
+    return gather_slices(hg.H.indptr, hg.H.indices, nets.astype(np.int64))
+
+
+_SUBSTRATES = {
+    PartGraph: _Substrate(
+        level=coarsen_level,
+        neighbours=_edge_neighbours,
+        refine=fm_refine,
+        cut=PartGraph.edgecut,
+        extra=spectral_bisection,
+        n_initial=4,
+    ),
+    Hypergraph: _Substrate(
+        level=hcoarsen_level,
+        neighbours=_pin_neighbours,
+        refine=fm_refine_hypergraph,
+        cut=lambda hg, part: hg.cut_connectivity_minus_one(part, 2),
+        extra=lambda hg, frac0: None,
+        n_initial=3,
+    ),
+}
+
+
+def _score(g, part: np.ndarray, allow: np.ndarray, cut: Callable) -> tuple:
+    sw = g.part_weights(part, 2)
+    return (not is_balanced(sw, allow), _violation(sw, allow), cut(g, part))
 
 
 def multilevel_bisect(
-    g: PartGraph,
+    g: PartGraph | Hypergraph,
     target_fracs: tuple[float, float] = (0.5, 0.5),
     ub: float = 1.05,
     seed: int = 0,
     min_coarse: int = 120,
-    n_initial: int = 4,
+    n_initial: int | None = None,
     refine_passes: int = 3,
 ) -> np.ndarray:
     """Bisect *g* into parts {0, 1} with target weight fractions.
@@ -40,8 +92,10 @@ def multilevel_bisect(
     Parameters
     ----------
     g:
-        Graph to bisect (any number of balance constraints; constraint 0
-        drives the initial partition, all constraints bound refinement).
+        :class:`PartGraph` (edge cut) or :class:`Hypergraph`
+        (connectivity-1) to bisect, with any number of balance
+        constraints; constraint 0 drives the initial partition, all
+        constraints bound refinement.
     target_fracs:
         Desired weight fractions, e.g. (0.5, 0.5) or (0.375, 0.625) for
         uneven recursive splits.
@@ -52,41 +106,43 @@ def multilevel_bisect(
     min_coarse:
         Stop coarsening below this many vertices.
     n_initial:
-        Number of greedy-graph-growing starts to try.
+        Number of greedy-growing starts to try (default 4 for graphs,
+        3 for hypergraphs).
     """
     if abs(sum(target_fracs) - 1.0) > 1e-9:
         raise ValueError(f"target fractions must sum to 1, got {target_fracs}")
-    if g.n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if g.n == 1:
-        return np.zeros(1, dtype=np.int64)
+    if g.n <= 1:
+        return np.zeros(g.n, dtype=np.int64)
+    sub = _SUBSTRATES[type(g)]
+    if n_initial is None:
+        n_initial = sub.n_initial
     rng = np.random.default_rng(seed)
 
     with perf.phase("coarsen"):
-        levels = coarsen_to(g, min_coarse, rng)
+        levels = coarsen_to(g, min_coarse, rng, level=sub.level)
     gc = levels[-1][0]
     allow_c = balance_allowance(gc, target_fracs, ub)
 
-    # --- initial partitions on the coarsest graph ---
+    # --- initial partitions on the coarsest level ---
     with perf.phase("initial"):
-        candidates: list[np.ndarray] = []
-        for _ in range(n_initial):
-            candidates.append(greedy_graph_growing(gc, target_fracs[0], rng))
-        spec = spectral_bisection(gc, target_fracs[0])
-        if spec is not None:
-            candidates.append(spec)
-        candidates.append(random_bisection(gc, target_fracs[0], rng))
-
+        frac0 = target_fracs[0]
+        candidates = [
+            greedy_growing(gc, frac0, rng, sub.neighbours) for _ in range(n_initial)
+        ]
+        extra = sub.extra(gc, frac0)
+        if extra is not None:
+            candidates.append(extra)
+        candidates.append(random_bisection(gc, frac0, rng))
         refined = [
-            fm_refine(gc, p, target_fracs, ub, passes=refine_passes, rng=rng)
+            sub.refine(gc, p, target_fracs, ub, passes=refine_passes)
             for p in candidates
         ]
-        part = min(refined, key=lambda p: _score(gc, p, allow_c))
+        part = min(refined, key=lambda p: _score(gc, p, allow_c, sub.cut))
 
     # --- uncoarsen with refinement at each level ---
     for (g_fine, _), (_, cmap) in zip(reversed(levels[:-1]), reversed(levels[1:])):
         with perf.phase("project"):
             part = part[cmap]  # project coarse part onto the finer level
         with perf.phase("refine"):
-            part = fm_refine(g_fine, part, target_fracs, ub, passes=refine_passes, rng=rng)
+            part = sub.refine(g_fine, part, target_fracs, ub, passes=refine_passes)
     return part

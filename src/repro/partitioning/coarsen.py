@@ -35,7 +35,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import perf
-from ._util import gather_csr_slots, gather_slices, segment_argmax, segment_argmax_last
+from ._util import (
+    gather_csr_slots,
+    gather_slices,
+    segment_argmax,
+    segment_argmax_last,
+    weights_by_part,
+)
 from .partgraph import PartGraph
 
 __all__ = [
@@ -367,11 +373,7 @@ def _contract_reference(g: PartGraph, match: np.ndarray) -> tuple[PartGraph, np.
     Wc.eliminate_zeros()
     Wc.sort_indices()
 
-    # histogram per constraint: np.bincount sums in vertex order, exactly
-    # like the former np.add.at accumulation, but several times faster
-    vwgt_c = np.empty((nc, g.ncon))
-    for c in range(g.ncon):
-        vwgt_c[:, c] = np.bincount(cmap, weights=g.vwgt[:, c], minlength=nc)
+    vwgt_c = weights_by_part(cmap, g.vwgt, nc)
     return PartGraph(Wc.indptr, Wc.indices, Wc.data, vwgt_c), cmap
 
 
@@ -458,11 +460,7 @@ def _contract_vector(g: PartGraph, match: np.ndarray) -> tuple[PartGraph, np.nda
     indptr = np.zeros(nc + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=nc), out=indptr[1:])
 
-    vwgt_c = np.empty((nc, g.ncon))
-    for c in range(g.ncon):
-        vwgt_c[:, c] = np.bincount(cmap, weights=g.vwgt[:, c], minlength=nc)
-
-    gc = PartGraph(indptr, cols, sums, vwgt_c)
+    gc = PartGraph(indptr, cols, sums, weights_by_part(cmap, g.vwgt, nc))
     # coarse weights are sums of the fine integer weights this kernel is
     # gated on, with a no-larger absolute total — still exactly summable
     gc.seed_derived(
@@ -486,12 +484,13 @@ def coarsen_level(
 
 
 def coarsen_to(
-    g: PartGraph,
+    g,
     min_vertices: int,
     rng: np.random.Generator,
     max_weight_fraction: float = 0.25,
     min_shrink: float = 0.95,
-) -> list[tuple[PartGraph, np.ndarray | None]]:
+    level=coarsen_level,
+) -> list[tuple]:
     """Coarsen until fewer than *min_vertices* vertices remain.
 
     Returns the level stack ``[(g0, None), (g1, cmap1), ...]`` where
@@ -500,13 +499,15 @@ def coarsen_to(
     stalled, typical for star-like scale-free cores).
 
     ``max_weight_fraction`` bounds any coarse vertex to that fraction of
-    total weight so bisection balance stays achievable.
+    total weight so bisection balance stays achievable. *level* is the
+    one-level step: :func:`coarsen_level`, or ``hcoarsen_level`` for a
+    :class:`~repro.partitioning.hypergraph.Hypergraph`.
     """
-    levels: list[tuple[PartGraph, np.ndarray | None]] = [(g, None)]
+    levels: list[tuple] = [(g, None)]
     max_w = g.total_weight() * max_weight_fraction
     while levels[-1][0].n > min_vertices:
         cur = levels[-1][0]
-        gc, cmap = coarsen_level(cur, rng, max_vertex_weight=max_w)
+        gc, cmap = level(cur, rng, max_vertex_weight=max_w)
         if gc.n >= cur.n * min_shrink:
             break
         levels.append((gc, cmap))

@@ -24,11 +24,12 @@ import scipy.sparse as sp
 
 from .. import perf
 from ..graphs.csr import as_csr
+from ._util import weights_by_part
 from .coarsen import _coarse_map, handshake_matching
 from .hypergraph import Hypergraph
 from .partgraph import PartGraph
 
-__all__ = ["similarity_graph", "hcontract", "hcoarsen_level", "hcoarsen_to"]
+__all__ = ["similarity_graph", "hcontract", "hcoarsen_level"]
 
 
 def similarity_graph(hg: Hypergraph, max_net_size: int = 50) -> PartGraph:
@@ -61,19 +62,6 @@ def similarity_graph(hg: Hypergraph, max_net_size: int = 50) -> PartGraph:
     return PartGraph(xadj, S.indices[off], S.data[off], hg.vwgt)
 
 
-def _coarse_vwgt(hg: Hypergraph, cmap: np.ndarray, nc: int) -> np.ndarray:
-    """Coarse vertex weights: per-constraint histogram over ``cmap``.
-
-    ``np.bincount`` sums in vertex order, exactly like the former
-    ``np.add.at`` accumulation (see the identity test in
-    ``tests/test_hypergraph.py``), but several times faster.
-    """
-    vwgt_c = np.empty((nc, hg.ncon))
-    for c in range(hg.ncon):
-        vwgt_c[:, c] = np.bincount(cmap, weights=hg.vwgt[:, c], minlength=nc)
-    return vwgt_c
-
-
 def hcontract(hg: Hypergraph, match: np.ndarray) -> tuple[Hypergraph, np.ndarray]:
     """Contract matched vertex pairs; drop nets that fall below 2 pins."""
     return _hcontract_vector(hg, match)
@@ -87,7 +75,7 @@ def _hcontract_reference(hg: Hypergraph, match: np.ndarray) -> tuple[Hypergraph,
     Hc = as_csr(hg.H @ P)
     Hc.data[:] = 1.0
     keep = np.diff(Hc.indptr) >= 2
-    vwgt_c = _coarse_vwgt(hg, cmap, nc)
+    vwgt_c = weights_by_part(cmap, hg.vwgt, nc)
     return Hypergraph(as_csr(Hc[keep]), vwgt_c, hg.netwgt[keep]), cmap
 
 
@@ -126,8 +114,7 @@ def _hcontract_vector(hg: Hypergraph, match: np.ndarray) -> tuple[Hypergraph, np
     Hc = sp.csr_matrix(
         (np.ones(len(pins)), pins, indptr), shape=(len(indptr) - 1, nc)
     )
-    vwgt_c = _coarse_vwgt(hg, cmap, nc)
-    return Hypergraph(Hc, vwgt_c, hg.netwgt[keep]), cmap
+    return Hypergraph(Hc, weights_by_part(cmap, hg.vwgt, nc), hg.netwgt[keep]), cmap
 
 
 def hcoarsen_level(
@@ -143,22 +130,3 @@ def hcoarsen_level(
         match = handshake_matching(sim, rng, max_vertex_weight=max_vertex_weight)
     with perf.phase("contract"):
         return hcontract(hg, match)
-
-
-def hcoarsen_to(
-    hg: Hypergraph,
-    min_vertices: int,
-    rng: np.random.Generator,
-    max_weight_fraction: float = 0.25,
-    min_shrink: float = 0.95,
-) -> list[tuple[Hypergraph, np.ndarray | None]]:
-    """Coarsen until under *min_vertices* vertices or matching stalls."""
-    levels: list[tuple[Hypergraph, np.ndarray | None]] = [(hg, None)]
-    max_w = hg.total_weight() * max_weight_fraction
-    while levels[-1][0].n > min_vertices:
-        cur = levels[-1][0]
-        hgc, cmap = hcoarsen_level(cur, rng, max_vertex_weight=max_w)
-        if hgc.n >= cur.n * min_shrink:
-            break
-        levels.append((hgc, cmap))
-    return levels

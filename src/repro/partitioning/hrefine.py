@@ -74,13 +74,9 @@ import numpy as np
 
 from ._util import exactly_summable, gather_csr_slots, gather_slices
 from .hypergraph import Hypergraph
-from .refine import balance_allowance, is_balanced
+from .refine import _violation, balance_allowance, is_balanced
 
 __all__ = ["fm_refine_hypergraph"]
-
-
-def _violation(sw: np.ndarray, allow: np.ndarray) -> float:
-    return float(np.maximum(sw - allow, 0.0).sum())
 
 
 def fm_refine_hypergraph(

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graphs.csr import as_csr, nonzeros_per_row
+from ._util import weights_by_part
 
 __all__ = ["Hypergraph"]
 
@@ -151,18 +152,8 @@ class Hypergraph:
         return int((self.connectivity(part, nparts) > 1).sum())
 
     def part_weights(self, part: np.ndarray, nparts: int) -> np.ndarray:
-        """Per-part vertex weights, shape ``(nparts, ncon)``.
-
-        A per-constraint ``np.bincount`` histogram: it sums in vertex
-        order, exactly like the former ``np.add.at`` accumulation (the
-        argument :func:`repro.partitioning.hcoarsen._coarse_vwgt` makes;
-        identity test in ``tests/test_hypergraph.py``).
-        """
-        part = np.asarray(part, dtype=np.int64)
-        out = np.empty((nparts, self.ncon))
-        for c in range(self.ncon):
-            out[:, c] = np.bincount(part, weights=self.vwgt[:, c], minlength=nparts)
-        return out
+        """Per-part vertex weights, shape ``(nparts, ncon)``."""
+        return weights_by_part(np.asarray(part, dtype=np.int64), self.vwgt, nparts)
 
     def induced(self, vertices: np.ndarray) -> "Hypergraph":
         """Sub-hypergraph on *vertices*: nets restricted, <2-pin nets dropped.

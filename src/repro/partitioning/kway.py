@@ -69,11 +69,8 @@ def _split(
     with perf.phase("bisect"):
         bis = multilevel_bisect(g, (frac0, 1.0 - frac0), ub=ub, seed=seed, **kwargs)
     bis = two_sided(bis, g.vwgt[:, 0], frac0)
-    return (
-        bis,
-        g.induced_subgraph(np.flatnonzero(bis == 0)),
-        g.induced_subgraph(np.flatnonzero(bis == 1)),
-    )
+    left, right = (g.induced_subgraph(np.flatnonzero(bis == side)) for side in (0, 1))
+    return bis, left, right
 
 
 def kway_balance_refine(

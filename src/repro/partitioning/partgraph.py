@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from ..graphs.csr import as_csr, drop_diagonal, nonzeros_per_row
 from ..graphs.ops import symmetrize
-from ._util import exactly_summable
+from ._util import exactly_summable, weights_by_part
 
 __all__ = ["PartGraph"]
 
@@ -228,17 +228,8 @@ class PartGraph:
         return float(self.adjwgt[cut].sum() / 2.0)
 
     def part_weights(self, part: np.ndarray, nparts: int) -> np.ndarray:
-        """Per-part vertex weight, shape ``(nparts, ncon)``.
-
-        A pure histogram, so it runs on ``np.bincount`` — bit-identical to
-        the former ``np.add.at`` accumulation (both sum in vertex order)
-        and several times faster on fine graphs.
-        """
-        part = np.asarray(part, dtype=np.int64)
-        out = np.empty((nparts, self.ncon))
-        for c in range(self.ncon):
-            out[:, c] = np.bincount(part, weights=self.vwgt[:, c], minlength=nparts)
-        return out
+        """Per-part vertex weight, shape ``(nparts, ncon)``."""
+        return weights_by_part(np.asarray(part, dtype=np.int64), self.vwgt, nparts)
 
     def imbalance(self, part: np.ndarray, nparts: int) -> np.ndarray:
         """Max part weight / average part weight, per constraint."""

@@ -98,7 +98,6 @@ def fm_refine(
     ub: float = 1.05,
     passes: int = 3,
     hill_limit: int = 64,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Refine a bisection without mutating the input (returns a copy).
 
@@ -109,10 +108,9 @@ def fm_refine(
     if g.n <= 1:
         return part
     allow = balance_allowance(g, target_fracs, ub)
-    rng = rng or np.random.default_rng(0)
     carry: dict = {}
     for _ in range(passes):
-        if not _fm_pass(g, part, allow, hill_limit, rng, carry):
+        if not _fm_pass(g, part, allow, hill_limit, carry):
             break
     return part
 
@@ -158,7 +156,6 @@ def _fm_pass(
     part: np.ndarray,
     allow: np.ndarray,
     hill_limit: int,
-    rng: np.random.Generator,
     carry: dict | None = None,
 ) -> bool:
     """Vectorised FM pass — replays the reference move sequence exactly.
@@ -216,10 +213,10 @@ def _fm_pass(
     if carry is None:
         carry = {}
     if ncon == 1:
-        return _fm_pass_vec1(g, part, allow, hill_limit, rng, carry)
+        return _fm_pass_vec1(g, part, allow, hill_limit, carry)
     if ncon > 3:
-        return _fm_pass_reference(g, part, allow, hill_limit, rng)
-    return _fm_pass_vecn(g, part, allow, hill_limit, rng, carry)
+        return _fm_pass_reference(g, part, allow, hill_limit)
+    return _fm_pass_vecn(g, part, allow, hill_limit, carry)
 
 
 def _fm_pass_vec1(
@@ -227,7 +224,6 @@ def _fm_pass_vec1(
     part: np.ndarray,
     allow: np.ndarray,
     hill_limit: int,
-    rng: np.random.Generator,
     carry: dict,
 ) -> bool:
     """Single-constraint vector pass; see :func:`_fm_pass` for the notes.
@@ -247,7 +243,7 @@ def _fm_pass_vec1(
         xadj_l, adjncy_l, adjwgt_l = g.adjacency_lists()
     vw = g.vwgt_lists()[0]
 
-    sw0, sw1 = np.bincount(part, weights=g.vwgt[:, 0], minlength=2).tolist()
+    sw0, sw1 = g.part_weights(part, 2)[:, 0].tolist()
     a0, a1 = allow[:, 0].tolist()
     a0e = a0 + 1e-9
     a1e = a1 + 1e-9
@@ -432,7 +428,6 @@ def _fm_pass_vecn(
     part: np.ndarray,
     allow: np.ndarray,
     hill_limit: int,
-    rng: np.random.Generator,
     carry: dict,
 ) -> bool:
     """2-3 constraint vector pass; see :func:`_fm_pass` for the notes.
@@ -452,10 +447,8 @@ def _fm_pass_vecn(
         xadj_l, adjncy_l, adjwgt_l = g.adjacency_lists()
     vcols = g.vwgt_lists()
 
-    sw_np = np.zeros((2, ncon))
-    np.add.at(sw_np, part, g.vwgt)
     # scalar mirrors of the per-candidate balance state; see _fm_pass
-    sw = [row[:] for row in sw_np.tolist()]
+    sw = g.part_weights(part, 2).tolist()
     allow_l = allow.tolist()
     allow_eps = (allow + 1e-9).tolist()
     crange = range(ncon)
@@ -626,7 +619,6 @@ def _fm_pass_reference(
     part: np.ndarray,
     allow: np.ndarray,
     hill_limit: int,
-    rng: np.random.Generator,
 ) -> bool:
     """Reference FM pass: the seed kernel, per-neighbour Python loops.
 

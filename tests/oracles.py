@@ -15,9 +15,9 @@ from unittest import mock
 from repro.partitioning import coarsen, hcoarsen, hrefine, refine
 
 
-def _fm_pass_reference(g, part, allow, hill_limit, rng, carry=None):
+def _fm_pass_reference(g, part, allow, hill_limit, carry=None):
     """``refine._fm_pass``'s signature over the reference pass (no carry)."""
-    return refine._fm_pass_reference(g, part, allow, hill_limit, rng)
+    return refine._fm_pass_reference(g, part, allow, hill_limit)
 
 
 @contextmanager

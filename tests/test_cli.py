@@ -117,6 +117,15 @@ class TestCli:
         ):
             assert parser.parse_args(argv).seed == 7
 
+    def test_partition_methods_come_from_the_partitioner(self):
+        from repro.cli import build_parser
+        from repro.partitioning import PARTITION_METHODS
+
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        method = next(a for a in sub.choices["partition"]._actions if a.dest == "method")
+        assert tuple(method.choices) == PARTITION_METHODS
+
 
 class TestCacheCli:
     """`repro cache` + the --engine-store plumbing that populates it."""

@@ -7,15 +7,14 @@ import scipy.sparse as sp
 from repro.graphs import from_edges
 from repro.graphs.csr import as_csr
 from repro.partitioning import Hypergraph, PartGraph, hypergraph_recursive_bisection
-from repro.partitioning.coarsen import _coarse_map, handshake_matching
+from repro.partitioning.bisect import multilevel_bisect
+from repro.partitioning.coarsen import coarsen_to, handshake_matching
 from repro.partitioning.hcoarsen import (
-    _coarse_vwgt,
     _hcontract_reference,
-    hcoarsen_to,
+    hcoarsen_level,
     hcontract,
     similarity_graph,
 )
-from repro.partitioning.hkway import multilevel_hypergraph_bisect
 from repro.partitioning.hrefine import fm_refine_hypergraph
 from repro.partitioning.refine import balance_allowance
 
@@ -132,11 +131,11 @@ class TestHcoarsenKernels:
         assert np.array_equal(ref.vwgt, vec.vwgt)
         assert np.array_equal(ref.netwgt, vec.netwgt)
 
-    def test_hcoarsen_to_stack_bit_identical(self, small_powerlaw):
+    def test_hypergraph_coarsen_stack_bit_identical(self, small_powerlaw):
         hg = Hypergraph.from_matrix_column_net(small_powerlaw)
-        vec = hcoarsen_to(hg, 20, np.random.default_rng(0))
+        vec = coarsen_to(hg, 20, np.random.default_rng(0), level=hcoarsen_level)
         with reference_kernels():
-            ref = hcoarsen_to(hg, 20, np.random.default_rng(0))
+            ref = coarsen_to(hg, 20, np.random.default_rng(0), level=hcoarsen_level)
         assert len(ref) == len(vec) > 1
         for (hr, cr), (hv, cv) in zip(ref, vec):
             assert np.array_equal(hr.H.indptr, hv.H.indptr)
@@ -145,16 +144,16 @@ class TestHcoarsenKernels:
             assert (cr is None and cv is None) or np.array_equal(cr, cv)
 
     def test_coarse_vwgt_bincount_matches_add_at(self, small_rmat):
-        """The per-constraint bincount histogram is bit-identical to the
-        former np.add.at accumulation (both sum in vertex order)."""
+        """The coarse vertex weights hcontract builds with the bincount
+        histogram are bit-identical to an np.add.at accumulation over the
+        coarse map (both sum in vertex order)."""
         hg = Hypergraph.from_matrix_column_net(small_rmat)
         sim = similarity_graph(hg)
         match = handshake_matching(sim, np.random.default_rng(1))
-        cmap, nc = _coarse_map(match)
-        got = _coarse_vwgt(hg, cmap, nc)
-        expect = np.zeros((nc, hg.ncon))
+        hc, cmap = hcontract(hg, match)
+        expect = np.zeros((hc.n, hg.ncon))
         np.add.at(expect, cmap, hg.vwgt)
-        assert np.array_equal(got, expect)
+        assert np.array_equal(hc.vwgt, expect)
 
     @pytest.mark.parametrize("vw", ["nnz", ("unit", "nnz")])
     def test_part_weights_bincount_matches_add_at(self, small_rmat, vw):
@@ -168,12 +167,12 @@ class TestHcoarsenKernels:
 
     def test_empty_similarity_graph_stalls_coarsening(self):
         """All-singleton nets leave no usable similarity edges: the
-        similarity graph is empty and hcoarsen_to stops at level 0."""
+        similarity graph is empty and coarsening stops at level 0."""
         hg = Hypergraph.from_matrix_column_net(sp.identity(8, format="csr"))
         assert similarity_graph(hg).xadj[-1] == 0
-        assert len(hcoarsen_to(hg, 2, np.random.default_rng(0))) == 1
+        assert len(coarsen_to(hg, 2, np.random.default_rng(0), level=hcoarsen_level)) == 1
         with reference_kernels():
-            assert len(hcoarsen_to(hg, 2, np.random.default_rng(0))) == 1
+            assert len(coarsen_to(hg, 2, np.random.default_rng(0), level=hcoarsen_level)) == 1
 
 
 class TestHypergraphFM:
@@ -193,9 +192,14 @@ class TestHypergraphFM:
 class TestHypergraphKway:
     def test_bisection_beats_random_on_grid(self, small_grid):
         hg = Hypergraph.from_matrix_column_net(small_grid)
-        part = multilevel_hypergraph_bisect(hg, seed=0)
+        part = multilevel_bisect(hg, seed=0)
         rnd = np.random.default_rng(0).integers(0, 2, hg.n)
         assert hg.cut_connectivity_minus_one(part, 2) < 0.3 * hg.cut_connectivity_minus_one(rnd, 2)
+
+    def test_bisection_rejects_fractions_not_summing_to_one(self, small_grid):
+        hg = Hypergraph.from_matrix_column_net(small_grid)
+        with pytest.raises(ValueError, match="sum to 1"):
+            multilevel_bisect(hg, (0.5, 0.6))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_kway_valid(self, small_powerlaw, k):

@@ -11,6 +11,7 @@ from repro.partitioning._util import (
     segment_argmax,
     segment_argmax_last,
     segment_sum,
+    weights_by_part,
 )
 
 
@@ -158,3 +159,29 @@ class TestCheckPartVector:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             check_part_vector([0, 5], 2, 3)
+
+
+class TestWeightsByPart:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_add_at(self, data):
+        """The per-constraint bincount histogram is bit-identical to an
+        np.add.at accumulation (both sum in vertex order), including empty
+        parts and part counts above ``max(part) + 1``."""
+        ncon = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(0, 40))
+        used = data.draw(st.integers(1, 6))
+        nparts = data.draw(st.integers(used, used + 3))
+        part = np.array(
+            data.draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        w = st.floats(0, 1e6, allow_nan=False)
+        vwgt = np.array(
+            data.draw(st.lists(w, min_size=n * ncon, max_size=n * ncon))
+        ).reshape(n, ncon)
+        expect = np.zeros((nparts, ncon))
+        np.add.at(expect, part, vwgt)
+        got = weights_by_part(part, vwgt, nparts)
+        assert got.shape == (nparts, ncon)
+        assert np.array_equal(got, expect)

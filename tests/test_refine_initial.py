@@ -6,11 +6,8 @@ import pytest
 from repro.generators import grid2d
 from repro.graphs import from_edges
 from repro.partitioning import PartGraph
-from repro.partitioning.initial import (
-    greedy_graph_growing,
-    random_bisection,
-    spectral_bisection,
-)
+from repro.partitioning.bisect import _edge_neighbours
+from repro.partitioning.initial import greedy_growing, random_bisection, spectral_bisection
 from repro.partitioning.refine import balance_allowance, fm_refine, is_balanced
 
 
@@ -85,14 +82,14 @@ class TestInitialBisectionGenerators:
     def test_greedy_growing_hits_target(self, frac):
         g = _grid_graph()
         rng = np.random.default_rng(0)
-        part = greedy_graph_growing(g, frac, rng)
+        part = greedy_growing(g, frac, rng, _edge_neighbours)
         assert set(np.unique(part)) <= {0, 1}
         w0 = g.vwgt[part == 0, 0].sum()
         assert abs(w0 / g.total_weight()[0] - frac) < 0.10
 
     def test_greedy_growing_is_connected_region_on_grid(self):
         g = _grid_graph(8, 8)
-        part = greedy_graph_growing(g, 0.5, np.random.default_rng(1))
+        part = greedy_growing(g, 0.5, np.random.default_rng(1), _edge_neighbours)
         # BFS growth on a grid yields a cut far below worst case
         assert g.edgecut(part) < 30
 

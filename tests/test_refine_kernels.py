@@ -21,14 +21,14 @@ from repro.generators import bter, grid2d, rmat
 from repro.graphs import from_edges
 from repro.partitioning import PartGraph, hrefine, partition_matrix
 from repro.partitioning._util import gather_slices
-from repro.partitioning.hkway import _greedy_net_growing
 from repro.partitioning.hrefine import (
     _compute_gain,
     _compute_gain_many,
     fm_refine_hypergraph,
 )
 from repro.partitioning.hypergraph import Hypergraph
-from repro.partitioning.initial import greedy_graph_growing, random_bisection
+from repro.partitioning.bisect import _edge_neighbours, _pin_neighbours
+from repro.partitioning.initial import greedy_growing
 from repro.partitioning import refine
 from repro.partitioning.refine import balance_allowance, fm_refine
 
@@ -78,6 +78,8 @@ class TestKernelIdentity:
     def test_kernel_parameter_is_gone(self):
         with pytest.raises(TypeError):
             fm_refine(_star(4), np.zeros(5, dtype=np.int64), kernel="vector")
+        with pytest.raises(TypeError):
+            fm_refine(_star(4), np.zeros(5, dtype=np.int64), rng=np.random.default_rng(0))
 
     def test_four_constraints_run_the_reference_pass(self):
         """Above three constraints ``_fm_pass`` routes to the per-vertex
@@ -237,7 +239,7 @@ class TestVectorisedGrowing:
     def test_graph_growing_matches_deque(self, small_rmat, tf, seed):
         g = PartGraph.from_matrix(small_rmat, "nnz")
         a = _deque_graph_growing(g, tf, np.random.default_rng(seed))
-        b = greedy_graph_growing(g, tf, np.random.default_rng(seed))
+        b = greedy_growing(g, tf, np.random.default_rng(seed), _edge_neighbours)
         assert np.array_equal(a, b)
 
     def test_graph_growing_disconnected(self):
@@ -245,13 +247,13 @@ class TestVectorisedGrowing:
         g = PartGraph.from_matrix(A, "nnz")
         for seed in range(4):
             a = _deque_graph_growing(g, 0.5, np.random.default_rng(seed))
-            b = greedy_graph_growing(g, 0.5, np.random.default_rng(seed))
+            b = greedy_growing(g, 0.5, np.random.default_rng(seed), _edge_neighbours)
             assert np.array_equal(a, b)
 
     def test_graph_growing_edgeless(self):
         g = PartGraph.from_matrix(sp.csr_matrix((30, 30)), "unit")
         a = _deque_graph_growing(g, 0.5, np.random.default_rng(1))
-        b = greedy_graph_growing(g, 0.5, np.random.default_rng(1))
+        b = greedy_growing(g, 0.5, np.random.default_rng(1), _edge_neighbours)
         assert np.array_equal(a, b)
         assert (b == 0).sum() == 15
 
@@ -260,7 +262,7 @@ class TestVectorisedGrowing:
         hg = Hypergraph.from_matrix_column_net(small_rmat, "nnz")
         for seed in range(3):
             a = _deque_net_growing(hg, tf, np.random.default_rng(seed))
-            b = _greedy_net_growing(hg, tf, np.random.default_rng(seed))
+            b = greedy_growing(hg, tf, np.random.default_rng(seed), _pin_neighbours)
             assert np.array_equal(a, b)
 
 
