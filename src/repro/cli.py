@@ -355,7 +355,6 @@ def _cmd_serve(args) -> int:
         default_seed=args.seed,
         engine_store_dir=args.engine_store_dir,
         use_engine_store=not args.no_engine_store,
-        engine_threads=args.threads,
     )
     server = MatvecServer(config)
 
@@ -626,16 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
              "0 = all cores; output is identical at any job count)",
     )
 
-    # one --threads, shared by every engine-applying subcommand: the
-    # threaded kernel is bit-identical to serial, so it too is safe to
-    # tune per machine (process pools pin their workers back to 1)
-    threaded = argparse.ArgumentParser(add_help=False)
-    threaded.add_argument(
-        "--threads", type=int, default=None,
-        help="engine apply threads per multiply (default: $REPRO_THREADS "
-             "or serial; 0 = all cores; output is identical at any count)",
-    )
-
     sub.add_parser("corpus", help="list the proxy corpus").set_defaults(fn=_cmd_corpus)
 
     p = sub.add_parser("stats", help="matrix structural statistics")
@@ -655,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     default_methods = ["1d-block", "1d-random", "1d-gp", "2d-block", "2d-random", "2d-gp"]
     p = sub.add_parser("spmv", help="compare SpMV data layouts",
-                       parents=[seeded, jobbed, threaded])
+                       parents=[seeded, jobbed])
     p.add_argument("matrix")
     p.add_argument("-p", "--procs", type=int, default=64)
     p.add_argument("--methods", nargs="+", default=default_methods)
@@ -667,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_spmv)
 
     p = sub.add_parser("eigen", help="compare layouts for the eigensolver",
-                       parents=[seeded, threaded])
+                       parents=[seeded])
     p.add_argument("matrix")
     p.add_argument("-p", "--procs", type=int, default=64)
     p.add_argument("-k", type=int, default=10)
@@ -743,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve", help="long-lived batched matvec server (see DESIGN.md §12)",
-        parents=[seeded, jobbed, threaded],
+        parents=[seeded, jobbed],
     )
     p.add_argument("mode", nargs="?", choices=("chaos", "warmup"),
                    help="'chaos': self-contained seeded chaos demo — boots a "
@@ -812,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "loadgen", help="closed-loop load generator against a running server",
-        parents=[seeded, threaded],
+        parents=[seeded],
     )
     p.add_argument("matrix")
     p.add_argument("--socket", required=True, help="server unix socket path")
@@ -843,13 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None) is not None:
-        # --threads sets the process-wide default budget: every engine
-        # this command builds or loads fans its multiplies out,
-        # bit-identically to serial at any count
-        from .runtime.threads import set_default_threads
-
-        set_default_threads(args.threads)
     return args.fn(args)
 
 

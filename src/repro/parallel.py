@@ -86,25 +86,19 @@ _THREAD_ENV_VARS = (
 
 
 def _pin_worker_threads() -> None:
-    """Process-pool worker initializer: one thread per worker, period.
+    """Process-pool worker initializer: one BLAS/OpenMP thread per worker.
 
     Process- and thread-parallelism must never nest — J workers each
-    spinning T apply threads oversubscribes the machine J*T-fold and
+    spinning T BLAS threads oversubscribes the machine J*T-fold and
     makes every latency measurement a lie. Every pool this module (and
-    :class:`ResilientPool`) creates runs this in each worker: BLAS/OpenMP
-    pools and the engine's apply budget (``REPRO_THREADS`` plus the
-    process-global override) are all pinned to 1. Results are unaffected
-    — the threaded apply kernel is bit-identical to serial — so this is
-    purely a scheduling guard. (For fork-started workers an already
-    initialized BLAS may ignore the env pins; the engine budget pin is
-    what matters, and it always takes effect.)
+    :class:`ResilientPool`) creates runs this in each worker. Engines
+    are serial unless ``SpmvEngine.set_threads`` says otherwise, so the
+    environment pins are the only guard needed. (For fork-started
+    workers an already initialized BLAS may ignore them; results are
+    unaffected either way — this is purely a scheduling guard.)
     """
     for var in _THREAD_ENV_VARS:
         os.environ[var] = "1"
-    os.environ["REPRO_THREADS"] = "1"
-    from .runtime.threads import set_default_threads
-
-    set_default_threads(1)
 
 
 @contextmanager

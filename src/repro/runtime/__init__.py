@@ -15,13 +15,7 @@ from .trace import CostLedger, FaultEvent, SPMV_PHASES, FAULT_PHASES
 from .distmatrix import DistSparseMatrix
 from .distvector import DistVectorSpace
 from .engine import SpmvEngine, AbftCheck
-from .threads import (
-    ApplyPlan,
-    balanced_row_splits,
-    default_threads,
-    resolve_threads,
-    set_default_threads,
-)
+from .threads import ApplyPlan, balanced_row_splits
 from .store import (
     ARTIFACT_SCHEMA,
     EngineKey,
@@ -66,9 +60,6 @@ __all__ = [
     "AbftCheck",
     "ApplyPlan",
     "balanced_row_splits",
-    "default_threads",
-    "resolve_threads",
-    "set_default_threads",
     "ARTIFACT_SCHEMA",
     "EngineKey",
     "EngineStore",

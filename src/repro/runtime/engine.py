@@ -39,18 +39,17 @@ through the same two operators in one shot — k SpMVs for two CSR-times-
 dense calls — which is how the block Krylov-Schur solver amortizes index
 traffic over its block width. Column j equals ``spmv(X[:, j])`` exactly.
 
-Thread-parallel apply (:mod:`repro.runtime.threads`)
-----------------------------------------------------
-Each multiply can additionally fan out across cores: an
-:class:`~repro.runtime.threads.ApplyPlan` — nnz-balanced contiguous row
-blocks over each operator, computed once at build/load time and
-persisted through :meth:`to_arrays` — lets a thread budget above 1 run
-the row blocks on the shared GIL-releasing pool. Row-disjoint blocks
-write disjoint output slices in the same stored-entry order as the
-fused multiply, so the threaded apply is **bit-identical** to the
-serial one a budget of 1 runs (``np.array_equal``, gated corpus-wide by
-``BENCH_threads.json``); the ABFT checksum dots below ride the same
-discipline over the checksum operator's rows.
+Thread budget (:mod:`repro.runtime.threads`)
+--------------------------------------------
+Every engine is serial: each multiply is one fused CSR call. Only
+:meth:`SpmvEngine.set_threads` raises the budget; a budget above 1
+plans an :class:`~repro.runtime.threads.ApplyPlan` (nnz-balanced
+contiguous row blocks over each operator) and runs the blocks on the
+shared GIL-releasing pool. Row-disjoint blocks write disjoint output
+slices in the same stored-entry order as the fused multiply, so the
+threaded apply is **bit-identical** to the serial one
+(``tests/test_threads.py``). Nothing in the package raises the budget
+(DESIGN.md §15).
 
 ABFT checksums (Huang & Abraham 1984)
 -------------------------------------
@@ -144,7 +143,7 @@ class SpmvEngine:
     no per-message Python work.
     """
 
-    def __init__(self, dist, threads: int | None = None) -> None:
+    def __init__(self, dist) -> None:
         vm = dist.vector_map
         p = dist.nprocs
         n = dist.n
@@ -200,44 +199,50 @@ class SpmvEngine:
         #: optional no-arg callback fired when the lazy ABFT operators
         #: materialize (the residency layer re-checks its byte budget)
         self.abft_listener = None
-        self._threads = _threads.resolve_threads(threads)
-        self._plans: dict[int, ApplyPlan] = {}
-        self._abft_plans: dict[int, tuple] = {}
-        self._plan()  # plan once at build time, never per multiply
+        self._threads = 1
+        self._plan: ApplyPlan | None = None
 
-    # -- thread budget and apply plans ------------------------------------
+    # -- thread budget -----------------------------------------------------
 
     @property
     def threads(self) -> int:
         """Current apply-thread budget (1 = serial fused multiply)."""
         return self._threads
 
-    def set_threads(self, threads: int | None = None) -> int:
-        """Set the budget (None = process default, 0 = all cores).
+    def set_threads(self, threads: int) -> int:
+        """Set the apply-thread budget: an integer >= 1 (1 = serial).
 
-        Plans are cached per budget, so flipping between budgets — or
-        loading an artifact planned at a different budget — re-plans at
-        most once per distinct value (microseconds against ``indptr``).
-        Returns the resolved budget.
+        A budget above 1 plans its row blocks once, here, never per
+        multiply; a budget of 1 drops the plan. Returns the budget.
         """
-        self._threads = _threads.resolve_threads(threads)
-        self._plan()
-        return self._threads
-
-    def _plan(self) -> ApplyPlan:
-        plan = self._plans.get(self._threads)
-        if plan is None:
-            plan = ApplyPlan.build(self._local, self._fold, self._threads)
-            self._plans[self._threads] = plan
-        return plan
+        if (
+            isinstance(threads, bool)
+            or not isinstance(threads, (int, np.integer))
+            or threads < 1
+        ):
+            raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+        threads = int(threads)
+        if threads != self._threads:
+            self._plan = (
+                ApplyPlan.build(self._local, self._fold, threads)
+                if threads > 1
+                else None
+            )
+            self._threads = threads
+        return threads
 
     def plan_stats(self) -> dict:
-        """Balance summary of the active plan (serve stats / benches)."""
-        return self._plan().stats()
+        """Balance summary of the apply plan (one block each at budget 1)."""
+        plan = self._plan or ApplyPlan.build(self._local, self._fold, 1)
+        return plan.stats()
 
-    def _apply(self, op, blocks, X: np.ndarray) -> np.ndarray:
-        """``op @ X``, fanned across row blocks when the budget allows."""
-        if self._threads <= 1 or len(blocks) <= 1:
+    def _apply(self, op: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
+        """``op @ X``, fanned across the plan's row blocks at a budget > 1."""
+        plan = self._plan
+        if plan is None:
+            return op @ X
+        blocks = plan.local_blocks if op is self._local else plan.fold_blocks
+        if len(blocks) <= 1:
             return op @ X
         out = np.empty(
             (op.shape[0],) + X.shape[1:],
@@ -260,27 +265,14 @@ class SpmvEngine:
         operators are deliberately excluded: they are derived purely
         from ``local`` and ``slot_rank``, so a loaded engine rebuilds
         them on first :meth:`abft_check` exactly as a compiled one does.
-        The active :class:`~repro.runtime.threads.ApplyPlan` splits *are*
-        included (with their budget as ``dims[6]``): planning is
-        deterministic, so persisting the splits makes warm loads at the
-        same budget pay no re-planning — and a load at a different
-        budget re-plans once, cheaply, rather than trusting a stale
-        blocking.
+        The thread budget is runtime state, not compiled state: a loaded
+        engine starts serial.
         """
-        plan = self._plan()
         return {
             "dims": np.array(
-                [
-                    self.n,
-                    self._nprocs,
-                    *self._local.shape,
-                    *self._fold.shape,
-                    self._threads,
-                ],
+                [self.n, self._nprocs, *self._local.shape, *self._fold.shape],
                 dtype=np.int64,
             ),
-            "plan_local_splits": np.asarray(plan.local_splits, dtype=np.int64),
-            "plan_fold_splits": np.asarray(plan.fold_splits, dtype=np.int64),
             "local_data": self._local.data,
             "local_indices": self._local.indices,
             "local_indptr": self._local.indptr,
@@ -300,7 +292,7 @@ class SpmvEngine:
         header parsing, not data movement.
         """
         dims = np.asarray(arrays["dims"], dtype=np.int64)
-        if dims.shape not in ((6,), (7,)):
+        if dims.shape != (6,):
             raise ValueError(f"bad dims member shape {dims.shape}")
         n, p = int(dims[0]), int(dims[1])
         eng = cls.__new__(cls)
@@ -325,21 +317,8 @@ class SpmvEngine:
             raise ValueError("slot_rank length inconsistent with local operator")
         eng._abft = None
         eng.abft_listener = None
-        eng._threads = _threads.resolve_threads(None)
-        eng._plans = {}
-        eng._abft_plans = {}
-        if dims.shape == (7,) and "plan_local_splits" in arrays:
-            # adopt the persisted plan under the budget it was planned
-            # for; the runtime budget still wins (a mismatch re-plans)
-            plan_threads = int(dims[6])
-            eng._plans[plan_threads] = ApplyPlan.from_splits(
-                eng._local,
-                eng._fold,
-                plan_threads,
-                arrays["plan_local_splits"],
-                arrays["plan_fold_splits"],
-            )
-        eng._plan()
+        eng._threads = 1
+        eng._plan = None
         return eng
 
     @property
@@ -347,18 +326,18 @@ class SpmvEngine:
         """Resident bytes of the compiled operators.
 
         The residency layer (:mod:`repro.serve.residency`) budgets its LRU
-        by this number: the two CSR operators dominate a resident engine's
-        footprint, the apply plans (split arrays plus each bound block's
-        small indptr — the entry arrays are zero-copy views and counted
-        once with their parent) ride along per cached budget, the lazily
-        built ABFT operators are counted only once they exist, and Python
+        by this number: the two CSR operators and ``slot_rank`` are a
+        serial engine's whole footprint. A budget above 1 adds its apply
+        plan (split arrays plus each bound block's small indptr — the
+        entry arrays are zero-copy views counted once with their parent),
+        the lazily built ABFT operators count once they exist, and Python
         object overhead is ignored as noise.
         """
         total = self._slot_rank.nbytes
         for op in (self._local, self._fold):
             total += op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
-        for plan in self._plans.values():
-            total += plan.nbytes
+        if self._plan is not None:
+            total += self._plan.nbytes
         return int(total) + self.abft_bytes
 
     @property
@@ -368,19 +347,14 @@ class SpmvEngine:
         Split out from :attr:`nbytes` so the residency layer can report
         how much of an entry's footprint appeared *after* admission —
         the accounting drift the post-materialization budget re-check
-        exists to correct. Counts all three checksum operators (the
-        selector, weights, and |weights|) plus any checksum-row apply
-        plans, since every one of them is resident once built.
+        exists to correct. Counts the three checksum operators (the
+        selector, weights, and |weights|), all resident once built.
         """
         if self._abft is None:
             return 0
         total = 0
         for op in self._abft:
             total += op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
-        for splits, e_blocks, eabs_blocks in self._abft_plans.values():
-            total += splits.nbytes
-            for _, _, block in (*e_blocks, *eabs_blocks):
-                total += block.indptr.nbytes
         return int(total)
 
     # -- ABFT checksums ----------------------------------------------------
@@ -412,25 +386,6 @@ class SpmvEngine:
                 self.abft_listener()
         return self._abft
 
-    def _abft_blocks(self) -> tuple:
-        """Row blocks of (E, Eabs) for the active budget, planned once.
-
-        The checksum dots ride the same nnz-balanced discipline as the
-        main operators: ``E`` and ``Eabs`` share structure, so one split
-        over ``E.indptr`` serves both.
-        """
-        entry = self._abft_plans.get(self._threads)
-        if entry is None:
-            _, E, Eabs = self._abft_operators()
-            splits = _threads.balanced_row_splits(E.indptr, self._threads)
-            entry = (
-                splits,
-                _threads.bind_blocks(E, splits),
-                _threads.bind_blocks(Eabs, splits),
-            )
-            self._abft_plans[self._threads] = entry
-        return entry
-
     def spmv_with_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(y, partials)``: the result plus the pre-fold partial sums.
 
@@ -439,17 +394,14 @@ class SpmvEngine:
         partials``. The fault injector perturbs ``partials`` between the
         two stages to model corruption at specific pipeline points.
         """
-        plan = self._plan()
         with phase("engine.local"):
-            partials = self._apply(self._local, plan.local_blocks, x)
-        with phase("engine.fold"):
-            return self._apply(self._fold, plan.fold_blocks, partials), partials
+            partials = self._apply(self._local, x)
+        return self.fold(partials), partials
 
     def fold(self, partials: np.ndarray) -> np.ndarray:
         """Fold + sum a (possibly perturbed) partial-sum buffer."""
-        plan = self._plan()
         with phase("engine.fold"):
-            return self._apply(self._fold, plan.fold_blocks, partials)
+            return self._apply(self._fold, partials)
 
     def abft_check(
         self,
@@ -471,13 +423,8 @@ class SpmvEngine:
         S, E, Eabs = self._abft_operators()
         with phase("engine.abft"):
             observed = S @ partials
-            if self._threads > 1:
-                _, e_blocks, eabs_blocks = self._abft_blocks()
-                expected = self._apply(E, e_blocks, x)
-                noise_scale = self._apply(Eabs, eabs_blocks, np.abs(x))
-            else:
-                expected = E @ x
-                noise_scale = Eabs @ np.abs(x)
+            expected = E @ x
+            noise_scale = Eabs @ np.abs(x)
         disc = np.abs(observed - expected)
         threshold = rtol * (noise_scale + np.abs(observed))
         flagged = np.flatnonzero(disc > threshold)
@@ -498,14 +445,8 @@ class SpmvEngine:
         """``A @ x`` through the compiled four phases.
 
         *x* must be a float64 vector of length n (the caller validates).
-        With a thread budget > 1 the two multiplies fan out over the
-        plan's row blocks, bit-identical to the serial kernel.
         """
-        plan = self._plan()
-        with phase("engine.local"):
-            partials = self._apply(self._local, plan.local_blocks, x)
-        with phase("engine.fold"):
-            return self._apply(self._fold, plan.fold_blocks, partials)
+        return self.spmv_with_partials(x)[0]
 
     def spmm(self, X: np.ndarray) -> np.ndarray:
         """``A @ X`` for an (n, k) block — k SpMVs through one compiled pass.
@@ -515,8 +456,4 @@ class SpmvEngine:
         same stored-entry order as the matvec. Threading splits rows,
         never columns, so the identity survives the threaded kernel.
         """
-        plan = self._plan()
-        with phase("engine.local"):
-            partials = self._apply(self._local, plan.local_blocks, X)
-        with phase("engine.fold"):
-            return self._apply(self._fold, plan.fold_blocks, partials)
+        return self.spmv_with_partials(X)[0]

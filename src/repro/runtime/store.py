@@ -88,9 +88,9 @@ __all__ = [
 
 #: Serialized-artifact schema version. Bump whenever the member layout
 #: or the engine's compiled form changes; readers treat any other value
-#: as a miss (stale artifact → rebuild, never a mis-load). v2 added the
-#: persisted apply-plan row splits (``plan_*`` members, ``dims[6]``).
-ARTIFACT_SCHEMA = 2
+#: as a miss (stale artifact → rebuild, never a mis-load). v3 dropped
+#: v2's persisted apply-plan row splits (``plan_*`` members, ``dims[6]``).
+ARTIFACT_SCHEMA = 3
 
 #: npz member names an artifact must carry besides ``meta``.
 _MEMBERS = (
@@ -102,8 +102,6 @@ _MEMBERS = (
     "fold_indices",
     "fold_indptr",
     "slot_rank",
-    "plan_local_splits",
-    "plan_fold_splits",
 )
 
 
@@ -306,7 +304,6 @@ class EngineStore:
             "variant": key.variant,
             "n": int(engine.n),
             "engine_nbytes": int(engine.nbytes),
-            "plan_threads": int(engine.threads),
         }
         if extra_meta:
             meta.update(extra_meta)

@@ -24,21 +24,14 @@ reorders any row's entries nor shares any output element between
 blocks, so writing block results into disjoint slices of one output
 array reproduces the fused multiply **bit-for-bit** — tested and gated
 with ``np.array_equal``, never a tolerance. The serial fused multiply
-is the oracle, and it is what a thread budget of 1 runs
-(``engine.set_threads(1)``, or a second engine built with ``threads=1``).
-
-Thread budget resolution
-------------------------
-``resolve_threads(None)`` consults, in order: a process-global override
-(:func:`set_default_threads`, set by the CLI ``--threads`` flags), the
-``REPRO_THREADS`` environment variable, then 1 (serial). ``0`` means
-"all cores". Process-pool workers (``repro.parallel``) pin the default
-to 1 so process- and thread-parallelism never nest.
+is the oracle, and it is what every engine runs: the budget is 1
+unless :meth:`~repro.runtime.engine.SpmvEngine.set_threads` raises it,
+and nothing in the package does (DESIGN.md §15 records what two threads
+measured).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -50,47 +43,8 @@ __all__ = [
     "balanced_row_splits",
     "bind_blocks",
     "block_nnz",
-    "default_threads",
-    "set_default_threads",
-    "resolve_threads",
     "run_blocks",
-    "pool_stats",
 ]
-
-# -- thread-budget resolution ---------------------------------------------
-
-_DEFAULT_THREADS: int | None = None
-
-
-def _normalize(threads: int) -> int:
-    if threads <= 0:
-        return max(int(os.cpu_count() or 1), 1)
-    return int(threads)
-
-
-def set_default_threads(threads: int | None) -> None:
-    """Set the process-global thread budget (None restores env/serial)."""
-    global _DEFAULT_THREADS
-    _DEFAULT_THREADS = None if threads is None else _normalize(int(threads))
-
-
-def default_threads() -> int:
-    """Current default budget: override, else $REPRO_THREADS, else 1."""
-    if _DEFAULT_THREADS is not None:
-        return _DEFAULT_THREADS
-    env = os.environ.get("REPRO_THREADS", "").strip()
-    if env:
-        try:
-            return _normalize(int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
-def resolve_threads(threads: int | None) -> int:
-    """An explicit budget (0 = all cores) or the process default."""
-    return default_threads() if threads is None else _normalize(int(threads))
-
 
 # -- the row-split primitive ----------------------------------------------
 
@@ -132,8 +86,7 @@ def balanced_row_splits(indptr, nblocks: int) -> np.ndarray:
     becomes its own bottleneck block, fewer rows (or less nnz) than
     blocks simply yields fewer blocks, and ``nblocks=1`` returns the
     trivial split. The function is deterministic — a pure function of
-    ``indptr`` and *nblocks* — which is what lets plans persist through
-    the artifact store and verify byte-equal on reload.
+    ``indptr`` and *nblocks*.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     if indptr.ndim != 1 or len(indptr) < 1:
@@ -168,19 +121,6 @@ def block_nnz(indptr, splits) -> np.ndarray:
     return indptr[splits[1:]] - indptr[splits[:-1]]
 
 
-def _validate_splits(M: sp.csr_matrix, splits: np.ndarray) -> np.ndarray:
-    splits = np.asarray(splits, dtype=np.int64)
-    if (
-        splits.ndim != 1
-        or len(splits) < 2
-        or int(splits[0]) != 0
-        or int(splits[-1]) != M.shape[0]
-        or np.any(np.diff(splits) < 0)
-    ):
-        raise ValueError(f"invalid row splits for {M.shape[0]}-row operator")
-    return splits
-
-
 def _csr_row_block(M: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
     """Rows ``r0:r1`` of *M* as a CSR sharing its data/indices buffers.
 
@@ -209,12 +149,11 @@ def bind_blocks(
 class ApplyPlan:
     """nnz-balanced row blocking of one engine's two compiled operators.
 
-    Computed once at engine build/load time (never per multiply) and
-    persisted through ``SpmvEngine.to_arrays`` and the artifact store,
-    so warm loads at the same thread budget pay no re-planning. The
-    bound block operators are zero-copy row views; :attr:`nbytes`
-    reports only what the plan actually allocates (the split arrays and
-    each block's small indptr) so residency byte budgets stay honest.
+    Built by ``SpmvEngine.set_threads`` for a budget above 1 (never per
+    multiply, never persisted). The bound block operators are zero-copy
+    row views; :attr:`nbytes` reports only what the plan actually
+    allocates (the split arrays and each block's small indptr) so
+    residency byte budgets stay honest.
     """
 
     __slots__ = (
@@ -242,26 +181,6 @@ class ApplyPlan:
         fs = balanced_row_splits(fold.indptr, t)
         return cls(t, ls, fs, bind_blocks(local, ls), bind_blocks(fold, fs))
 
-    @classmethod
-    def from_splits(
-        cls,
-        local: sp.csr_matrix,
-        fold: sp.csr_matrix,
-        threads: int,
-        local_splits,
-        fold_splits,
-    ) -> "ApplyPlan":
-        """Adopt persisted splits (validated; raises ValueError if torn)."""
-        ls = _validate_splits(local, local_splits)
-        fs = _validate_splits(fold, fold_splits)
-        return cls(
-            max(int(threads), 1),
-            ls,
-            fs,
-            bind_blocks(local, ls),
-            bind_blocks(fold, fs),
-        )
-
     @property
     def nbytes(self) -> int:
         """Bytes the plan allocates beyond the parent operators."""
@@ -272,7 +191,7 @@ class ApplyPlan:
         return int(total)
 
     def stats(self) -> dict:
-        """Balance summary (bench/serve-stats view)."""
+        """Balance summary (the e2e bench's ``plan_balance`` view)."""
 
         def side(splits, blocks):
             nnz = [int(b.nnz) for _, _, b in blocks]
@@ -311,8 +230,6 @@ class _Pool:
         self._lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
         self._workers = 0
-        self.dispatches = 0
-        self.block_tasks = 0
 
     def _ensure(self, workers: int) -> ThreadPoolExecutor:
         with self._lock:
@@ -330,9 +247,6 @@ class _Pool:
 
     def run(self, tasks) -> None:
         ex = self._ensure(max(len(tasks) - 1, 1))
-        with self._lock:
-            self.dispatches += 1
-            self.block_tasks += len(tasks)
         futures = [ex.submit(t) for t in tasks[:-1]]
         tasks[-1]()
         for f in futures:
@@ -357,12 +271,3 @@ def run_blocks(blocks, X: np.ndarray, out: np.ndarray) -> None:
         return _run
 
     _POOL.run([task(r0, r1, M) for r0, r1, M in blocks])
-
-
-def pool_stats() -> dict:
-    """Shared-pool counters for serve ``stats`` and the benches."""
-    return {
-        "workers": _POOL._workers,
-        "dispatches": _POOL.dispatches,
-        "block_tasks": _POOL.block_tasks,
-    }

@@ -20,14 +20,9 @@ A batch flushes on whichever trigger fires first:
   lone request never waits for company that is not coming.
 
 Flushes run inline on the event loop. That is deliberate: it keeps the
-arrival -> batch -> compute -> respond ordering deterministic, and the
-engine parallelizes *inside* the flush — with a thread budget
-(``ServeConfig.engine_threads``) the fused multiply fans out over the
-engine's nnz-balanced row blocks on the shared GIL-releasing pool
-(:mod:`repro.runtime.threads`; scipy's CSR kernels release the GIL for
-the C loop), still bit-identical to the serial kernel. Batching gives
-the threads a k-wide block to chew on, so the two optimizations
-compound rather than compete.
+arrival -> batch -> compute -> respond ordering deterministic. Each
+flush is one serial fused ``spmm``; the server does not fan multiplies
+out over threads.
 """
 
 from __future__ import annotations

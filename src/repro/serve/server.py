@@ -73,7 +73,6 @@ import numpy as np
 
 from ..parallel import PoolTaskFailed, ResilientPool
 from ..perf import SpanRecorder
-from ..runtime import threads as _engine_threads
 from .batching import MicroBatcher, QueueFull
 from .protocol import (
     MAX_LINE_BYTES,
@@ -166,11 +165,6 @@ class ServeConfig:
     idem_capacity: int = 4096
     #: requests after the last shed during which health reports "degraded"
     degraded_window: int = 100
-    #: per-engine apply-thread budget (None = process default, i.e.
-    #: $REPRO_THREADS or serial; 0 = all cores). Applied to every
-    #: resident engine — built or loaded — so MicroBatcher flushes fan
-    #: their fused multiplies across cores, bit-identically to serial.
-    engine_threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -187,10 +181,6 @@ class ServeConfig:
             raise ValueError("drain_grace_s must be >= 0")
         if self.idem_capacity < 1:
             raise ValueError(f"idem_capacity must be >= 1, got {self.idem_capacity}")
-        if self.engine_threads is not None and self.engine_threads < 0:
-            raise ValueError(
-                f"engine_threads must be >= 0 or None, got {self.engine_threads}"
-            )
 
 
 @dataclass
@@ -497,7 +487,6 @@ class MatvecServer:
                 self.residency.load_from_store, key, name
             )
             if entry is not None:
-                meta["threads"] = entry.engine.set_threads(self.config.engine_threads)
                 entry.batcher = MicroBatcher(
                     entry.engine,
                     max_batch=self.config.max_batch,
@@ -557,7 +546,6 @@ class MatvecServer:
 
         t1 = time.perf_counter()
         dist = await asyncio.to_thread(build)
-        meta["threads"] = dist.engine.set_threads(self.config.engine_threads)
         entry = ResidentEngine(
             key=key,
             matrix=name,
@@ -700,9 +688,6 @@ class MatvecServer:
             "inflight": self._inflight_work,
             "uptime_seconds": round(time.time() - self._started_at, 3),
             "requests": self.counters["requests"],
-            "engine_threads": _engine_threads.resolve_threads(
-                self.config.engine_threads
-            ),
         }
 
     def _stats(self, rid) -> dict:
@@ -710,8 +695,6 @@ class MatvecServer:
         entries = []
         for e in self.residency.entries():
             d = e.as_dict()
-            d["threads"] = e.engine.threads
-            d["plan"] = e.engine.plan_stats()
             if e.batcher is not None:
                 d["batch"] = {
                     "matvecs": e.batcher.matvecs,
@@ -731,12 +714,6 @@ class MatvecServer:
             "inflight": self._inflight_work,
             "idem_entries": len(self._idem),
             "pool": {"deaths": self.pool.deaths, "retries": self.pool.retries},
-            "threads": {
-                "engine_threads": _engine_threads.resolve_threads(
-                    self.config.engine_threads
-                ),
-                "pool": _engine_threads.pool_stats(),
-            },
             "fault_events": list(self.fault_events),
         }
 

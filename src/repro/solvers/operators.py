@@ -22,28 +22,13 @@ __all__ = ["DistOperator", "normalized_laplacian_operator"]
 
 
 class DistOperator:
-    """A distributed symmetric operator: matvec + vector space + ledger.
+    """A distributed symmetric operator: matvec + vector space + ledger."""
 
-    ``threads`` sets the compiled engine's apply-thread budget (None =
-    process default, 0 = all cores): every ``matvec``/``matvec_block``
-    — and therefore every block Krylov-Schur iteration — fans its two
-    fused multiplies across the engine's nnz-balanced row blocks,
-    bit-identical to the serial kernel, so solver trajectories and
-    checkpoints are unchanged at any budget.
-    """
-
-    def __init__(
-        self,
-        dist: DistSparseMatrix,
-        ledger: CostLedger | None = None,
-        threads: int | None = None,
-    ):
+    def __init__(self, dist: DistSparseMatrix, ledger: CostLedger | None = None):
         self.dist = dist
         self.ledger = ledger if ledger is not None else CostLedger()
         self.space = DistVectorSpace(dist.vector_map, dist.machine, self.ledger)
         self.matvec_count = 0
-        if threads is not None:
-            dist.engine.set_threads(threads)
 
     @property
     def n(self) -> int:
@@ -71,9 +56,8 @@ def normalized_laplacian_operator(
     layout: Layout,
     machine: MachineModel = CAB,
     ledger: CostLedger | None = None,
-    threads: int | None = None,
 ) -> DistOperator:
     """Distribute ``L_hat(A)`` with *layout* and wrap it as an operator."""
     Lhat = normalized_laplacian(A)
     dist = DistSparseMatrix(Lhat, layout, machine)
-    return DistOperator(dist, ledger, threads=threads)
+    return DistOperator(dist, ledger)

@@ -1,4 +1,4 @@
-"""DESIGN.md's module map (section 3) must describe the tree that exists."""
+"""The docs must describe the tree that exists: module map and named files."""
 
 import re
 from pathlib import Path
@@ -56,3 +56,32 @@ def test_every_module_is_in_the_module_map():
     }
     unlisted = sorted((modules | packages) - paths)
     assert not unlisted, f"DESIGN.md §3 omits: {unlisted}"
+
+
+#: a repo-relative path under one of the three trees (globs allowed)
+_TREE_PATH = re.compile(r"(?<![\w/.-])((?:benchmarks|tests|examples)/[\w./*-]*[\w*/])")
+#: a committed bench record at the repo root
+_BENCH_RECORD = re.compile(r"(?<![\w/.-])(BENCH_\w+\.json)")
+#: a bench script named without its directory
+_BARE_BENCH = re.compile(r"(?<![\w/.-])(bench_\w+\.py)")
+
+
+def test_docs_name_only_files_that_exist():
+    # run outputs (gitignored directories such as benchmarks/results/)
+    # are written by the benches, not committed, so the docs may name them
+    outputs = tuple(
+        line.strip()
+        for line in (REPO_ROOT / ".gitignore").read_text().splitlines()
+        if "/" in line.strip().rstrip("/")
+    )
+    missing = []
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        text = (REPO_ROOT / doc).read_text()
+        named = set(_TREE_PATH.findall(text)) | set(_BENCH_RECORD.findall(text))
+        named |= {f"benchmarks/{b}" for b in _BARE_BENCH.findall(text)}
+        for path in sorted(named):
+            if path.startswith(outputs):
+                continue
+            if not any(REPO_ROOT.glob(path)):
+                missing.append(f"{doc}: {path}")
+    assert not missing, f"docs name files that do not exist: {missing}"

@@ -201,13 +201,23 @@ class TestCorruption:
         assert store.load(key) is not None
         assert not list(Path(tmp_path).glob("*.tmp-*"))
 
-    def test_stale_schema_is_a_miss_not_a_misload(self, compiled, tmp_path):
+    @pytest.mark.parametrize("stale", ["future", "v2-with-plans"])
+    def test_stale_schema_is_a_miss_not_a_misload(self, compiled, tmp_path, stale):
+        _, engine, _ = compiled
         store, key, path = self._saved(compiled, tmp_path)
-        # rewrite the meta member with a bumped schema, keeping the zip valid
+        # rewrite the meta member with another schema, keeping the zip valid
         with np.load(path) as z:
             members = {k: z[k] for k in z.files}
         meta = json.loads(members["meta"].tobytes().decode())
-        meta["schema"] = ARTIFACT_SCHEMA + 1
+        if stale == "future":
+            meta["schema"] = ARTIFACT_SCHEMA + 1
+        else:
+            # what schema 2 wrote: the budget as dims[6] plus plan splits
+            meta["schema"] = 2
+            members["dims"] = np.append(members["dims"], 1)
+            for op in ("local", "fold"):
+                nrows = len(members[f"{op}_indptr"]) - 1
+                members[f"plan_{op}_splits"] = np.array([0, nrows], dtype=np.int64)
         members["meta"] = np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8
         ).copy()
@@ -216,7 +226,14 @@ class TestCorruption:
         assert store.load(key) is None
         assert store.load_meta(key) is None
         assert store.counters["stale"] == 1
+        assert store.counters["corrupt"] == 0
         assert store.entries()[0]["status"] == "stale"
+        store.save(key, engine)  # the rebuild path replaces the stale entry
+        loaded = store.load(key)
+        assert loaded is not None and loaded.meta["schema"] == ARTIFACT_SCHEMA
+        assert store.entries()[0]["status"] == "ok"
+        x = np.random.default_rng(5).standard_normal(engine.n)
+        assert np.array_equal(loaded.engine.spmv(x), engine.spmv(x))
 
     def test_entries_and_evict(self, compiled, tmp_path):
         store, key, _ = self._saved(compiled, tmp_path)

@@ -7,11 +7,13 @@ Three contracts:
   hub row, fewer nnz than threads, one thread) — hypothesis hammers it;
 * the threaded apply is **bit-identical** to the serial fused multiply a
   budget of 1 runs (``np.array_equal``, not a tolerance) for
-  spmv/spmm/partials/ABFT at any thread count, including through a
-  ``to_arrays`` round-trip;
-* the accounting is honest: plans and all three ABFT operators are in
-  ``nbytes``/``abft_bytes``, and process-pool workers pin their thread
-  budget to 1 so process- and thread-parallelism never nest.
+  spmv/spmm/partials/fold/ABFT at any thread count, including on an
+  engine loaded from the artifact store; a budget of 1 plans nothing and
+  never touches the pool, and ``set_threads`` takes only integers >= 1;
+* the accounting is honest: a serial engine's ``nbytes`` is its
+  operators plus ``slot_rank``, a budget above 1 adds exactly its plan,
+  ``abft_bytes`` is the three checksum operators, and process-pool
+  workers pin BLAS/OpenMP to one thread.
 """
 
 import os
@@ -21,14 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.layouts import make_layout
-from repro.runtime import DistSparseMatrix, SpmvEngine
+from repro.runtime import DistSparseMatrix
 from repro.runtime import threads as thr
-from repro.runtime.threads import (
-    ApplyPlan,
-    balanced_row_splits,
-    bind_blocks,
-    block_nnz,
-)
+from repro.runtime.store import EngineKey, EngineStore, matrix_hash
+from repro.runtime.threads import ApplyPlan, balanced_row_splits, block_nnz
 
 
 def _indptr(degrees) -> np.ndarray:
@@ -132,45 +130,6 @@ class TestBalancedRowSplits:
 
 
 # ---------------------------------------------------------------------------
-# budget resolution
-# ---------------------------------------------------------------------------
-
-
-class TestThreadResolution:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_THREADS", raising=False)
-        thr.set_default_threads(None)
-        assert thr.resolve_threads(None) == 1
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "6")
-        thr.set_default_threads(None)
-        assert thr.resolve_threads(None) == 6
-
-    def test_env_zero_means_all_cores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "0")
-        thr.set_default_threads(None)
-        assert thr.resolve_threads(None) == max(os.cpu_count() or 1, 1)
-
-    def test_garbage_env_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "lots")
-        thr.set_default_threads(None)
-        assert thr.resolve_threads(None) == 1
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "2")
-        thr.set_default_threads(5)
-        try:
-            assert thr.resolve_threads(None) == 5
-        finally:
-            thr.set_default_threads(None)
-
-    def test_explicit_beats_everything(self):
-        assert thr.resolve_threads(3) == 3
-        assert thr.resolve_threads(0) == max(os.cpu_count() or 1, 1)
-
-
-# ---------------------------------------------------------------------------
 # threaded kernel bit-identity
 # ---------------------------------------------------------------------------
 
@@ -215,75 +174,62 @@ class TestThreadedBitIdentity:
         p[len(p) // 2] += 10.0 * (1.0 + abs(p[len(p) // 2]))
         assert engine.abft_check(x, p).detected
 
-    def test_budget_of_one_runs_the_fused_path(self, engine):
-        engine.set_threads(8)
+    def test_budget_of_one_runs_the_fused_path(self, engine, monkeypatch):
+        def no_pool(*_):
+            raise AssertionError("run_blocks called")
+
+        monkeypatch.setattr(thr, "run_blocks", no_pool)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(engine.n)
-        engine.spmv(x)
-        before = thr.pool_stats()["dispatches"]
-        assert before > 0
+        X = rng.standard_normal((engine.n, 3))
+        engine.set_threads(8)
+        with pytest.raises(AssertionError, match="run_blocks"):
+            engine.spmv(x)  # the patch is live at budgets above 1
         engine.set_threads(1)
+        assert engine._plan is None
         engine.spmv(x)
-        assert thr.pool_stats()["dispatches"] == before
+        engine.spmm(X)
+        _, p = engine.spmv_with_partials(x)
+        engine.fold(p)
+        engine.abft_check(x, p)
+
+    def test_fresh_engines_are_serial(self, small_rmat):
+        dist = DistSparseMatrix(small_rmat, make_layout("2d-block", small_rmat, 8))
+        assert dist.engine.threads == 1
+        assert dist.engine._plan is None
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.7, None, "2", True])
+    def test_set_threads_rejects_non_integers(self, engine, bad):
+        engine.set_threads(2)
+        with pytest.raises(ValueError):
+            engine.set_threads(bad)
+        assert engine.threads == 2  # a rejected budget changes nothing
+        assert engine.set_threads(np.int64(1)) == 1
 
     def test_block_views_share_parent_buffers(self, engine):
-        plan = engine._plans[engine.threads]
-        for _, _, block in plan.local_blocks:
+        engine.set_threads(4)
+        for _, _, block in engine._plan.local_blocks:
             if block.nnz:
                 assert block.data.base is not None  # view, not a copy
 
-
-# ---------------------------------------------------------------------------
-# plan persistence and determinism across save/load
-# ---------------------------------------------------------------------------
-
-
-class TestPlanPersistence:
-    def test_roundtrip_preserves_splits_exactly(self, engine):
-        engine.set_threads(4)
-        arrays = engine.to_arrays()
-        assert arrays["dims"].shape == (7,)
-        assert int(arrays["dims"][6]) == 4
-        clone = SpmvEngine.from_arrays(arrays)
-        src = engine._plans[4]
-        dst = clone._plans[4]
-        assert np.array_equal(src.local_splits, dst.local_splits)
-        assert np.array_equal(src.fold_splits, dst.fold_splits)
-
-    def test_loaded_engine_bit_identical_at_any_budget(self, engine):
-        engine.set_threads(8)
-        clone = SpmvEngine.from_arrays(engine.to_arrays())
+    def test_store_loaded_engine_bit_identical(
+        self, engine, small_powerlaw, tmp_path
+    ):
+        key = EngineKey(matrix_hash(small_powerlaw), "2d-gp", 12, 2)
+        store = EngineStore(tmp_path)
+        store.save(key, engine)
+        loaded = store.load(key)
+        assert loaded is not None and loaded.mmapped
         rng = np.random.default_rng(11)
         x = rng.standard_normal(engine.n)
+        X = rng.standard_normal((engine.n, 4))
         engine.set_threads(1)
-        y0 = engine.spmv(x)
-        for t in (1, 2, 8):
-            clone.set_threads(t)
-            assert np.array_equal(clone.spmv(x), y0)
-
-    def test_legacy_six_dim_arrays_still_load(self, engine):
-        arrays = dict(engine.to_arrays())
-        arrays["dims"] = arrays["dims"][:6]
-        del arrays["plan_local_splits"], arrays["plan_fold_splits"]
-        clone = SpmvEngine.from_arrays(arrays)
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(engine.n)
-        assert np.array_equal(clone.spmv(x), engine.spmv(x))
-
-    def test_torn_splits_rejected(self, engine):
-        arrays = dict(engine.to_arrays())
-        arrays["plan_local_splits"] = np.array([0, 1], dtype=np.int64)  # wrong end
-        with pytest.raises(ValueError):
-            SpmvEngine.from_arrays(arrays)
-
-    def test_replan_matches_persisted_plan(self, engine):
-        # planning is deterministic: a load at a different budget that
-        # re-plans lands on the same splits the builder would persist
-        t = 4
-        engine.set_threads(t)
-        fresh = ApplyPlan.build(engine._local, engine._fold, t)
-        assert np.array_equal(fresh.local_splits, engine._plans[t].local_splits)
-        assert np.array_equal(fresh.fold_splits, engine._plans[t].fold_splits)
+        y0, Y0 = engine.spmv(x), engine.spmm(X)
+        assert loaded.engine.threads == 1
+        for t in (1, 2):
+            loaded.engine.set_threads(t)
+            assert np.array_equal(loaded.engine.spmv(x), y0)
+            assert np.array_equal(loaded.engine.spmm(X), Y0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,37 +237,46 @@ class TestPlanPersistence:
 # ---------------------------------------------------------------------------
 
 
-class TestByteAccounting:
-    def test_nbytes_includes_plans(self, small_rmat):
-        dist = DistSparseMatrix(small_rmat, make_layout("2d-block", small_rmat, 8))
-        eng = dist.engine
-        base = eng.nbytes
-        plan_bytes = sum(p.nbytes for p in eng._plans.values())
-        assert plan_bytes > 0
-        raw = eng._slot_rank.nbytes + sum(
-            op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
-            for op in (eng._local, eng._fold)
-        )
-        assert base == raw + plan_bytes
-        # a second cached budget grows the accounted footprint
-        eng.set_threads(8)
-        assert eng.nbytes > base
+def _op_bytes(*ops) -> int:
+    return sum(op.data.nbytes + op.indices.nbytes + op.indptr.nbytes for op in ops)
 
-    def test_abft_bytes_counts_all_three_operators_and_blocks(self, small_rmat):
+
+class TestByteAccounting:
+    @pytest.fixture
+    def built_and_loaded(self, small_rmat, tmp_path):
+        dist = DistSparseMatrix(small_rmat, make_layout("2d-block", small_rmat, 8))
+        key = EngineKey(matrix_hash(small_rmat), "2d-block", 8, 0)
+        store = EngineStore(tmp_path)
+        store.save(key, dist.engine)
+        loaded = store.load(key)
+        assert loaded is not None and loaded.mmapped
+        return dist.engine, loaded.engine
+
+    def test_serial_nbytes_is_operators_plus_slot_rank(self, built_and_loaded):
+        for eng in built_and_loaded:
+            raw = eng._slot_rank.nbytes + _op_bytes(eng._local, eng._fold)
+            assert eng.nbytes == raw
+
+    def test_set_threads_adds_exactly_the_plan(self, built_and_loaded):
+        for eng in built_and_loaded:
+            base = eng.nbytes
+            eng.set_threads(2)
+            assert eng._plan.nbytes > 0
+            assert eng.nbytes == base + eng._plan.nbytes
+            eng.set_threads(1)
+            assert eng.nbytes == base
+
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_abft_bytes_counts_only_the_three_operators(self, small_rmat, t):
         dist = DistSparseMatrix(small_rmat, make_layout("2d-block", small_rmat, 8))
         eng = dist.engine
-        eng.set_threads(4)
+        eng.set_threads(t)
         assert eng.abft_bytes == 0
         before = eng.nbytes
         x = np.random.default_rng(0).standard_normal(eng.n)
         _, p = eng.spmv_with_partials(x)
         eng.abft_check(x, p)
-        S, E, Eabs = eng._abft
-        op_bytes = sum(
-            op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
-            for op in (S, E, Eabs)
-        )
-        assert eng.abft_bytes >= op_bytes  # + the checksum-row plan
+        assert eng.abft_bytes == _op_bytes(*eng._abft)
         assert eng.nbytes == before + eng.abft_bytes
 
     def test_plan_nbytes_counts_only_new_allocations(self, small_rmat):
@@ -340,13 +295,9 @@ class TestByteAccounting:
 
 
 def _report_worker_env(_item):
-    import repro.runtime.threads as worker_thr
-
     return (
         os.environ.get("OMP_NUM_THREADS"),
         os.environ.get("OPENBLAS_NUM_THREADS"),
-        os.environ.get("REPRO_THREADS"),
-        worker_thr.default_threads(),
     )
 
 
@@ -354,11 +305,8 @@ class TestOversubscriptionGuard:
     def test_parallel_map_workers_pin_threads_to_one(self):
         from repro.parallel import parallel_map
 
-        for omp, blas, rt, budget in parallel_map(
-            _report_worker_env, [0, 1], jobs=2
-        ):
-            assert omp == "1" and blas == "1" and rt == "1"
-            assert budget == 1
+        for report in parallel_map(_report_worker_env, [0, 1], jobs=2):
+            assert report == ("1", "1")
 
     def test_resilient_pool_workers_pin_threads_to_one(self):
         from repro.parallel import ResilientPool
@@ -368,4 +316,4 @@ class TestOversubscriptionGuard:
             report = pool.run(_report_worker_env, timeout=120.0)
         finally:
             pool.shutdown()
-        assert report[:3] == ("1", "1", "1") and report[3] == 1
+        assert report == ("1", "1")
