@@ -327,6 +327,7 @@ def _cmd_faults(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
+    from .parallel import resolve_jobs
     from .serve import MatvecServer, ServeConfig
 
     if args.mode == "chaos":
@@ -348,7 +349,7 @@ def _cmd_serve(args) -> int:
         ),
         partition_timeout_s=args.partition_timeout,
         partition_retries=args.partition_retries,
-        pool_workers=args.jobs if args.jobs else 1,
+        pool_workers=resolve_jobs(args.jobs),
         cache_dir=args.cache_dir,
         allow_fault_injection=args.allow_fault_injection,
         preload=tuple(args.preload or ()),

@@ -1,4 +1,4 @@
-"""Process-pool execution layer: worker pools, sweep fan-out, makespan replay.
+"""Process-pool execution layer: worker pools and sweep fan-out.
 
 The paper treats partitioning as a reusable pre-processing step; PR 1
 made the modeled machine fast, which left host wall-clock dominated by
@@ -22,44 +22,24 @@ recursive bisection over a pool
 sweep fan-out
     :func:`parallel_map` fans independent cells (one corpus matrix's
     grid column, one campaign layout, one regression golden) across
-    workers; :func:`parallel_partition_sweep` multiplexes the RB trees
-    of *many* matrices over one shared pool, which matters because the
-    corpus is dominated by a single matrix (rmat_26 is ~2/3 of the
-    serial sweep — matrix-level fan-out alone caps below 2x).
-
-schedule accounting
-    Partition tasks report their CPU seconds (``time.process_time``,
-    immune to host time-slicing) and the partition recipe records the
-    task DAG. A run can therefore be replayed onto k virtual workers with
-    :func:`schedule_makespan` — the same greedy list scheduling the
-    executor performs — giving a host-independent account of what the
-    schedule achieves. On a host with >= jobs idle cores the replayed
-    makespan and measured wall-clock agree; on a starved host (CI
-    containers pinned to one core) the makespan is the meaningful
-    number and the bench labels it as such.
+    workers.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
 from contextlib import contextmanager
 from threading import Lock
 
-import numpy as np
-
 __all__ = [
     "resolve_jobs",
     "parallel_map",
-    "parallel_partition_sweep",
-    "schedule_makespan",
     "ResilientPool",
     "PoolTaskFailed",
 ]
@@ -250,99 +230,3 @@ class ResilientPool:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-
-
-# ---------------------------------------------------------------------------
-# multi-matrix partition sweep over one shared pool
-# ---------------------------------------------------------------------------
-
-
-def parallel_partition_sweep(
-    specs,
-    jobs: int | None = None,
-    seed: int = 0,
-    ub: float = 1.10,
-    trace: list | None = None,
-) -> dict[str, np.ndarray]:
-    """Partition many matrices concurrently over one shared process pool.
-
-    *specs* is an iterable of ``(name, matrix, kind, nparts)``. Each
-    matrix runs the one partition recipe
-    (:func:`repro.partitioning.api._partition`: build, RB tree, balance
-    repair) with every step a task of a single ``jobs``-worker pool; one
-    orchestration thread per matrix only waits on futures, so a corpus
-    dominated by one huge matrix still fills every worker: the big
-    matrix's subtrees and the small matrices' nodes interleave. With
-    ``jobs`` <= 1 the same recipe runs inline, one matrix after another.
-    *trace* collects the recipe's ``{id, deps, cpu}`` rows, ids prefixed by
-    the matrix name.
-
-    Returns ``{name: part}`` with each part bit-identical to
-    ``partition_matrix(matrix, nparts, method=kind, seed=seed).part``,
-    and raises what ``partition_matrix`` would raise, at any ``jobs``.
-    """
-    from .partitioning.api import _partition
-
-    specs = list(specs)
-
-    def one(spec):
-        name, A, kind, nparts = spec
-        return name, _partition(A, nparts, kind, seed, ub, pool, {}, trace, name)[0]
-
-    with _worker_pool(jobs) as pool:
-        if pool is None or not specs:
-            return dict(map(one, specs))
-        with ThreadPoolExecutor(
-            max_workers=len(specs), thread_name_prefix="sweep"
-        ) as threads:
-            return dict(threads.map(one, specs))
-
-
-# ---------------------------------------------------------------------------
-# schedule replay
-# ---------------------------------------------------------------------------
-
-
-def schedule_makespan(trace: list[dict], workers: int) -> float:
-    """Replay a task trace onto *workers* virtual workers; return makespan.
-
-    Greedy list scheduling, the same policy a process pool implements: a
-    task becomes ready when all its dependencies finish; the earliest
-    ready task (ties broken by id, deterministically) goes to the first
-    free worker. Durations are the workers' recorded CPU seconds, so the
-    replay is independent of how starved the measuring host was.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    by_id = {t["id"]: t for t in trace}
-    if len(by_id) != len(trace):
-        raise ValueError("duplicate task ids in trace")
-    children: dict[str, list[str]] = {tid: [] for tid in by_id}
-    missing = [d for t in trace for d in t["deps"] if d not in by_id]
-    if missing:
-        raise ValueError(f"trace references unknown dependencies: {missing[:5]}")
-    indeg = {tid: len(t["deps"]) for tid, t in by_id.items()}
-    for t in trace:
-        for d in t["deps"]:
-            children[d].append(t["id"])
-    done_at: dict[str, float] = {}
-    ready = [(0.0, tid) for tid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    free = [0.0] * workers
-    heapq.heapify(free)
-    scheduled = 0
-    while ready:
-        ready_time, tid = heapq.heappop(ready)
-        start = max(heapq.heappop(free), ready_time)
-        end = start + float(by_id[tid]["cpu"])
-        heapq.heappush(free, end)
-        done_at[tid] = end
-        scheduled += 1
-        for child in children[tid]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                child_ready = max(done_at[d] for d in by_id[child]["deps"])
-                heapq.heappush(ready, (child_ready, child))
-    if scheduled != len(trace):
-        raise ValueError("trace has a dependency cycle")
-    return max(done_at.values(), default=0.0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import FIRST_COMPLETED, wait
 
 import numpy as np
@@ -52,25 +51,14 @@ def two_sided(bis: np.ndarray, weight: np.ndarray, frac0: float) -> np.ndarray:
     return bis
 
 
-def _timed(fn, *args):
-    """``(fn(*args), CPU seconds it took)`` — the unit every pool task ships as.
-
-    ``time.process_time`` is immune to host time-slicing, which is what
-    lets :func:`repro.parallel.schedule_makespan` replay a trace.
-    """
-    t0 = time.process_time()
-    out = fn(*args)
-    return out, time.process_time() - t0
-
-
 def run_task(executor, fn, *args):
-    """Run ``fn(*args)`` inline, or as one task of *executor*; ``(result, cpu)``."""
+    """Run ``fn(*args)`` inline, or as one task of *executor*."""
     if executor is None:
-        return _timed(fn, *args)
-    return executor.submit(_timed, fn, *args).result()
+        return fn(*args)
+    return executor.submit(fn, *args).result()
 
 
-def walk_rb(node, root, nparts: int, ub: float, seed: int, executor=None, trace=None):
+def walk_rb(node, root, nparts: int, ub: float, seed: int, executor=None):
     """Recursive bisection of *root* into *nparts* parts; returns the part vector.
 
     The one owner of the RB node rule. A tree node is a leaf when it has
@@ -88,9 +76,7 @@ def walk_rb(node, root, nparts: int, ub: float, seed: int, executor=None, trace=
     the pool stays busy down the whole tree. Every write into the part
     vector is indexed by the node's own vertex set and every seed is a
     function of tree position, so completion order cannot change the
-    result. *trace*, when a list, receives one ``(path, cpu_seconds)`` per
-    bisected node; paths are ``"r"`` for the root plus one ``0``/``1`` per
-    level.
+    result.
     """
     if nparts < 1:
         raise ValueError(f"nparts must be >= 1, got {nparts}")
@@ -100,26 +86,24 @@ def walk_rb(node, root, nparts: int, ub: float, seed: int, executor=None, trace=
     ub_level = float(ub) ** (1.0 / int(np.ceil(np.log2(nparts))))
     pending: dict = {}
 
-    def visit(sub, vertices, lo, k, sd, path):
+    def visit(sub, vertices, lo, k, sd):
         if k == 1 or len(vertices) == 0:
             part[vertices] = lo
             return
         k0 = k // 2
-        where = (vertices, lo, k0, k, sd, path)
+        where = (vertices, lo, k0, k, sd)
         if executor is None:
-            land(_timed(node, sub, k0, k, ub_level, sd), *where)
+            land(node(sub, k0, k, ub_level, sd), *where)
         else:
-            pending[executor.submit(_timed, node, sub, k0, k, ub_level, sd)] = where
+            pending[executor.submit(node, sub, k0, k, ub_level, sd)] = where
 
-    def land(result, vertices, lo, k0, k, sd, path):
-        (bis, left, right), cpu = result
-        if trace is not None:
-            trace.append((path, cpu))
+    def land(result, vertices, lo, k0, k, sd):
+        bis, left, right = result
         s_left, s_right = child_seeds(sd)
-        visit(left, vertices[bis == 0], lo, k0, s_left, path + "0")
-        visit(right, vertices[bis == 1], lo + k0, k - k0, s_right, path + "1")
+        visit(left, vertices[bis == 0], lo, k0, s_left)
+        visit(right, vertices[bis == 1], lo + k0, k - k0, s_right)
 
-    visit(root, np.arange(root.n, dtype=np.int64), 0, nparts, seed, "r")
+    visit(root, np.arange(root.n, dtype=np.int64), 0, nparts, seed)
     while pending:
         done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
         for fut in done:

@@ -101,51 +101,6 @@ class PartitionResult:
     imbalance: tuple[float, ...]
 
 
-def _partition(A, nparts, method, seed, ub, executor, kwargs, trace=None, label="rb"):
-    """The one recipe: validate, build, walk the RB tree, repair balance.
-
-    Every CPU-bearing step is one :func:`run_task` unit — inline without
-    an *executor*, a pool task with one. Returns ``(part, structure,
-    imbalance)``. *trace*, when a list, gains this partition's task DAG
-    as ``{id, deps, cpu}`` rows (``label:build``, one ``label:r...`` per
-    RB node, ``label:refine``) for :func:`repro.parallel.schedule_makespan`.
-    """
-    if method not in PARTITION_METHODS:
-        if method == "hp-mc":
-            raise ValueError(
-                "multiconstraint partitioning is not available with the "
-                "hypergraph partitioner (the paper hits the same limitation: "
-                "'multiconstraint partitioning was not available with "
-                "hypergraph partitioning')"
-            )
-        raise ValueError(f"unknown method {method!r}; choose from {PARTITION_METHODS}")
-    if nparts < 1:
-        raise ValueError(f"nparts must be >= 1, got {nparts}")
-    recipe = _RECIPES[method]
-    with perf.phase("build-graph"):
-        built, build_cpu = run_task(executor, recipe.build, A)
-    nodes: list[tuple[str, float]] = []
-    part = walk_rb(
-        recipe.node(built, nparts, kwargs), built, nparts, ub, seed, executor, nodes
-    )
-    # a graph method's structure is its balance graph; hp's is rebuilt from A
-    src = built if isinstance(built, PartGraph) else A
-    (part, imb), repair_cpu = run_task(executor, _repair, src, method, part, nparts, ub)
-    if trace is not None:
-        rows = [{"id": f"{label}:build", "deps": [], "cpu": build_cpu}]
-        rows += [
-            {"id": f"{label}:{path}", "deps": [f"{label}:{path[:-1] or 'build'}"], "cpu": cpu}
-            for path, cpu in nodes
-        ]
-        rows.append({
-            "id": f"{label}:refine",
-            "deps": [row["id"] for row in rows[1:]] or [rows[0]["id"]],
-            "cpu": repair_cpu,
-        })
-        trace.extend(rows)
-    return part, built, imb
-
-
 def _repair(src, method: str, part: np.ndarray, nparts: int, ub: float):
     """The recipe's repair step: k-way balance repair as *method* does it.
 
@@ -209,7 +164,23 @@ def partition_matrix(
         Forwarded to the bisection driver (``min_coarse``, ``n_initial``,
         ``refine_passes``).
     """
+    if method not in PARTITION_METHODS:
+        if method == "hp-mc":
+            raise ValueError(
+                "multiconstraint partitioning is not available with the "
+                "hypergraph partitioner (the paper hits the same limitation: "
+                "'multiconstraint partitioning was not available with "
+                "hypergraph partitioning')"
+            )
+        raise ValueError(f"unknown method {method!r}; choose from {PARTITION_METHODS}")
+    if nparts < 1:
+        raise ValueError(f"nparts must be >= 1, got {nparts}")
+    recipe = _RECIPES[method]
     with _worker_pool(jobs, executor) as pool:
-        part, built, imb = _partition(A, nparts, method, seed, ub, pool, kwargs)
-    cut = _RECIPES[method].cut(built, part, nparts)
-    return PartitionResult(part, nparts, method, seed, cut, imb)
+        with perf.phase("build-graph"):
+            built = run_task(pool, recipe.build, A)
+        part = walk_rb(recipe.node(built, nparts, kwargs), built, nparts, ub, seed, pool)
+        # a graph method's structure is its balance graph; hp's is rebuilt from A
+        src = built if isinstance(built, PartGraph) else A
+        part, imb = run_task(pool, _repair, src, method, part, nparts, ub)
+    return PartitionResult(part, nparts, method, seed, recipe.cut(built, part, nparts), imb)

@@ -25,8 +25,8 @@ guarantee are contracted by the scipy ``P^T W P`` triple product
 
 The seed implementations (:func:`_handshake_matching_reference`,
 :func:`_contract_reference`) stay as the bit-identity oracles the tests
-and the coarsening bench under ``benchmarks/`` call directly: same
-matching, same coarse CSR arrays, same partitions all the way up.
+call directly: same matching, same coarse CSR arrays, same partitions
+all the way up.
 """
 
 from __future__ import annotations

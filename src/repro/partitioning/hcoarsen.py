@@ -13,8 +13,8 @@ kept rows' CSR arrays (no intermediate ``diags @ Hs`` matmul) and drops
 the diagonal of the product with one mask pass (no ``setdiag``);
 :func:`hcontract` relabels pins with one sorted packed-key pass (net id,
 coarse pin). The seed ``H @ P`` contraction stays as
-:func:`_hcontract_reference`, the bit-identity oracle the tests and
-the coarsening bench under ``benchmarks/`` call directly.
+:func:`_hcontract_reference`, the bit-identity oracle the tests call
+directly.
 """
 
 from __future__ import annotations

@@ -25,13 +25,12 @@ The pass (:func:`_fm_pass`) picks its implementation from ``g.ncon``:
   numpy over the CSR slice for hub moves, a plain-scalar loop over the
   memoized list mirrors below ``_HUB_DEGREE``;
 * four or more — :func:`_fm_pass_reference`, the seed per-vertex pass,
-  which is also the oracle the tests and
-  ``benchmarks/bench_refine_kernels.py`` call directly.
+  which is also the oracle the tests call directly.
 
 All replay the **exact same move sequence**: every heap key, gain value
 and balance decision is arithmetically identical (see the bit-identity
-notes on :func:`_fm_pass`), which the bench and the golden regression
-corpus verify bit-for-bit.
+notes on :func:`_fm_pass`), which the identity tests and the golden
+regression corpus verify bit-for-bit.
 """
 
 from __future__ import annotations
@@ -623,10 +622,10 @@ def _fm_pass_reference(
     """Reference FM pass: the seed kernel, per-neighbour Python loops.
 
     The pass for four or more constraints, and the bit-identity oracle
-    for the vectorised passes (``benchmarks/bench_refine_kernels.py``
-    gates on agreement over the whole corpus). Stale-entry reinserts
-    reuse the *current* counter without incrementing it — see
-    :func:`_fm_pass` for why tie-break order is still deterministic.
+    for the vectorised passes (``tests/test_coarsen.py`` checks agreement
+    on corpus matrices). Stale-entry reinserts reuse the *current* counter
+    without incrementing it — see :func:`_fm_pass` for why tie-break
+    order is still deterministic.
     """
     gain, boundary = _gains_and_boundary(g, part)
     sw = np.zeros((2, g.ncon))

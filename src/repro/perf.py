@@ -26,9 +26,9 @@ Enable collection with :func:`profile`::
         partition_matrix(A, 64)
     print(prof.report())
 
-The CLI surfaces this as ``repro partition --profile``, and
-``benchmarks/bench_refine_kernels.py`` records the phase breakdown next
-to its kernel-speedup gate in ``BENCH_refine.json``.
+The CLI surfaces this as ``repro partition --profile``, and the e2e
+benchmark reports the partitioner phases as its ``partitioning.*_s``
+per-layer metrics.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Micro-batching: coalesce concurrent matvecs into one ``spmm`` call.
 
 The engine's block apply runs k right-hand sides through the two
-compiled operators for barely more than the cost of one
-(``BENCH_engine.json``: ~82x per-vector at k=64), and it guarantees
-column j of ``spmm(X)`` is **bit-identical** to ``spmv(X[:, j])`` — the
-CSR-times-dense kernel accumulates each row-column dot in the same
-stored-entry order as the matvec. That exactness is what makes batching
+compiled operators in one pass, for well under k times the cost of one
+(the e2e benchmark times ``runtime.engine.spmm16_s`` next to
+``runtime.engine.spmv_s``), and it guarantees column j of ``spmm(X)``
+is **bit-identical** to ``spmv(X[:, j])`` — the CSR-times-dense kernel
+accumulates each row-column dot in the same stored-entry order as the
+matvec. That exactness is what makes batching
 an execution detail the client cannot observe (the contract
 ``tests/test_serve.py`` and the load generator's divergence gate hold us
 to), and the per-vector amortization is what the throughput gate in

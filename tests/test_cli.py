@@ -117,6 +117,25 @@ class TestCli:
         ):
             assert parser.parse_args(argv).seed == 7
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_serve_jobs_zero_or_below_means_all_cores(self, monkeypatch, tmp_path, jobs):
+        """``serve --jobs`` reads like every other ``--jobs``: 0 = all cores."""
+        import repro.serve
+        from repro.parallel import resolve_jobs
+
+        configs = []
+
+        class _Server:
+            def __init__(self, config):
+                configs.append(config)
+
+            async def serve(self, on_started=None):
+                pass
+
+        monkeypatch.setattr(repro.serve, "MatvecServer", _Server)
+        assert main(["serve", "--socket", str(tmp_path / "s.sock"), "--jobs", jobs]) == 0
+        assert configs[0].pool_workers == resolve_jobs(0)
+
     def test_partition_methods_come_from_the_partitioner(self):
         from repro.cli import build_parser
         from repro.partitioning import PARTITION_METHODS

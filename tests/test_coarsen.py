@@ -235,13 +235,35 @@ class TestCoarsenKernels:
             assert _graphs_equal(gr, gv)
             assert (cr is None and cv is None) or np.array_equal(cr, cv)
 
-    @pytest.mark.parametrize("method", ["gp", "gp-mc", "hp"])
-    def test_kway_partition_bit_identical(self, small_rmat, method):
+    @pytest.mark.parametrize(
+        "method,make",
+        [
+            pytest.param("gp", None, id="gp"),
+            pytest.param("gp-mc", None, id="gp-mc"),
+            pytest.param("hp", None, id="hp"),
+            pytest.param("gp", lambda: rmat(11, 6, seed=2), id="gp-rmat11"),
+        ],
+    )
+    def test_kway_partition_bit_identical(self, small_rmat, method, make):
         """Every stage on its oracle at once — matching, contraction and
         FM — reproduces the production k-way partition."""
-        vec = partition_matrix(small_rmat, 4, method=method, seed=0).part
+        A = small_rmat if make is None else make()
+        vec = partition_matrix(A, 4, method=method, seed=0).part
         with reference_kernels():
-            ref = partition_matrix(small_rmat, 4, method=method, seed=0).part
+            ref = partition_matrix(A, 4, method=method, seed=0).part
+        assert np.array_equal(ref, vec)
+
+    @pytest.mark.parametrize("name,method", [("hollywood-2009", "gp"), ("rmat_22", "hp")])
+    def test_kway_partition_bit_identical_on_corpus(self, name, method):
+        """The same identity at corpus scale: hollywood-2009's graph is past
+        ``refine._MIRROR_SLOTS``, so graph FM takes its large-graph path on
+        a real input, and rmat_22 runs the hypergraph path."""
+        from repro.generators.corpus import load_corpus_matrix
+
+        A = load_corpus_matrix(name)
+        vec = partition_matrix(A, 8, method=method, seed=0).part
+        with reference_kernels():
+            ref = partition_matrix(A, 8, method=method, seed=0).part
         assert np.array_equal(ref, vec)
 
     def test_contract_falls_back_on_inexact_weights(self, rng):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.bench.harness import atomic_save_npy, cached_rpart, default_cache_dir, spmv_grid
-from repro.parallel import (
-    parallel_map,
-    parallel_partition_sweep,
-    resolve_jobs,
-    schedule_makespan,
-)
+from repro.parallel import parallel_map, resolve_jobs
 from repro.partitioning import PARTITION_METHODS, _util, kway, partition_matrix
 from repro.partitioning._util import child_seeds, walk_rb
 from repro.partitioning.partgraph import PartGraph
@@ -124,12 +118,19 @@ def _held(monkeypatch, pick) -> HeldExecutor:
 
 def test_held_executor_really_reorders_the_walk(small_rmat, monkeypatch):
     g = PartGraph.from_matrix(small_rmat, vertex_weights="nnz")
-    node = partial(kway._split, kwargs={})
+
+    def recorded(landed):
+        def node(sub, *args):
+            landed.append(sub.n)
+            return kway._split(sub, *args, kwargs={})
+        return node
+
     inline, reordered = [], []
-    ref = walk_rb(node, g, 8, 1.10, 3, trace=inline)
-    got = walk_rb(node, g, 8, 1.10, 3, _held(monkeypatch, _newest_first), reordered)
-    assert [p for p, _ in inline] == ["r", "r0", "r00", "r01", "r1", "r10", "r11"]
-    assert [p for p, _ in reordered] == ["r", "r1", "r11", "r10", "r0", "r01", "r00"]
+    ref = walk_rb(recorded(inline), g, 8, 1.10, 3)
+    got = walk_rb(recorded(reordered), g, 8, 1.10, 3, _held(monkeypatch, _newest_first))
+    # depth-first lands r, r0, r00, r01, r1, r10, r11; newest-first lands
+    # r, r1, r11, r10, r0, r01, r00
+    assert reordered == [inline[i] for i in (0, 4, 6, 5, 1, 3, 2)] != inline
     assert np.array_equal(ref, got)
 
 
@@ -177,6 +178,19 @@ def test_partition_matrix_shared_executor(small_rmat, pool2, method):
     assert np.array_equal(ser.part, par.part), method
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "kind,nparts,match",
+    [("nope", 4, "unknown method"), ("hp-mc", 4, "multiconstraint"), ("gp", 0, "nparts")],
+)
+def test_parallel_sweep_raises_what_partition_matrix_raises(small_rmat, jobs, kind, nparts, match):
+    """A bad request must fail the call at every job count, never be
+    partitioned as something else: the pooled path raises what the inline
+    path raises."""
+    with pytest.raises(ValueError, match=match):
+        partition_matrix(small_rmat, nparts, method=kind, jobs=jobs)
+
+
 def _star(n: int) -> sp.csr_matrix:
     A = sp.coo_matrix((np.ones(n - 1), (np.zeros(n - 1, dtype=int), np.arange(1, n))),
                       shape=(n, n))
@@ -203,90 +217,14 @@ def test_degenerate_inputs_inline_and_pooled(pool2, monkeypatch, A, k, method):
     [("hollywood-2009", "gp"), ("rmat_22", "hp")],
 )
 def test_parallel_rb_bit_identical_on_corpus(name, method):
-    """Corpus-scale spot check of the identity the bench proves in full.
-
-    One matrix per partitioner path, at a modest k so the whole test stays
-    in tens of seconds; ``benchmarks/bench_partition_parallel.py`` asserts
-    the same bit-identity for all ten corpus matrices at p=64.
-    """
+    """Corpus-scale spot check: one matrix per partitioner path, at a
+    modest k so the whole test stays in tens of seconds."""
     from repro.generators.corpus import load_corpus_matrix
 
     A = load_corpus_matrix(name)
     ser = partition_matrix(A, 8, method=method, seed=0)
     par = partition_matrix(A, 8, method=method, seed=0, jobs=2)
     assert np.array_equal(ser.part, par.part)
-
-
-def test_parallel_sweep_matches_partition_matrix(small_rmat, small_grid):
-    specs = [("r_gp", small_rmat, "gp", 8), ("g_hp", small_grid, "hp", 4)]
-    trace: list = []
-    out = parallel_partition_sweep(specs, jobs=2, seed=1, trace=trace)
-    for name, A, kind, k in specs:
-        ref = partition_matrix(A, k, method=kind, seed=1).part
-        assert np.array_equal(out[name], ref), name
-    # trace covers build + tree + refine for both matrices, DAG is replayable
-    ids = {t["id"] for t in trace}
-    assert {"r_gp:build", "r_gp:r", "r_gp:refine", "g_hp:build", "g_hp:refine"} <= ids
-    assert schedule_makespan(trace, 2) <= schedule_makespan(trace, 1)
-
-
-def test_parallel_sweep_serial_path(small_rmat):
-    trace: list = []
-    out = parallel_partition_sweep([("m", small_rmat, "gp", 4)], jobs=1, seed=0, trace=trace)
-    ref = partition_matrix(small_rmat, 4, method="gp", seed=0).part
-    assert np.array_equal(out["m"], ref)
-    # the inline run records the same DAG a pooled run would
-    assert [t["id"] for t in trace] == ["m:build", "m:r", "m:r0", "m:r1", "m:refine"]
-    assert parallel_partition_sweep([], jobs=2) == {}
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize(
-    "kind,nparts,match",
-    [("nope", 4, "unknown method"), ("hp-mc", 4, "multiconstraint"), ("gp", 0, "nparts")],
-)
-def test_parallel_sweep_raises_what_partition_matrix_raises(
-    small_rmat, small_grid, jobs, kind, nparts, match
-):
-    """A bad spec must fail the call at every job count, never be partitioned
-    as something else or dropped from the result."""
-    specs = [("ok", small_grid, "gp", 2), ("bad", small_rmat, kind, nparts)]
-    with pytest.raises(ValueError, match=match):
-        parallel_partition_sweep(specs, jobs=jobs)
-
-
-# ---------------------------------------------------------------------------
-# schedule replay
-# ---------------------------------------------------------------------------
-
-
-def test_schedule_makespan_chain_and_fanout():
-    chain = [
-        {"id": "a", "deps": [], "cpu": 1.0},
-        {"id": "b", "deps": ["a"], "cpu": 1.0},
-        {"id": "c", "deps": ["b"], "cpu": 1.0},
-    ]
-    assert schedule_makespan(chain, 4) == pytest.approx(3.0)
-    fan = [{"id": f"t{i}", "deps": [], "cpu": 1.0} for i in range(4)]
-    assert schedule_makespan(fan, 1) == pytest.approx(4.0)
-    assert schedule_makespan(fan, 4) == pytest.approx(1.0)
-    assert schedule_makespan(fan, 2) == pytest.approx(2.0)
-
-
-def test_schedule_makespan_rejects_bad_traces():
-    with pytest.raises(ValueError, match="workers"):
-        schedule_makespan([], 0)
-    with pytest.raises(ValueError, match="duplicate"):
-        schedule_makespan([{"id": "a", "deps": [], "cpu": 1}] * 2, 1)
-    with pytest.raises(ValueError, match="unknown dependencies"):
-        schedule_makespan([{"id": "a", "deps": ["ghost"], "cpu": 1}], 1)
-    cyc = [
-        {"id": "a", "deps": ["b"], "cpu": 1},
-        {"id": "b", "deps": ["a"], "cpu": 1},
-    ]
-    with pytest.raises(ValueError, match="cycle"):
-        schedule_makespan(cyc, 1)
-    assert schedule_makespan([], 1) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,22 @@ class TestPartitionMatrix:
         g = PartGraph.from_matrix(small_rmat, "nnz")
         assert np.isclose(g.imbalance(res.part, 8)[0], res.imbalance[0])
 
+    # bad arguments raise at every job count, never partition as another kind
+
     def test_hp_mc_mirrors_paper_limitation(self, small_rmat):
-        with pytest.raises(ValueError, match="not available with"):
-            partition_matrix(small_rmat, 4, method="hp-mc")
+        for jobs in (None, 2):
+            with pytest.raises(ValueError, match="not available with"):
+                partition_matrix(small_rmat, 4, method="hp-mc", jobs=jobs)
 
     def test_unknown_method(self, small_rmat):
-        with pytest.raises(ValueError, match="unknown method"):
-            partition_matrix(small_rmat, 4, method="magic")
+        for jobs in (None, 2):
+            with pytest.raises(ValueError, match="unknown method"):
+                partition_matrix(small_rmat, 4, method="magic", jobs=jobs)
 
     def test_invalid_nparts(self, small_rmat):
-        with pytest.raises(ValueError, match="nparts"):
-            partition_matrix(small_rmat, 0)
+        for jobs in (None, 2):
+            with pytest.raises(ValueError, match="nparts"):
+                partition_matrix(small_rmat, 0, jobs=jobs)
 
     def test_deterministic(self, small_powerlaw):
         r1 = partition_matrix(small_powerlaw, 8, method="gp", seed=3)
