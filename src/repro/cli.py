@@ -70,18 +70,16 @@ __all__ = ["main"]
 
 
 def _load(matrix: str):
-    from .generators.corpus import CORPUS, load_corpus_matrix
-    from .io import read_matrix_market
+    from .generators.corpus import CORPUS
+    from .io import load_matrix
 
-    if matrix in CORPUS:
-        return load_corpus_matrix(matrix)
-    path = Path(matrix)
-    if not path.exists():
+    try:
+        return load_matrix(matrix)[1]
+    except FileNotFoundError:
         raise SystemExit(
             f"error: {matrix!r} is neither a corpus name nor a file "
             f"(corpus: {', '.join(CORPUS)})"
-        )
-    return read_matrix_market(path)
+        ) from None
 
 
 def _cmd_corpus(_args) -> int:
@@ -764,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preload", nargs="+", metavar="MATRIX",
                    help="matrices to partition and compile before accepting load")
     p.add_argument("--allow-fault-injection", action="store_true",
-                   help="honor fault:{kill_worker} requests (tests/benches only)")
+                   help="honor fault:{kill_worker} requests (for tests and benches only)")
     p.add_argument("--engine-store-dir", default=None, metavar="DIR",
                    help="compiled-engine artifact store directory "
                         "(default: engines/ under the partition cache)")

@@ -73,6 +73,23 @@ def read_matrix_market(path: str | Path) -> sp.csr_matrix:
     return from_edges(rows, cols, (m, n), values=vals)
 
 
+def load_matrix(ref: str) -> tuple[str, sp.csr_matrix]:
+    """Resolve *ref*, a corpus name or a MatrixMarket path, to ``(name, A)``.
+
+    *name* is the corpus name or the file's base name. Raises
+    ``FileNotFoundError`` when *ref* is neither, so each caller can report
+    that in its own error type.
+    """
+    from ..generators.corpus import CORPUS, load_corpus_matrix
+
+    if ref in CORPUS:
+        return ref, load_corpus_matrix(ref)
+    path = Path(ref)
+    if not path.exists():
+        raise FileNotFoundError(f"{ref!r} is neither a corpus name nor a file")
+    return path.name, read_matrix_market(path)
+
+
 def write_matrix_market(path: str | Path, A, pattern: bool = False) -> None:
     """Write *A* as a general coordinate MatrixMarket file.
 

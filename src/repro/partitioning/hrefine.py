@@ -47,7 +47,8 @@ Both replay the **exact same move sequence**. Why no decision can change:
   first-occurrence dedupe that also hands out the counters.
 * *Balance.* With one constraint the (2, 1) side-weight array collapses to
   two floats carried through the same IEEE operations in the same order
-  (the argument :func:`repro.partitioning.refine._fm_pass_vec1` makes).
+  (the argument :func:`repro.partitioning.refine._fm_pass_vec` makes for
+  its one-constraint balance state).
 * *One mark.* A vertex is pushed when seeded, when its only entry was
   just popped stale, or when woken while neither locked nor in the heap,
   so it has at most one heap entry and a locked vertex has none: the

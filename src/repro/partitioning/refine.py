@@ -16,14 +16,16 @@ keeps refinement fast even on the finest level of large graphs.
 
 The pass (:func:`_fm_pass`) picks its implementation from ``g.ncon``:
 
-* one to three constraints — the vectorised passes: batched boundary
-  seeding (one heap build per side), memoized graph state (adjacency
-  matrix, edge sources, CSR list mirrors —
-  :class:`~repro.partitioning.partgraph.PartGraph` is immutable after
-  construction), scalar incremental balance tracking (no per-candidate
-  ``sw.copy()``), and a two-tier neighbour update: masked fancy-indexed
-  numpy over the CSR slice for hub moves, a plain-scalar loop over the
-  memoized list mirrors below ``_HUB_DEGREE``;
+* one to three constraints — the one vectorised pass,
+  :func:`_fm_pass_vec`: batched boundary seeding (one heap build per
+  side), memoized graph state (adjacency matrix, edge sources, CSR list
+  mirrors — :class:`~repro.partitioning.partgraph.PartGraph` is
+  immutable after construction), scalar incremental balance tracking
+  (two floats for one constraint, one list per side for two or three;
+  no per-candidate ``sw.copy()``), and a two-tier neighbour update:
+  masked fancy-indexed numpy over the CSR slice for hub moves, a
+  plain-scalar loop over the memoized list mirrors below
+  ``_HUB_DEGREE``;
 * four or more — :func:`_fm_pass_reference`, the seed per-vertex pass,
   which is also the oracle the tests call directly.
 
@@ -43,13 +45,13 @@ from .partgraph import PartGraph
 
 __all__ = ["fm_refine", "balance_allowance", "is_balanced"]
 
-#: degree at or above which the vector kernels' neighbour update switches
+#: degree at or above which the vector pass's neighbour update switches
 #: from the scalar loop to the masked fancy-indexed numpy path — both are
 #: bit-identical, the threshold only trades constant factors
 _HUB_DEGREE = 64
 
-#: CSR slot count at or above which the vector passes skip the full list
-#: mirrors (three O(nnz) ``tolist`` conversions) and convert each moved
+#: CSR slot count at or above which the vector pass skips the full list
+#: mirrors (three O(nnz) ``tolist`` conversions) and converts each moved
 #: vertex's slice on demand instead. FM touches only boundary vertices, so
 #: on fine levels the mirrors convert millions of slots to move a few
 #: thousand — the conversion dominated the whole refine phase. Values are
@@ -159,9 +161,8 @@ def _fm_pass(
 ) -> bool:
     """Vectorised FM pass — replays the reference move sequence exactly.
 
-    Dispatches to the single-constraint fast path (the corpus-dominant
-    case), the general 2-3 constraint path, or — above three constraints,
-    where the scalar balance mirrors would no longer match numpy's
+    Runs :func:`_fm_pass_vec` for one to three constraints and — above
+    three, where the scalar balance mirrors would no longer match numpy's
     reduction order — the reference kernel. *carry* is an opaque dict
     :func:`fm_refine` threads through consecutive passes so per-pass
     O(n) state (the partition list mirror, the tracked edge cut) survives
@@ -173,19 +174,24 @@ def _fm_pass(
       ordered and each pop returns the minimum — so batched seeding via
       ``heapify`` pops in exactly the order the per-vertex ``heappush``
       loop did, as long as counters are assigned in the same order;
-    * the balance state is mirrored in plain Python floats. Every scalar
-      op (subtract, add, compare) is the same IEEE double op numpy
-      applied elementwise, and numpy's small-array reductions (< 8
-      elements, which covers ``2 * ncon`` for every supported constraint
-      set) accumulate sequentially from 0.0 in C order — the scalar
-      mirrors replicate that order term by term;
+    * the balance state is mirrored in plain Python floats — two for one
+      constraint, one list per side for two or three. Every scalar op
+      (subtract, add, compare) is the same IEEE double op numpy applied
+      elementwise, and numpy's small-array reductions (< 8 elements,
+      which covers ``2 * ncon`` for every supported constraint set)
+      accumulate sequentially from 0.0 in C order — both mirrors
+      replicate that order term by term (``0.0 + d`` is exactly ``d``,
+      so the two-float sum needs no leading zero);
+    * the reference's stable sort of the two candidates on
+      ``(not admissible, -gain)`` is one tuple comparison: the side-0
+      candidate wins ties;
     * neighbour gain updates apply the same IEEE double ops in both
       tiers: the hub tier's ``gain + (-2.0) * w`` is bit-equal to the
       scalar tier's (and the reference's) ``gain - 2.0 * w`` because IEEE
       negation is exact;
     * gains of locked vertices are dead state — the pop path checks
       ``locked`` before ever reading a gain, and the wake path skips
-      locked neighbours — so the vector kernels update them
+      locked neighbours — so the vector pass updates them
       unconditionally (one branch less per touch) without affecting any
       decision the reference makes;
     * the reference's ``in_heap`` flag never returns to False except at
@@ -208,29 +214,74 @@ def _fm_pass(
     reinserting side's counter snapshot is itself a deterministic
     function of the move history.
     """
-    ncon = g.ncon
-    if carry is None:
-        carry = {}
-    if ncon == 1:
-        return _fm_pass_vec1(g, part, allow, hill_limit, carry)
-    if ncon > 3:
+    if g.ncon > 3:
         return _fm_pass_reference(g, part, allow, hill_limit)
-    return _fm_pass_vecn(g, part, allow, hill_limit, carry)
+    return _fm_pass_vec(g, part, allow, hill_limit, {} if carry is None else carry)
 
 
-def _fm_pass_vec1(
+def _balance_rows(allow: np.ndarray, vcols: list[list[float]]):
+    """Scalar balance helpers for two or three constraints.
+
+    Returns ``(viol_of, load_of, admits)`` over ``[side0, side1]`` pairs
+    of per-constraint weight lists: the total overweight, the worst
+    weight-to-allowance ratio, and whether moving vertex *v* off side *s*
+    keeps every constraint within its allowance or strictly reduces the
+    violation *viol*. Sums run side-major, constraint-minor from 0.0 —
+    the reference's numpy order (see :func:`_fm_pass`).
+    """
+    allow_l = allow.tolist()
+    allow_eps = (allow + 1e-9).tolist()
+    crange = range(allow.shape[1])
+
+    def viol_of(rows) -> float:
+        t = 0.0
+        for row, arow in zip(rows, allow_l):
+            for c in crange:
+                d = row[c] - arow[c]
+                if d > 0.0:
+                    t += d
+        return t
+
+    def load_of(rows) -> float:
+        m = -np.inf
+        for row, arow in zip(rows, allow_l):
+            for c in crange:
+                r = row[c] / arow[c]
+                if r > m:
+                    m = r
+        return m
+
+    def admits(sw, s: int, v: int, viol: float) -> bool:
+        rows = [None, None]
+        rows[s] = [sw[s][c] - vcols[c][v] for c in crange]
+        rows[1 - s] = [sw[1 - s][c] + vcols[c][v] for c in crange]
+        for row, lim in zip(rows, allow_eps):
+            for c in crange:
+                if row[c] > lim[c]:
+                    return viol_of(rows) < viol - 1e-12
+        return True
+
+    return viol_of, load_of, admits
+
+
+def _fm_pass_vec(
     g: PartGraph,
     part: np.ndarray,
     allow: np.ndarray,
     hill_limit: int,
     carry: dict,
 ) -> bool:
-    """Single-constraint vector pass; see :func:`_fm_pass` for the notes.
+    """Vector pass for one to three constraints; see :func:`_fm_pass`.
 
     All per-vertex state lives in list/bytearray mirrors — Python scalar
     reads and writes in the hot loop are several times cheaper than numpy
-    0-d indexing — and the (2, 1) balance state collapses to two floats.
-    The two pop loops are inlined (no per-move function calls).
+    0-d indexing — and the two pop loops are inlined. Only the balance
+    state depends on ``g.ncon``: one constraint (the corpus-dominant
+    case) collapses it to two floats updated inline, so its moves make
+    no Python function call; two or three hold one list per side, read
+    through :func:`_balance_rows`. The two forms branch at the four
+    places the state is read or written: the start state, the
+    admissibility test, the move update and the prefix key.
     """
     gain, boundary = _gains_and_boundary(g, part)
     adjncy, adjwgt = g.adjncy, g.adjwgt
@@ -240,12 +291,6 @@ def _fm_pass_vec1(
         adjncy_l = adjwgt_l = None
     else:
         xadj_l, adjncy_l, adjwgt_l = g.adjacency_lists()
-    vw = g.vwgt_lists()[0]
-
-    sw0, sw1 = g.part_weights(part, 2)[:, 0].tolist()
-    a0, a1 = allow[:, 0].tolist()
-    a0e = a0 + 1e-9
-    a1e = a1 + 1e-9
 
     gain_l = gain.tolist()
     part_l = carry.get("part_l")
@@ -267,15 +312,32 @@ def _fm_pass_vec1(
     if cut0 is None or not g.exactly_summable_weights():
         cut0 = g.edgecut(part)
     cur_cut = cut0
-    d0 = sw0 - a0
-    d1 = sw1 - a1
-    viol_cur = (d0 if d0 > 0.0 else 0.0) + (d1 if d1 > 0.0 else 0.0)
-    r0 = sw0 / a0
-    r1 = sw1 / a1
+
+    # scalar mirrors of the reference's (2, ncon) balance state
+    one = g.ncon == 1
+    if one:
+        vw = g.vwgt_lists()[0]
+        sw0, sw1 = g.part_weights(part, 2)[:, 0].tolist()
+        a0, a1 = allow[:, 0].tolist()
+        a0e = a0 + 1e-9
+        a1e = a1 + 1e-9
+        d0 = sw0 - a0
+        d1 = sw1 - a1
+        viol_cur = (d0 if d0 > 0.0 else 0.0) + (d1 if d1 > 0.0 else 0.0)
+        r0 = sw0 / a0
+        r1 = sw1 / a1
+        load = r0 if r1 <= r0 else r1
+    else:
+        vcols = g.vwgt_lists()
+        crange = range(g.ncon)
+        sw = g.part_weights(part, 2).tolist()
+        viol_of, load_of, admits = _balance_rows(allow, vcols)
+        viol_cur = viol_of(sw)
+        load = load_of(sw)
     # prefer balanced states, then lower cut, then tighter balance — the
     # last term stops FM from parking exactly at the allowance edge when an
     # equally cheap, better-balanced prefix exists
-    best_key = (viol_cur > 1e-9, cut0, r0 if r1 <= r0 else r1)
+    best_key = (viol_cur > 1e-9, cut0, load)
     moves: list[int] = []
     moves_append = moves.append
     best_prefix = 0
@@ -310,26 +372,32 @@ def _fm_pass_vec1(
             break
         # a move v: s -> 1-s is admissible if it keeps (or repairs) balance
         if v0 >= 0:
-            w = vw[v0]
-            n0 = sw0 - w
-            n1 = sw1 + w
-            adm0 = n0 <= a0e and n1 <= a1e
-            if not adm0:
-                e0 = n0 - a0
-                e1 = n1 - a1
-                nv = (e0 if e0 > 0.0 else 0.0) + (e1 if e1 > 0.0 else 0.0)
-                adm0 = nv < viol_cur - 1e-12
+            if one:
+                w = vw[v0]
+                n0 = sw0 - w
+                n1 = sw1 + w
+                adm0 = n0 <= a0e and n1 <= a1e
+                if not adm0:
+                    e0 = n0 - a0
+                    e1 = n1 - a1
+                    nv = (e0 if e0 > 0.0 else 0.0) + (e1 if e1 > 0.0 else 0.0)
+                    adm0 = nv < viol_cur - 1e-12
+            else:
+                adm0 = admits(sw, 0, v0, viol_cur)
             g0 = gain_l[v0]
         if v1 >= 0:
-            w = vw[v1]
-            n0 = sw0 + w
-            n1 = sw1 - w
-            adm1 = n0 <= a0e and n1 <= a1e
-            if not adm1:
-                e0 = n0 - a0
-                e1 = n1 - a1
-                nv = (e0 if e0 > 0.0 else 0.0) + (e1 if e1 > 0.0 else 0.0)
-                adm1 = nv < viol_cur - 1e-12
+            if one:
+                w = vw[v1]
+                n0 = sw0 + w
+                n1 = sw1 - w
+                adm1 = n0 <= a0e and n1 <= a1e
+                if not adm1:
+                    e0 = n0 - a0
+                    e1 = n1 - a1
+                    nv = (e0 if e0 > 0.0 else 0.0) + (e1 if e1 > 0.0 else 0.0)
+                    adm1 = nv < viol_cur - 1e-12
+            else:
+                adm1 = admits(sw, 1, v1, viol_cur)
             g1 = gain_l[v1]
         # replay the reference's stable sort on (not admissible, -gain):
         # the side-0 candidate wins ties; the loser is reinserted with the
@@ -353,13 +421,19 @@ def _fm_pass_vec1(
         part[v] = t
         part_l[v] = t
         locked_b[v] = 1
-        w = vw[v]
-        if s == 0:
-            sw0 -= w
-            sw1 += w
+        if one:
+            w = vw[v]
+            if s == 0:
+                sw0 -= w
+                sw1 += w
+            else:
+                sw1 -= w
+                sw0 += w
         else:
-            sw1 -= w
-            sw0 += w
+            row_s, row_t = sw[s], sw[t]
+            for c in crange:
+                row_s[c] -= vcols[c][v]
+                row_t[c] += vcols[c][v]
         cur_cut -= gv
         moves_append(v)
 
@@ -399,203 +473,17 @@ def _fm_pass_vec1(
                     counter += 1
                     seen_b[u] = 1
 
-        d0 = sw0 - a0
-        d1 = sw1 - a1
-        viol_cur = (d0 if d0 > 0.0 else 0.0) + (d1 if d1 > 0.0 else 0.0)
-        r0 = sw0 / a0
-        r1 = sw1 / a1
-        key = (viol_cur > 1e-9, cur_cut, r0 if r1 <= r0 else r1)
-        if key < best_key:
-            best_key = key
-            best_prefix = len(moves)
-            since_best = 0
+        if one:
+            d0 = sw0 - a0
+            d1 = sw1 - a1
+            viol_cur = (d0 if d0 > 0.0 else 0.0) + (d1 if d1 > 0.0 else 0.0)
+            r0 = sw0 / a0
+            r1 = sw1 / a1
+            load = r0 if r1 <= r0 else r1
         else:
-            since_best += 1
-
-    # roll back moves after the best prefix (maintaining the carried
-    # mirror), and carry the best-prefix cut into the next pass
-    for v in moves[best_prefix:]:
-        t = 1 - part_l[v]
-        part[v] = t
-        part_l[v] = t
-    carry["cut"] = best_key[1]
-    return best_prefix > 0
-
-
-def _fm_pass_vecn(
-    g: PartGraph,
-    part: np.ndarray,
-    allow: np.ndarray,
-    hill_limit: int,
-    carry: dict,
-) -> bool:
-    """2-3 constraint vector pass; see :func:`_fm_pass` for the notes.
-
-    Same structure as :func:`_fm_pass_vec1` with the balance state held
-    in per-side Python lists (one slot per constraint) instead of two
-    floats.
-    """
-    gain, boundary = _gains_and_boundary(g, part)
-    ncon = g.ncon
-    adjncy, adjwgt = g.adjncy, g.adjwgt
-    big = len(adjncy) >= _MIRROR_SLOTS
-    if big:
-        xadj_l = g.xadj  # scalar int64 reads; slices convert per move
-        adjncy_l = adjwgt_l = None
-    else:
-        xadj_l, adjncy_l, adjwgt_l = g.adjacency_lists()
-    vcols = g.vwgt_lists()
-
-    # scalar mirrors of the per-candidate balance state; see _fm_pass
-    sw = g.part_weights(part, 2).tolist()
-    allow_l = allow.tolist()
-    allow_eps = (allow + 1e-9).tolist()
-    crange = range(ncon)
-
-    gain_l = gain.tolist()
-    part_l = carry.get("part_l")
-    if part_l is None:
-        part_l = part.tolist()
-        carry["part_l"] = part_l
-    locked_b = bytearray(g.n)
-    seen_b = bytearray(g.n)  # locked-or-in-heap; monotone (see _fm_pass)
-    seen_np = np.frombuffer(seen_b, dtype=np.uint8)
-
-    def viol_of(rows) -> float:
-        t = 0.0
-        for side in (0, 1):
-            row, arow = rows[side], allow_l[side]
-            for c in crange:
-                d = row[c] - arow[c]
-                if d > 0.0:
-                    t += d
-        return t
-
-    def balanced(rows) -> bool:
-        for side in (0, 1):
-            row, lim = rows[side], allow_eps[side]
-            for c in crange:
-                if row[c] > lim[c]:
-                    return False
-        return True
-
-    def load_of(rows) -> float:
-        m = -np.inf
-        for side in (0, 1):
-            row, arow = rows[side], allow_l[side]
-            for c in crange:
-                r = row[c] / arow[c]
-                if r > m:
-                    m = r
-        return m
-
-    heaps, bnd, counter = _seed_heaps(gain, boundary, part)
-    seen_np[bnd] = 1
-
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    cut0 = carry.get("cut")
-    if cut0 is None or not g.exactly_summable_weights():
-        cut0 = g.edgecut(part)
-    cur_cut = cut0
-    viol_cur = viol_of(sw)
-    # prefer balanced states, then lower cut, then tighter balance — the
-    # last term stops FM from parking exactly at the allowance edge when an
-    # equally cheap, better-balanced prefix exists
-    best_key = (viol_cur > 1e-9, cut0, load_of(sw))
-    moves: list[int] = []
-    best_prefix = 0
-    since_best = 0
-
-    def pop_valid(side: int):
-        """Pop the freshest max-gain vertex from *side*'s heap."""
-        h = heaps[side]
-        while h:
-            negg, _, v = heappop(h)
-            if locked_b[v] or part_l[v] != side:
-                continue
-            if -negg != gain_l[v]:  # stale entry; reinsert with current gain
-                heappush(h, (-gain_l[v], counter, v))
-                continue
-            return v
-        return None
-
-    while since_best < hill_limit:
-        # choose source side: a move v: s -> 1-s is admissible if it keeps
-        # (or repairs) balance on every constraint
-        cand = []
-        for s in (0, 1):
-            v = pop_valid(s)
-            if v is None:
-                continue
-            new_rows = [
-                [sw[s][c] - vcols[c][v] for c in crange],
-                [sw[1 - s][c] + vcols[c][v] for c in crange],
-            ]
-            if s == 1:
-                new_rows.reverse()
-            admissible = balanced(new_rows) or (
-                viol_of(new_rows) < viol_cur - 1e-12
-            )
-            cand.append((admissible, gain_l[v], s, v))
-        if not cand:
-            break
-        # prefer admissible moves, then higher gain
-        cand.sort(key=lambda t: (not t[0], -t[1]))
-        admissible, gv, s, v = cand[0]
-        # reinsert the unused candidate
-        for _, _, s2, v2 in cand[1:]:
-            heappush(heaps[s2], (-gain_l[v2], counter, v2))
-        if not admissible:
-            # no move can keep or repair balance; stop the pass
-            break
-
-        # apply the move
-        t = 1 - s
-        part[v] = t
-        part_l[v] = t
-        locked_b[v] = 1
-        row_s, row_t = sw[s], sw[1 - s]
-        for c in crange:
-            row_s[c] -= vcols[c][v]
-            row_t[c] += vcols[c][v]
-        cur_cut -= gv
-        moves.append(v)
-
-        # update neighbour gains — same two-tier scheme as _fm_pass_vec1
-        lo = xadj_l[v]
-        hi = xadj_l[v + 1]
-        if hi - lo >= _HUB_DEGREE:
-            nbrs = adjncy[lo:hi]
-            delta = np.where(part[nbrs] == s, 2.0, -2.0) * adjwgt[lo:hi]
-            for u, d_u in zip(nbrs.tolist(), delta.tolist()):
-                ng = gain_l[u] + d_u
-                gain_l[u] = ng
-                if not seen_b[u]:
-                    heappush(heaps[part_l[u]], (-ng, counter, u))
-                    counter += 1
-                    seen_b[u] = 1
-        else:
-            if big:
-                nbr_l = adjncy[lo:hi].tolist()
-                wuv_l = adjwgt[lo:hi].tolist()
-            else:
-                nbr_l = adjncy_l[lo:hi]
-                wuv_l = adjwgt_l[lo:hi]
-            for u, w_uv in zip(nbr_l, wuv_l):
-                if part_l[u] == s:  # was internal for u, now external
-                    ng = gain_l[u] + 2.0 * w_uv
-                else:  # was external, now internal
-                    ng = gain_l[u] - 2.0 * w_uv
-                gain_l[u] = ng
-                if not seen_b[u]:
-                    heappush(heaps[part_l[u]], (-ng, counter, u))
-                    counter += 1
-                    seen_b[u] = 1
-
-        viol_cur = viol_of(sw)
-        key = (viol_cur > 1e-9, cur_cut, load_of(sw))
+            viol_cur = viol_of(sw)
+            load = load_of(sw)
+        key = (viol_cur > 1e-9, cur_cut, load)
         if key < best_key:
             best_key = key
             best_prefix = len(moves)

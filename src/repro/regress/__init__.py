@@ -41,7 +41,7 @@ from .golden import (
     load_golden,
     write_golden,
 )
-from .grid import DEFAULT_SPEC, GridSpec, cell_key, compute_grid, compute_matrix_cells
+from .grid import DEFAULT_SPEC, GridSpec, cell_key, compute_matrix_cells
 
 __all__ = [
     "cell_metrics",
@@ -61,6 +61,5 @@ __all__ = [
     "DEFAULT_SPEC",
     "GridSpec",
     "cell_key",
-    "compute_grid",
     "compute_matrix_cells",
 ]

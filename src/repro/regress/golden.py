@@ -182,12 +182,6 @@ def compare_matrix(
     return out
 
 
-def _resolve(matrices: dict | None, name: str):
-    if matrices is not None and name in matrices:
-        return matrices[name]
-    return load_corpus_matrix(name)
-
-
 def _matrix_cells_task(args: tuple) -> dict:
     """Recompute one matrix's grid cells — the regress fan-out unit.
 

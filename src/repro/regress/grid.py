@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..bench.harness import engine_store_key, layout_for
-from ..generators.corpus import corpus_names, corpus_spec, load_corpus_matrix
+from ..generators.corpus import corpus_names, corpus_spec
 from ..graphs.csr import as_csr
 from ..layouts import paper_methods
 from ..runtime import MACHINES, DistSparseMatrix
@@ -39,7 +39,6 @@ __all__ = [
     "GridSpec",
     "DEFAULT_SPEC",
     "cell_key",
-    "compute_grid",
     "compute_matrix_cells",
 ]
 
@@ -145,21 +144,3 @@ def compute_matrix_cells(
                 )
     return cells
 
-
-def compute_grid(
-    spec: GridSpec,
-    cache_dir: Path | None = None,
-    matrices: dict[str, object] | None = None,
-    engine_store: "EngineStore | None" = None,
-) -> dict[str, dict[str, dict[str, int | float]]]:
-    """Compute the whole grid; ``matrices`` overrides corpus loading."""
-    out = {}
-    for name in spec.matrices:
-        if matrices is not None and name in matrices:
-            A = matrices[name]
-        else:
-            A = load_corpus_matrix(name)
-        out[name] = compute_matrix_cells(
-            A, spec, name, cache_dir=cache_dir, engine_store=engine_store
-        )
-    return out

@@ -221,34 +221,33 @@ class DistSparseMatrix:
 
     # -- the four-phase SpMV ---------------------------------------------------
 
-    def spmv(
-        self,
-        x: np.ndarray,
-        ledger: CostLedger | None = None,
-        reference: bool = False,
-    ) -> np.ndarray:
+    def spmv(self, x: np.ndarray, ledger: CostLedger | None = None) -> np.ndarray:
         """y = A x with explicit expand / local-compute / fold / sum phases.
 
         Charges modeled per-phase time to *ledger* when given. The data
         movement is real: every ghost value crosses a message buffer, every
         remote partial sum is shipped and accumulated at the owner.
 
-        By default the compiled :class:`~repro.runtime.engine.SpmvEngine`
-        executes the phases (index plans flattened once, buffers reused);
-        ``reference=True`` runs the original per-message loops instead.
-        The two paths are bit-identical — same values moved, same per-slot
-        summation order — which ``tests/test_engine.py`` asserts exactly.
+        The compiled :class:`~repro.runtime.engine.SpmvEngine` executes
+        the phases (index plans flattened once, buffers reused). It is
+        bit-identical to :meth:`_spmv_reference`, the original
+        per-message loops — same values moved, same per-slot summation
+        order — which ``tests/test_engine.py`` asserts exactly.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"vector shape {x.shape} != ({self.n},)")
-        y = self._spmv_reference(x) if reference else self.engine.spmv(x)
+        y = self.engine.spmv(x)
         if ledger is not None:
             self.charge_spmv(ledger)
         return y
 
     def _spmv_reference(self, x: np.ndarray) -> np.ndarray:
-        """The per-message four-phase executor (the engine's ground truth)."""
+        """The per-message four-phase executor (the engine's ground truth).
+
+        A private oracle: tests call it directly on a float64 vector of
+        length ``n``.
+        """
         vm = self.vector_map
         x_owned = self.scatter_vector(x)
 

@@ -3,7 +3,7 @@
 Every experiment in the paper is *repeated* four-phase SpMV — "time for
 100 SpMV" tables, eigensolvers calling the operator hundreds of times —
 and the communication structure is iteration-invariant. The reference
-executor (:meth:`DistSparseMatrix.spmv` with ``reference=True``) walks
+executor (the private ``DistSparseMatrix._spmv_reference`` oracle) walks
 every import/fold message in Python on every call, re-translating global
 ids with ``searchsorted`` each time. This module compiles all of that
 index arithmetic once, at build time, into two sparse operators:

@@ -6,7 +6,7 @@ production system pays once to move from the ingest distribution
 (typically 1D-Block, the order data arrives in) to the compute
 distribution; this module computes that cost exactly — which nonzeros and
 vector entries change ranks — and prices it with the machine model, so the
-claim can be checked (``benchmarks/bench_ablation_migration.py``) and
+claim can be checked (``tests/test_migration.py`` asserts it) and
 users can amortise partitioning against SpMV savings (the paper's
 section 5.1 trade-off).
 """

@@ -65,17 +65,11 @@ def reference_engine(matrix: str, method: str, procs: int, seed: int):
     Returns ``(engine, n)``.
     """
     from ..bench.harness import layout_for
-    from ..generators.corpus import CORPUS, load_corpus_matrix
     from ..graphs.csr import as_csr
+    from ..io import load_matrix
     from ..runtime import CAB, DistSparseMatrix
 
-    if matrix in CORPUS:
-        A = load_corpus_matrix(matrix)
-    else:
-        from ..io import read_matrix_market
-
-        A = read_matrix_market(matrix)
-    A = as_csr(A)
+    A = as_csr(load_matrix(matrix)[1])
     dist = DistSparseMatrix(A, layout_for(A, method, procs, seed=seed), CAB)
     return dist.engine, A.shape[0]
 

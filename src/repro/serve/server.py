@@ -391,23 +391,16 @@ class MatvecServer:
             return cached
 
         def load():
-            from ..generators.corpus import CORPUS, load_corpus_matrix
             from ..graphs.csr import as_csr
+            from ..io import load_matrix
             from ..runtime.store import matrix_hash
 
-            if ref in CORPUS:
-                A = load_corpus_matrix(ref)
-                name = ref
-            else:
-                path = Path(ref)
-                if not path.exists():
-                    raise ProtocolError(
-                        f"matrix {ref!r} is neither a corpus name nor a file"
-                    )
-                from ..io import read_matrix_market
-
-                A = read_matrix_market(path)
-                name = path.name
+            try:
+                name, A = load_matrix(ref)
+            except FileNotFoundError:
+                raise ProtocolError(
+                    f"matrix {ref!r} is neither a corpus name nor a file"
+                ) from None
             A = as_csr(A)
             if A.shape[0] != A.shape[1]:
                 raise ProtocolError(f"square matrices only, got {A.shape}")
@@ -665,15 +658,28 @@ class MatvecServer:
             "retry_after_s": self._retry_after_s(),
         })
 
-    def _draining_response(self, rid) -> bytes:
-        """Refusal for new work while a graceful drain is in progress."""
-        return encode_message({
-            "id": rid,
-            "ok": False,
-            "error": "server is draining: no new work accepted",
-            "draining": True,
-            "retry_after_s": self._retry_after_s(),
-        })
+    def _refuse_new_work(self, rid) -> bytes | None:
+        """Admission for matvec, partition and warmup work.
+
+        Returns the refusal while a graceful drain is in progress or the
+        in-flight bound is reached, or ``None`` when the request is
+        admitted.
+        """
+        if self._draining:
+            return encode_message({
+                "id": rid,
+                "ok": False,
+                "error": "server is draining: no new work accepted",
+                "draining": True,
+                "retry_after_s": self._retry_after_s(),
+            })
+        if self._inflight_work >= self.config.max_inflight:
+            return self._shed_response(
+                rid,
+                f"{self._inflight_work} request(s) in flight "
+                f"(bound {self.config.max_inflight})",
+            )
+        return None
 
     def _health(self, rid) -> dict:
         self.counters["health"] += 1
@@ -721,6 +727,10 @@ class MatvecServer:
         matrix = msg.get("matrix")
         if not isinstance(matrix, str) or not matrix:
             raise ProtocolError("request needs a 'matrix' (corpus name or path)")
+        return (matrix, *self._request_layout(msg))
+
+    def _request_layout(self, msg: dict) -> tuple[str, int, int]:
+        """A request's ``(method, procs, seed)``, defaulted and validated."""
         method = msg.get("method", self.config.default_method)
         procs = msg.get("procs", self.config.default_procs)
         seed = msg.get("seed", self.config.default_seed)
@@ -728,7 +738,7 @@ class MatvecServer:
             raise ProtocolError(f"procs must be a positive int, got {procs!r}")
         if not isinstance(seed, int):
             raise ProtocolError(f"seed must be an int, got {seed!r}")
-        return matrix, str(method).lower(), procs, seed
+        return str(method).lower(), procs, seed
 
     def _fault_spec(self, msg: dict) -> dict:
         """Validate and normalize a request's ``fault`` injection field."""
@@ -831,14 +841,9 @@ class MatvecServer:
                 # dedup outranks drain/shed: a retry of accepted work must
                 # still be answerable, or acked work could be lost
                 return await self._answer_from_idem(rid, msg, payload, idem, hit)
-        if self._draining:
-            return self._draining_response(rid)
-        if self._inflight_work >= self.config.max_inflight:
-            return self._shed_response(
-                rid,
-                f"{self._inflight_work} request(s) in flight "
-                f"(bound {self.config.max_inflight})",
-            )
+        refusal = self._refuse_new_work(rid)
+        if refusal is not None:
+            return refusal
         fut: asyncio.Future | None = None
         if idem is not None:
             fut = asyncio.get_running_loop().create_future()
@@ -904,26 +909,15 @@ class MatvecServer:
         warmed fleet will serve first requests from mmap loads.
         """
         self.counters["warmup"] += 1
-        if self._draining:
-            return self._draining_response(rid)
-        if self._inflight_work >= self.config.max_inflight:
-            return self._shed_response(
-                rid,
-                f"{self._inflight_work} request(s) in flight "
-                f"(bound {self.config.max_inflight})",
-            )
+        refusal = self._refuse_new_work(rid)
+        if refusal is not None:
+            return refusal
         matrices = msg.get("matrices")
         if not isinstance(matrices, list) or not matrices or not all(
             isinstance(m, str) and m for m in matrices
         ):
             raise ProtocolError("warmup needs 'matrices': a non-empty list of names")
-        method = str(msg.get("method", self.config.default_method)).lower()
-        procs = msg.get("procs", self.config.default_procs)
-        seed = msg.get("seed", self.config.default_seed)
-        if not isinstance(procs, int) or procs < 1:
-            raise ProtocolError(f"procs must be a positive int, got {procs!r}")
-        if not isinstance(seed, int):
-            raise ProtocolError(f"seed must be an int, got {seed!r}")
+        method, procs, seed = self._request_layout(msg)
         self._work_started()
         warmed = []
         try:
@@ -951,14 +945,9 @@ class MatvecServer:
 
     async def _handle_partition(self, rid, msg: dict) -> bytes:
         self.counters["partition"] += 1
-        if self._draining:
-            return self._draining_response(rid)
-        if self._inflight_work >= self.config.max_inflight:
-            return self._shed_response(
-                rid,
-                f"{self._inflight_work} request(s) in flight "
-                f"(bound {self.config.max_inflight})",
-            )
+        refusal = self._refuse_new_work(rid)
+        if refusal is not None:
+            return refusal
         self._work_started()
         try:
             matrix, method, procs, seed = self._request_target(msg)

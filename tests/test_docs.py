@@ -67,6 +67,8 @@ _BARE_BENCH = re.compile(r"(?<![\w/.-])(bench_\w+\.py)")
 
 
 def test_docs_name_only_files_that_exist():
+    """README, DESIGN and EXPERIMENTS, and every module under ``src/repro/``
+    (its docstrings, comments and help strings), name only files that exist."""
     # run outputs (gitignored directories such as benchmarks/results/)
     # are written by the benches, not committed, so the docs may name them
     outputs = tuple(
@@ -74,14 +76,16 @@ def test_docs_name_only_files_that_exist():
         for line in (REPO_ROOT / ".gitignore").read_text().splitlines()
         if "/" in line.strip().rstrip("/")
     )
+    sources = [REPO_ROOT / doc for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    sources += sorted(PACKAGE.rglob("*.py"))
     missing = []
-    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
-        text = (REPO_ROOT / doc).read_text()
+    for source in sources:
+        text = source.read_text()
         named = set(_TREE_PATH.findall(text)) | set(_BENCH_RECORD.findall(text))
         named |= {f"benchmarks/{b}" for b in _BARE_BENCH.findall(text)}
         for path in sorted(named):
             if path.startswith(outputs):
                 continue
             if not any(REPO_ROOT.glob(path)):
-                missing.append(f"{doc}: {path}")
+                missing.append(f"{source.relative_to(REPO_ROOT)}: {path}")
     assert not missing, f"docs name files that do not exist: {missing}"

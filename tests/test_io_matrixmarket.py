@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.graphs import from_edges, pattern_equal
-from repro.io import read_matrix_market, write_matrix_market
+from repro.generators.corpus import load_corpus_matrix
+from repro.io import load_matrix, read_matrix_market, write_matrix_market
 
 
 class TestRoundtrip:
@@ -95,3 +96,15 @@ class TestErrors:
         p.write_text("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 7\n")
         A = read_matrix_market(p)
         assert A[0, 1] == 7.0
+
+
+class TestLoadMatrix:
+    def test_corpus_name_file_and_neither(self, tmp_path, small_grid):
+        name, A = load_matrix("rmat_22")
+        assert name == "rmat_22" and A is load_corpus_matrix("rmat_22")
+        path = tmp_path / "g.mtx"
+        write_matrix_market(path, small_grid)
+        name, A = load_matrix(str(path))
+        assert name == "g.mtx" and pattern_equal(A, small_grid)
+        with pytest.raises(FileNotFoundError, match="neither a corpus name nor a file"):
+            load_matrix(str(tmp_path / "missing.mtx"))

@@ -109,6 +109,66 @@ class TestKernelIdentity:
         assert np.array_equal(with_mirrors, without_mirrors)
 
 
+@st.composite
+def _small_graphs(draw):
+    """(graph, bisection) pairs with one to three balance constraints.
+
+    Drawn edges may repeat (their weights add up) or be self loops (they
+    are dropped); half the graphs add a hub joined to every other vertex,
+    and the last vertex may end up isolated. Vertex and edge weights are
+    small integers, or the same scaled by 0.37 so the edge cut is not
+    exactly summable and every pass recomputes it. Bisections include the
+    all-on-one-side and the one-vertex-out (unbalanced) starts.
+    """
+    n = draw(st.integers(2, 24))
+    ncon = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 0.37]))
+    vid = st.integers(0, n - 1)
+    edges = [(u, v) for u, v in draw(st.lists(st.tuples(vid, vid), max_size=3 * n)) if u != v]
+    if draw(st.booleans()):
+        edges += [(0, u) for u in range(1, n)]
+    w = draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+    r = np.array([e[0] for e in edges], dtype=np.int64)
+    c = np.array([e[1] for e in edges], dtype=np.int64)
+    W = sp.csr_matrix((scale * np.asarray(w, float), (r, c)), shape=(n, n))
+    vwgt = draw(st.lists(st.integers(1, 5), min_size=n * ncon, max_size=n * ncon))
+    g = PartGraph.from_scipy(W + W.T, scale * np.asarray(vwgt, float).reshape(n, ncon))
+    part = draw(
+        st.one_of(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.sampled_from([[0] * n, [1] * n, [1] + [0] * (n - 1)]),
+        )
+    )
+    return g, np.asarray(part, dtype=np.int64)
+
+
+class TestGeneratedGraphFM:
+    """The vector pass replays ``_fm_pass_reference`` on generated graphs,
+    for every constraint count it serves and both neighbour-update tiers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _small_graphs(),
+        st.sampled_from([(0.5, 0.5), (0.3, 0.7), (0.8, 0.2)]),
+        st.sampled_from([1.0, 1.03, 1.1, 1.5]),
+        st.integers(1, 16),
+        st.sampled_from([1, 3, 64]),
+        st.sampled_from([1, 200_000]),
+    )
+    def test_generated_refinements_bit_identical(
+        self, case, fracs, ub, hill_limit, hub_degree, mirror_slots
+    ):
+        g, part = case
+        args = (g, part, fracs, ub)
+        with mock.patch.object(refine, "_HUB_DEGREE", hub_degree), \
+                mock.patch.object(refine, "_MIRROR_SLOTS", mirror_slots), \
+                mock.patch.object(refine, "_fm_pass_vec", wraps=refine._fm_pass_vec) as spy:
+            a = fm_refine(*args, hill_limit=hill_limit)
+        assert spy.called == (g.n > 1)
+        b = fm_refine_reference(*args, hill_limit=hill_limit)
+        assert np.array_equal(a, b)
+
+
 class TestFMRollback:
     """Hill climbing must roll every speculative move back when no prefix
     improves the (balance, cut) key."""

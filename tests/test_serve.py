@@ -301,6 +301,7 @@ def test_protocol_errors_keep_connection_alive(serve_env):
         resp, _ = c.request({"op": "matvec", "matrix": "no-such", "procs": PROCS},
                             x=np.ones(4))
         assert not resp["ok"]
+        assert resp["error"] == "matrix 'no-such' is neither a corpus name nor a file"
         # and the same connection still serves good requests
         resp, y = _matvec(c, serve_env, np.ones(n))
         assert resp["ok"] and y is not None
