@@ -773,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="warmup mode: process count per engine (default: 16)")
     p.add_argument("--warm-method", default=None,
                    help="warmup mode: layout method (default: the server's "
-                        "per-matrix paper choice)")
+                        "fixed 2d-gp)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(

@@ -27,7 +27,9 @@ sweep fan-out
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import sys
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -65,20 +67,59 @@ _THREAD_ENV_VARS = (
 )
 
 
+#: Thread-count setters an OpenBLAS build may export: the reference name
+#: and the prefixed / 64-bit-integer builds numpy and scipy wheels ship.
+_OPENBLAS_SETTERS = tuple(
+    f"{prefix}_set_num_threads{suffix}"
+    for prefix in ("openblas", "scipy_openblas")
+    for suffix in ("", "64_")
+)
+
+
+def _pin_loaded_openblas() -> None:
+    """Set every OpenBLAS mapped into this process to one thread.
+
+    Finds the libraries through ``/proc/self/maps`` and calls each one's
+    own setter through ``ctypes``; a no-op where there is no such file.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        names = [name for name in _OPENBLAS_SETTERS if hasattr(lib, name)]
+        if names:
+            setter = getattr(lib, names[0])
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+
+
 def _pin_worker_threads() -> None:
     """Process-pool worker initializer: one BLAS/OpenMP thread per worker.
 
     Process- and thread-parallelism must never nest — J workers each
     spinning T BLAS threads oversubscribes the machine J*T-fold and
     makes every latency measurement a lie. Every pool this module (and
-    :class:`ResilientPool`) creates runs this in each worker. Engines
-    are serial unless ``SpmvEngine.set_threads`` says otherwise, so the
-    environment pins are the only guard needed. (For fork-started
-    workers an already initialized BLAS may ignore them; results are
-    unaffected either way — this is purely a scheduling guard.)
+    :class:`ResilientPool`) creates runs this in each worker. A worker
+    has usually loaded numpy (and with it OpenBLAS) before its
+    initializer runs — inherited under ``fork``, imported while
+    unpickling this function under ``spawn`` and ``forkserver`` — and an
+    OpenBLAS reads the environment only when it loads, so each loaded one
+    is also set through its own setter. The environment pins cover the
+    libraries loaded later. Results are unaffected either way; this is
+    purely a scheduling guard.
     """
     for var in _THREAD_ENV_VARS:
         os.environ[var] = "1"
+    _pin_loaded_openblas()
 
 
 @contextmanager
@@ -133,6 +174,33 @@ class PoolTaskFailed(RuntimeError):
         self.causes = causes
 
 
+def _pool_start_method() -> str:
+    """Start method for :class:`ResilientPool` workers.
+
+    ``fork`` is out: the pool is created from a threaded process (the
+    serve event loop), and forking a threaded process can deadlock on
+    locks the forked copy will never see released. ``forkserver`` forks
+    workers from a clean single-threaded helper; ``spawn`` is the
+    fallback where it does not exist. Both re-import the parent's
+    ``__main__`` for pickling fidelity, which breaks when the pool is
+    created in a process whose main module is not a real file (``python
+    -c``, stdin, a REPL) — for that case, drop the bogus ``__file__`` so
+    the children skip the re-import; task functions live in importable
+    modules, and ``sys.path`` still propagates.
+    """
+    main = sys.modules.get("__main__")
+    main_file = getattr(main, "__file__", None)
+    if (
+        main is not None
+        and getattr(main, "__spec__", None) is None
+        and main_file is not None
+        and not os.path.exists(main_file)
+    ):
+        del main.__file__
+    methods = multiprocessing.get_all_start_methods()
+    return "forkserver" if "forkserver" in methods else "spawn"
+
+
 class ResilientPool:
     """Process pool for one-shot tasks that survives worker death.
 
@@ -151,22 +219,13 @@ class ResilientPool:
     retried and completes" testable).
     """
 
-    def __init__(
-        self,
-        max_workers: int = 1,
-        max_retries: int = 2,
-        mp_context: str | None = None,
-    ):
+    def __init__(self, max_workers: int = 1, max_retries: int = 2):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self._max_workers = max_workers
         self._max_retries = max_retries
-        #: multiprocessing start method ("spawn" for pools created from
-        #: threaded processes like the serve event loop; None = platform
-        #: default, which is what the batch drivers above use)
-        self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         self._lock = Lock()
         #: broken-pool incidents observed (worker death, abandoned timeout)
@@ -176,14 +235,9 @@ class ResilientPool:
     def _checkout(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
-                ctx = None
-                if self._mp_context is not None:
-                    import multiprocessing
-
-                    ctx = multiprocessing.get_context(self._mp_context)
                 self._pool = ProcessPoolExecutor(
                     max_workers=self._max_workers,
-                    mp_context=ctx,
+                    mp_context=multiprocessing.get_context(_pool_start_method()),
                     initializer=_pin_worker_threads,
                 )
             return self._pool

@@ -196,9 +196,6 @@ class SpmvEngine:
         self._slot_rank = rank_of_slot
         self._nprocs = p
         self._abft: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix] | None = None
-        #: optional no-arg callback fired when the lazy ABFT operators
-        #: materialize (the residency layer re-checks its byte budget)
-        self.abft_listener = None
         self._threads = 1
         self._plan: ApplyPlan | None = None
 
@@ -316,7 +313,6 @@ class SpmvEngine:
         if len(eng._slot_rank) != eng._local.shape[0]:
             raise ValueError("slot_rank length inconsistent with local operator")
         eng._abft = None
-        eng.abft_listener = None
         eng._threads = 1
         eng._plan = None
         return eng
@@ -345,10 +341,10 @@ class SpmvEngine:
         """Bytes of the lazily built ABFT state (0 until first use).
 
         Split out from :attr:`nbytes` so the residency layer can report
-        how much of an entry's footprint appeared *after* admission —
-        the accounting drift the post-materialization budget re-check
-        exists to correct. Counts the three checksum operators (the
-        selector, weights, and |weights|), all resident once built.
+        how much of an entry's footprint appeared *after* admission: the
+        residency checks its byte budget at admission only, and no serve
+        path builds these operators. Counts the three checksum operators
+        (the selector, weights, and |weights|), all resident once built.
         """
         if self._abft is None:
             return 0
@@ -380,10 +376,6 @@ class SpmvEngine:
                 (np.abs(E.data), E.indices, E.indptr), shape=E.shape
             )
             self._abft = (S, E, Eabs)
-            if self.abft_listener is not None:
-                # the engine just grew abft_bytes after admission; let
-                # the residency layer re-check its byte budget
-                self.abft_listener()
         return self._abft
 
     def spmv_with_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

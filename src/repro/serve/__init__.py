@@ -25,8 +25,8 @@ this package is the long-lived counterpart:
     engine) priced via :mod:`repro.runtime.faults`.
 :mod:`~repro.serve.resilience`
     Client-side resilience: :class:`RetryingClient` with seeded
-    decorrelated-jitter backoff, a circuit breaker and optional hedging,
-    all retry-safe through server-side idempotency.
+    decorrelated-jitter backoff and a circuit breaker, retry-safe
+    through server-side idempotency.
 :mod:`~repro.serve.chaos`
     Seeded wire-level fault injection: :class:`ChaosProxy` tears,
     corrupts, resets, delays and drops response frames from a

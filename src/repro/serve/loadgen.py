@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +140,104 @@ def _query_tiers(socket_path: str, timeout: float) -> dict[str, int]:
     return {}
 
 
+def _closed_loop(
+    warm_path: str,
+    warm_msg: dict,
+    session,
+    *,
+    seed: int,
+    concurrency: int,
+    requests_per_client: int,
+    vector_pool: int,
+    check: bool,
+    timeout: float,
+    join_timeout: float,
+) -> tuple[dict, Counter, dict]:
+    """The closed loop behind :func:`run_loadgen` and :func:`run_chaos_soak`.
+
+    Sends *warm_msg* to *warm_path*, builds the vector pool (and, with
+    *check*, the reference answers), then runs one generator
+    ``session(client_id, pool, expected, counts)`` per thread: it sets
+    up its client up to its first ``yield``, then yields each request's
+    latency in seconds (``None`` when no answer came back) and closes
+    its client in ``finally``. A session that raises aborts the start
+    barrier and the run re-raises its exception. Returns the warm-up
+    response, the summed counts, and the timing fields both results share.
+    """
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+    with ServeClient(warm_path, timeout=timeout) as warm:
+        warm_resp, _ = warm.request(warm_msg)
+    if not warm_resp.get("ok"):
+        raise ProtocolError(f"warm-up partition failed: {warm_resp.get('error')}")
+    n = int(warm_resp["n"])
+
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    pool = rng.standard_normal((vector_pool, n))
+    expected: list[np.ndarray] | None = None
+    if check:
+        # the warm-up filled the partition cache, so this reuses its bits
+        engine, n_ref = reference_engine(
+            warm_msg["matrix"], warm_msg["method"], warm_msg["procs"], seed
+        )
+        if n_ref != n:
+            raise ProtocolError(f"reference n={n_ref} != server n={n}")
+        expected = [engine.spmv(pool[i]) for i in range(vector_pool)]
+
+    barrier = threading.Barrier(concurrency + 1)
+    lock = threading.Lock()
+    latencies: list[float] = []
+    totals: Counter = Counter()
+    failures: list[BaseException] = []
+
+    def run(client_id: int) -> None:
+        counts: Counter = Counter()
+        lat: list[float] = []
+        steps = session(client_id, pool, expected, counts)
+        try:
+            next(steps)
+            barrier.wait()
+            for _ in range(requests_per_client):
+                latency = next(steps)
+                if latency is not None:
+                    lat.append(latency)
+        except BaseException as exc:
+            failures.append(exc)
+            barrier.abort()  # don't leave siblings waiting on a dead session
+        finally:
+            steps.close()
+            with lock:
+                latencies.extend(lat)
+                totals.update(counts)
+
+    threads = [
+        threading.Thread(target=run, args=(i,), name=f"loadgen-{i}", daemon=True)
+        for i in range(concurrency)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        barrier.wait()
+    except threading.BrokenBarrierError:
+        pass  # a session failed before the start; its exception is raised below
+    t_start = time.perf_counter()
+    for t in threads:
+        t.join(join_timeout)
+    elapsed = time.perf_counter() - t_start
+    if failures:
+        raise failures[0]
+
+    lat_ms = np.asarray(latencies) * 1e3 if latencies else np.zeros(1)
+    return warm_resp, totals, {
+        "elapsed_seconds": elapsed,
+        "mean_ms": float(lat_ms.mean()),
+        "p50_ms": float(np.percentile(lat_ms, 50)),
+        "p99_ms": float(np.percentile(lat_ms, 99)),
+        "max_ms": float(lat_ms.max()),
+        "tiers": _query_tiers(warm_path, timeout),
+    }
+
+
 def run_loadgen(
     socket_path: str,
     matrix: str,
@@ -160,55 +259,24 @@ def run_loadgen(
     *deadline*, when given, bounds each request; expiries are reported
     as ``timeouts`` (the session reconnects and continues).
     """
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     if requests_per_client < 1:
         raise ValueError(f"requests_per_client must be >= 1, got {requests_per_client}")
-
     target = {"matrix": matrix, "method": method, "procs": procs, "seed": seed}
-    with ServeClient(socket_path, timeout=timeout) as warm:
-        resp, _ = warm.request({"op": "partition", **target})
-        if not resp.get("ok"):
-            raise ProtocolError(f"warm-up partition failed: {resp.get('error')}")
-        n = int(resp["n"])
+    msg = {"op": "matvec", **target}
 
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    pool = rng.standard_normal((vector_pool, n))
-    expected: list[np.ndarray] | None = None
-    if check:
-        # server warmed the cache above, so this reuses its partition bits
-        engine, n_ref = reference_engine(matrix, method, procs, seed)
-        if n_ref != n:
-            raise ProtocolError(f"reference n={n_ref} != server n={n}")
-        expected = [engine.spmv(pool[i]) for i in range(vector_pool)]
-
-    barrier = threading.Barrier(concurrency + 1)
-    lock = threading.Lock()
-    latencies: list[float] = []
-    batch_sizes: dict[int, int] = {}
-    totals = {"requests": 0, "errors": 0, "divergences": 0, "timeouts": 0}
-    failures: list[BaseException] = []
-
-    def session(client_id: int) -> None:
+    def session(client_id, pool, expected, counts):
         pick = np.random.default_rng(1000 + client_id)
-        lat: list[float] = []
-        sizes: dict[int, int] = {}
-        counts = {"requests": 0, "errors": 0, "divergences": 0, "timeouts": 0}
-        client = None
+        client = ServeClient(socket_path, timeout=timeout)
         try:
-            client = ServeClient(socket_path, timeout=timeout)
             # one untimed request primes the connection end to end
-            client.request({"op": "matvec", **target}, x=pool[0], encoding=encoding)
-            barrier.wait()
-            for _ in range(requests_per_client):
+            client.request(msg, x=pool[0], encoding=encoding)
+            yield
+            while True:
                 idx = int(pick.integers(vector_pool))
                 t0 = time.perf_counter()
                 try:
                     resp, y = client.request(
-                        {"op": "matvec", **target},
-                        x=pool[idx],
-                        encoding=encoding,
-                        deadline=deadline,
+                        msg, x=pool[idx], encoding=encoding, deadline=deadline
                     )
                 except DeadlineExceeded:
                     # its own outcome class, not a crashed worker; the
@@ -217,62 +285,46 @@ def run_loadgen(
                     counts["timeouts"] += 1
                     client.close()
                     client = ServeClient(socket_path, timeout=timeout)
+                    yield None
                     continue
-                lat.append(time.perf_counter() - t0)
+                latency = time.perf_counter() - t0
                 counts["requests"] += 1
                 if not resp.get("ok") or y is None:
                     counts["errors"] += 1
-                    continue
-                bsz = int(resp.get("batch_size", 0))
-                sizes[bsz] = sizes.get(bsz, 0) + 1
-                if expected is not None and not np.array_equal(y, expected[idx]):
-                    counts["divergences"] += 1
-        except BaseException as exc:
-            failures.append(exc)
-            barrier.abort()  # don't leave siblings waiting on a dead session
+                else:
+                    counts["batch", int(resp.get("batch_size", 0))] += 1
+                    if expected is not None and not np.array_equal(y, expected[idx]):
+                        counts["divergences"] += 1
+                yield latency
         finally:
-            if client is not None:
-                client.close()
-            with lock:
-                latencies.extend(lat)
-                for k, v in sizes.items():
-                    batch_sizes[k] = batch_sizes.get(k, 0) + v
-                for k in totals:
-                    totals[k] += counts[k]
+            client.close()
 
-    threads = [
-        threading.Thread(target=session, args=(i,), name=f"loadgen-{i}", daemon=True)
-        for i in range(concurrency)
-    ]
-    for t in threads:
-        t.start()
-    barrier.wait()
-    t_start = time.perf_counter()
-    for t in threads:
-        t.join(timeout)
-    elapsed = time.perf_counter() - t_start
-    if failures:
-        raise failures[0]
-
-    lat_ms = np.asarray(latencies) * 1e3 if latencies else np.zeros(1)
+    _, counts, shared = _closed_loop(
+        socket_path,
+        {"op": "partition", **target},
+        session,
+        seed=seed,
+        concurrency=concurrency,
+        requests_per_client=requests_per_client,
+        vector_pool=vector_pool,
+        check=check,
+        timeout=timeout,
+        join_timeout=timeout,
+    )
+    elapsed = shared["elapsed_seconds"]
     return LoadgenResult(
-        tiers=_query_tiers(socket_path, timeout),
         matrix=matrix,
         method=method,
         procs=procs,
         concurrency=concurrency,
-        requests=totals["requests"],
-        errors=totals["errors"],
-        divergences=totals["divergences"],
-        timeouts=totals["timeouts"],
+        requests=counts["requests"],
+        errors=counts["errors"],
+        divergences=counts["divergences"],
+        timeouts=counts["timeouts"],
         checked=check,
-        elapsed_seconds=elapsed,
-        throughput_rps=totals["requests"] / elapsed if elapsed > 0 else 0.0,
-        mean_ms=float(lat_ms.mean()),
-        p50_ms=float(np.percentile(lat_ms, 50)),
-        p99_ms=float(np.percentile(lat_ms, 99)),
-        max_ms=float(lat_ms.max()),
-        batch_sizes=batch_sizes,
+        throughput_rps=counts["requests"] / elapsed if elapsed > 0 else 0.0,
+        batch_sizes={k[1]: v for k, v in counts.items() if isinstance(k, tuple)},
+        **shared,
     )
 
 
@@ -306,7 +358,6 @@ class ChaosSoakResult:
     deduped: int
     retries: int
     attempts: int
-    hedges: int
     shed_seen: int
     draining_seen: int
     breaker_opens: int
@@ -336,7 +387,6 @@ class ChaosSoakResult:
             "deduped": self.deduped,
             "retries": self.retries,
             "attempts": self.attempts,
-            "hedges": self.hedges,
             "shed_seen": self.shed_seen,
             "draining_seen": self.draining_seen,
             "breaker_opens": self.breaker_opens,
@@ -369,7 +419,6 @@ def run_chaos_soak(
     attempt_deadline_s: float = 5.0,
     total_deadline_s: float = 120.0,
     max_attempts: int = 10,
-    hedge: bool = False,
     inject_kill: bool = False,
     p_slow: float = 0.0,
     slow_ms: float = 2.0,
@@ -390,64 +439,32 @@ def run_chaos_soak(
     through ``straggler_overhead_seconds``). Both require the server to
     run with ``allow_fault_injection``.
     """
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     if not 0.0 <= p_slow <= 1.0:
         raise ValueError(f"p_slow must be in [0, 1], got {p_slow}")
-
-    warm_path = warm_socket_path or socket_path
     target = {"matrix": matrix, "method": method, "procs": procs, "seed": seed}
     warm_msg: dict = {"op": "partition", **target}
     if inject_kill:
         warm_msg["fault"] = {"kill_worker": True}
-    with ServeClient(warm_path, timeout=timeout) as warm:
-        resp, _ = warm.request(warm_msg)
-        if not resp.get("ok"):
-            raise ProtocolError(f"warm-up partition failed: {resp.get('error')}")
-        n = int(resp["n"])
-        kills_executed = int(resp.get("worker_deaths", 0))
 
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    pool = rng.standard_normal((vector_pool, n))
-    engine, n_ref = reference_engine(matrix, method, procs, seed)
-    if n_ref != n:
-        raise ProtocolError(f"reference n={n_ref} != server n={n}")
-    expected = [engine.spmv(pool[i]) for i in range(vector_pool)]
-
-    barrier = threading.Barrier(concurrency + 1)
-    lock = threading.Lock()
-    latencies: list[float] = []
-    totals = {
-        "requests": 0, "answered": 0, "failed": 0, "divergences": 0,
-        "lost_acked": 0, "deduped": 0, "retries": 0, "attempts": 0,
-        "hedges": 0, "shed_seen": 0, "draining_seen": 0,
-        "breaker_opens": 0, "slow_injected": 0,
-    }
-    failures: list[BaseException] = []
-
-    def session(client_id: int) -> None:
+    def session(client_id, pool, expected, counts):
         pick = np.random.default_rng(
             np.random.SeedSequence((chaos_seed, client_id, 0x50AC))
         )
-        lat: list[float] = []
-        counts = dict.fromkeys(totals, 0)
         rc = RetryingClient(
             socket_path,
             seed=chaos_seed * 1000 + client_id,
             max_attempts=max_attempts,
             total_deadline_s=total_deadline_s,
             attempt_deadline_s=attempt_deadline_s,
-            hedge=hedge,
             connect_timeout_s=timeout,
         )
         try:
-            barrier.wait()
-            for _ in range(requests_per_client):
+            yield
+            while True:
                 idx = int(pick.integers(vector_pool))
                 fault = None
                 if p_slow > 0 and float(pick.uniform()) < p_slow:
-                    fault = {"slow_ms": slow_ms,
-                             "straggler_factor": straggler_factor}
+                    fault = {"slow_ms": slow_ms, "straggler_factor": straggler_factor}
                 counts["requests"] += 1
                 t0 = time.perf_counter()
                 try:
@@ -458,10 +475,12 @@ def run_chaos_soak(
                 except ResilienceError:
                     # visible failure: never acknowledged, never wrong
                     counts["failed"] += 1
+                    yield None
                     continue
-                lat.append(time.perf_counter() - t0)
+                latency = time.perf_counter() - t0
                 if not resp.get("ok"):
                     counts["failed"] += 1
+                    yield latency
                     continue
                 counts["answered"] += 1
                 if fault is not None and "slow_engine" in resp:
@@ -471,41 +490,26 @@ def run_chaos_soak(
                 elif not np.array_equal(y, expected[idx]):
                     counts["divergences"] += 1
                     counts["lost_acked"] += 1
-        except BaseException as exc:
-            failures.append(exc)
-            barrier.abort()
+                yield latency
         finally:
             rc.close()
-            with lock:
-                latencies.extend(lat)
-                for k in ("deduped", "retries", "attempts", "hedges",
-                          "shed_seen", "draining_seen"):
-                    counts[k] += rc.stats[k]
-                counts["breaker_opens"] += rc.breaker.opens
-                for k in totals:
-                    totals[k] += counts[k]
+            for k in ("deduped", "retries", "attempts", "shed_seen", "draining_seen"):
+                counts[k] += rc.stats[k]
+            counts["breaker_opens"] += rc.breaker.opens
 
-    threads = [
-        threading.Thread(
-            target=session, args=(i,), name=f"chaos-soak-{i}", daemon=True
-        )
-        for i in range(concurrency)
-    ]
-    for t in threads:
-        t.start()
-    barrier.wait()
-    t_start = time.perf_counter()
-    for t in threads:
-        t.join(timeout + total_deadline_s * requests_per_client)
-    elapsed = time.perf_counter() - t_start
-    if failures:
-        raise failures[0]
-
-    lat_ms = np.asarray(latencies) * 1e3 if latencies else np.zeros(1)
-    semantic = {
-        "kill_worker": kills_executed,
-        "slow_engine": totals["slow_injected"],
-    }
+    warm, counts, shared = _closed_loop(
+        warm_socket_path or socket_path,
+        warm_msg,
+        session,
+        seed=seed,
+        concurrency=concurrency,
+        requests_per_client=requests_per_client,
+        vector_pool=vector_pool,
+        check=True,
+        timeout=timeout,
+        join_timeout=timeout + total_deadline_s * requests_per_client,
+    )
+    elapsed = shared["elapsed_seconds"]
     return ChaosSoakResult(
         matrix=matrix,
         method=method,
@@ -513,24 +517,21 @@ def run_chaos_soak(
         seed=seed,
         chaos_seed=chaos_seed,
         concurrency=concurrency,
-        requests=totals["requests"],
-        answered=totals["answered"],
-        failed=totals["failed"],
-        divergences=totals["divergences"],
-        lost_acked=totals["lost_acked"],
-        deduped=totals["deduped"],
-        retries=totals["retries"],
-        attempts=totals["attempts"],
-        hedges=totals["hedges"],
-        shed_seen=totals["shed_seen"],
-        draining_seen=totals["draining_seen"],
-        breaker_opens=totals["breaker_opens"],
-        elapsed_seconds=elapsed,
-        throughput_rps=totals["answered"] / elapsed if elapsed > 0 else 0.0,
-        mean_ms=float(lat_ms.mean()),
-        p50_ms=float(np.percentile(lat_ms, 50)),
-        p99_ms=float(np.percentile(lat_ms, 99)),
-        max_ms=float(lat_ms.max()),
-        injected_semantic=semantic,
-        tiers=_query_tiers(warm_path, timeout),
+        requests=counts["requests"],
+        answered=counts["answered"],
+        failed=counts["failed"],
+        divergences=counts["divergences"],
+        lost_acked=counts["lost_acked"],
+        deduped=counts["deduped"],
+        retries=counts["retries"],
+        attempts=counts["attempts"],
+        shed_seen=counts["shed_seen"],
+        draining_seen=counts["draining_seen"],
+        breaker_opens=counts["breaker_opens"],
+        throughput_rps=counts["answered"] / elapsed if elapsed > 0 else 0.0,
+        injected_semantic={
+            "kill_worker": int(warm.get("worker_deaths", 0)),
+            "slow_engine": counts["slow_injected"],
+        },
+        **shared,
     )

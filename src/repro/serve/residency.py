@@ -30,11 +30,10 @@ Eviction is least-recently-used, bounded by engine count and optionally
 by resident bytes (:attr:`SpmvEngine.nbytes
 <repro.runtime.engine.SpmvEngine.nbytes>`). Eviction only forgets — the
 partition and the engine artifact survive on disk, so re-admission
-costs an mmap load, not a re-partition. Because the engine's ABFT
-operators materialize lazily — *after* admission — every admitted
-engine gets an ``abft_listener`` that re-checks the byte budget the
-moment they appear, so the budget holds even for footprint that did not
-exist at admission time.
+costs an mmap load, not a re-partition. The budget is checked at
+admission: no serve path builds an engine's lazy ABFT operators, so an
+admitted engine does not grow (``abft_bytes`` is still reported per
+entry).
 """
 
 from __future__ import annotations
@@ -140,9 +139,6 @@ class EngineResidency:
         self.evictions = 0
         #: lookup outcomes by tier: memory LRU / disk store / fresh build
         self.tier_counts = {"mem_hit": 0, "disk_hit": 0, "built": 0}
-        #: post-admission ABFT budget re-checks fired / evictions they forced
-        self.abft_rechecks = 0
-        self.abft_evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -193,13 +189,10 @@ class EngineResidency:
 
         The newest entry is never evicted, even when it alone exceeds
         ``max_bytes`` — a request for an oversized matrix should succeed
-        (and evict everything else) rather than thrash. Admission also
-        arms the engine's ``abft_listener`` so the byte budget is
-        re-checked when the lazy ABFT operators materialize later.
+        (and evict everything else) rather than thrash.
         """
         self._entries[entry.key] = entry
         self._entries.move_to_end(entry.key)
-        entry.engine.abft_listener = lambda k=entry.key: self._abft_materialized(k)
         evicted: list[ResidentEngine] = []
         while len(self._entries) > self.max_engines:
             evicted.append(self._entries.popitem(last=False)[1])
@@ -207,42 +200,13 @@ class EngineResidency:
             while len(self._entries) > 1 and self.resident_bytes() > self.max_bytes:
                 evicted.append(self._entries.popitem(last=False)[1])
         self.evictions += len(evicted)
-        for gone in evicted:
-            self._disarm(gone)
         return evicted
-
-    def _abft_materialized(self, key: EngineKey) -> None:
-        """Budget re-check fired by an engine growing its ABFT operators.
-
-        The newly grown entry is treated like a fresh admission: it is
-        never evicted itself (evicting the engine that is mid-ABFT-check
-        would thrash), but older entries go until the budget holds
-        again. Evicted batchers are drained here — the listener fires on
-        the event-loop thread (ABFT runs inside request handling), the
-        same context :meth:`admit` eviction runs in.
-        """
-        self.abft_rechecks += 1
-        if self.max_bytes is None or key not in self._entries:
-            return
-        while len(self._entries) > 1 and self.resident_bytes() > self.max_bytes:
-            victim_key = next(k for k in self._entries if k != key)
-            victim = self._entries.pop(victim_key)
-            self.evictions += 1
-            self.abft_evictions += 1
-            self._disarm(victim)
-            if victim.batcher is not None:
-                victim.batcher.drain()
-
-    @staticmethod
-    def _disarm(entry: ResidentEngine) -> None:
-        entry.engine.abft_listener = None
 
     def evict(self, key: EngineKey) -> ResidentEngine | None:
         """Forcibly drop *key* (explicit eviction; counts in the stats)."""
         entry = self._entries.pop(key, None)
         if entry is not None:
             self.evictions += 1
-            self._disarm(entry)
         return entry
 
     def resident_bytes(self) -> int:
@@ -258,8 +222,6 @@ class EngineResidency:
         return {
             "tiers": dict(self.tier_counts),
             "evictions": self.evictions,
-            "abft_rechecks": self.abft_rechecks,
-            "abft_evictions": self.abft_evictions,
             "resident": len(self._entries),
             "resident_bytes": self.resident_bytes(),
             "store": self.store.stats_dict() if self.store is not None else None,

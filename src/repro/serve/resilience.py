@@ -1,4 +1,4 @@
-"""Client-side resilience: seeded retries, circuit breaking, hedging.
+"""Client-side resilience: seeded retries and circuit breaking.
 
 :class:`RetryingClient` wraps the blocking :class:`~.protocol.ServeClient`
 with the failure handling a production caller needs and the determinism
@@ -6,10 +6,10 @@ this repo's tests demand:
 
 **idempotency keys**
     Every logical request carries a client-unique ``idem`` key that stays
-    fixed across retries and hedges (each *attempt* still gets a fresh
-    wire ``id``). The server's dedup table answers a retry of in-flight
-    work from the original's future and a retry of completed work from
-    the stored result — a retried matvec is never recomputed and never
+    fixed across retries (each *attempt* still gets a fresh wire ``id``).
+    The server's dedup table answers a retry of in-flight work from the
+    original's future and a retry of completed work from the stored
+    result — a retried matvec is never recomputed and never
     double-batched, so retrying is always safe.
 
 **backoff with decorrelated jitter**
@@ -24,13 +24,6 @@ this repo's tests demand:
     timeout (bounded by the request deadline) instead of hammering a
     struggling server; a half-open probe's outcome closes or re-opens it.
 
-**hedging** (opt-in)
-    When a request has waited past a latency quantile of recent
-    successes, a second attempt fires on a fresh connection with the
-    same ``idem`` key; first response wins and the loser's connection is
-    torn down. Safe by construction: dedup means the loser costs a table
-    lookup, not a computation.
-
 Nothing here reads the wall clock directly — ``clock``/``sleep`` are
 injectable, and every random draw comes from the seeded generator — so
 retry/backoff/breaker schedules replay bit-identically under a fixed
@@ -40,8 +33,6 @@ seed (the property ``tests/test_serve_resilience.py`` pins).
 from __future__ import annotations
 
 import itertools
-import queue
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -209,11 +200,11 @@ _RETRY_SEQ = itertools.count()
 
 
 class RetryingClient:
-    """Retrying, breaker-guarded, optionally hedging matvec client.
+    """Retrying, breaker-guarded matvec client.
 
-    One instance owns one primary connection (rebuilt transparently after
-    retryable failures) plus short-lived hedge connections. Not
-    thread-safe — like :class:`ServeClient`, open one per session.
+    One instance owns one connection, rebuilt transparently after
+    retryable failures. Not thread-safe — like :class:`ServeClient`,
+    open one per session.
     """
 
     def __init__(
@@ -226,33 +217,24 @@ class RetryingClient:
         attempt_deadline_s: float | None = None,
         backoff: BackoffPolicy | None = None,
         breaker: CircuitBreaker | None = None,
-        hedge: bool = False,
-        hedge_quantile: float = 0.95,
-        hedge_min_samples: int = 16,
         connect_timeout_s: float = 60.0,
         clock=time.monotonic,
         sleep=time.sleep,
     ):
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if not 0 < hedge_quantile < 1:
-            raise ValueError(f"hedge_quantile in (0, 1), got {hedge_quantile}")
         self.socket_path = socket_path
         self.max_attempts = max_attempts
         self.total_deadline_s = total_deadline_s
         self.attempt_deadline_s = attempt_deadline_s
         self.backoff = backoff if backoff is not None else BackoffPolicy(seed=seed)
         self.breaker = breaker if breaker is not None else CircuitBreaker(clock=clock)
-        self.hedge = hedge
-        self.hedge_quantile = hedge_quantile
-        self.hedge_min_samples = hedge_min_samples
         self.connect_timeout_s = connect_timeout_s
         self._clock = clock
         self._sleep = sleep
         self._idem_prefix = f"r{next(_RETRY_SEQ)}"
         self._idem_seq = itertools.count()
         self._conn: ServeClient | None = None
-        self._latencies: deque[float] = deque(maxlen=256)
         self.stats = {
             "requests": 0,
             "attempts": 0,
@@ -260,26 +242,11 @@ class RetryingClient:
             "deduped": 0,
             "shed_seen": 0,
             "draining_seen": 0,
-            "hedges": 0,
-            "hedge_wins": 0,
             "breaker_waits": 0,
             "backoff_sleep_s": 0.0,
         }
 
     # -- connection management --------------------------------------------
-
-    def _new_conn(self) -> ServeClient:
-        return ServeClient(self.socket_path, timeout=self.connect_timeout_s)
-
-    def _take_conn(self) -> ServeClient:
-        conn, self._conn = self._conn, None
-        return conn if conn is not None else self._new_conn()
-
-    def _put_conn(self, conn: ServeClient) -> None:
-        if self._conn is None:
-            self._conn = conn
-        else:
-            conn.close()
 
     @staticmethod
     def _discard(conn: ServeClient | None) -> None:
@@ -331,7 +298,7 @@ class RetryingClient:
     def request(
         self, msg: dict, x: np.ndarray | None = None, encoding: str = "bin"
     ) -> tuple[dict, np.ndarray | None]:
-        """Send one logical request with retries/backoff/breaker/hedging.
+        """Send one logical request with retries, backoff and the breaker.
 
         Returns the first trustworthy ``ok`` response. Shed/draining
         refusals and retryable transport failures are retried under the
@@ -356,7 +323,6 @@ class RetryingClient:
                 )
             attempt += 1
             self.stats["attempts"] += 1
-            t0 = self._clock()
             try:
                 resp, y = self._attempt(msg, x, encoding, idem, remaining)
             except RETRYABLE_EXCEPTIONS as exc:
@@ -367,7 +333,6 @@ class RetryingClient:
                 continue
             if resp.get("ok"):
                 self.breaker.record(True)
-                self._latencies.append(self._clock() - t0)
                 if resp.get("deduped"):
                     self.stats["deduped"] += 1
                 return resp, y
@@ -418,12 +383,6 @@ class RetryingClient:
             self.stats["backoff_sleep_s"] += min(nxt, budget)
         return nxt
 
-    def _hedge_delay(self) -> float | None:
-        """Latency quantile after which a hedge fires (None = don't hedge)."""
-        if not self.hedge or len(self._latencies) < self.hedge_min_samples:
-            return None
-        return float(np.quantile(np.asarray(self._latencies), self.hedge_quantile))
-
     def _attempt(
         self,
         msg: dict,
@@ -432,106 +391,20 @@ class RetryingClient:
         idem: str,
         remaining_s: float,
     ) -> tuple[dict, np.ndarray | None]:
-        """One attempt: plain on the primary connection, or hedged."""
+        """One attempt on the kept connection; keep it only on success."""
         deadline = remaining_s
         if self.attempt_deadline_s is not None:
             deadline = min(deadline, self.attempt_deadline_s)
-        hedge_after = self._hedge_delay()
-        if hedge_after is None or hedge_after >= deadline:
-            return self._attempt_on(self._take_conn(), msg, x, encoding, idem, deadline)
-        return self._attempt_hedged(msg, x, encoding, idem, deadline, hedge_after)
-
-    def _attempt_on(
-        self,
-        conn: ServeClient,
-        msg: dict,
-        x: np.ndarray | None,
-        encoding: str,
-        idem: str,
-        deadline: float,
-    ) -> tuple[dict, np.ndarray | None]:
-        """Run one attempt on *conn*; return it to the pool on success."""
         wire = dict(msg)
         wire["idem"] = idem
         wire.pop("id", None)  # every attempt gets a fresh wire id
+        conn, self._conn = self._conn, None
+        if conn is None:
+            conn = ServeClient(self.socket_path, timeout=self.connect_timeout_s)
         try:
             out = conn.request(wire, x, encoding=encoding, deadline=deadline)
         except BaseException:
             self._discard(conn)
             raise
-        self._put_conn(conn)
-        return out
-
-    def _attempt_hedged(
-        self,
-        msg: dict,
-        x: np.ndarray | None,
-        encoding: str,
-        idem: str,
-        deadline: float,
-        hedge_after: float,
-    ) -> tuple[dict, np.ndarray | None]:
-        """Primary attempt in a thread; hedge on a fresh conn if it's slow.
-
-        Both attempts share the ``idem`` key, so whichever loses was
-        deduplicated server-side, never recomputed. The loser's
-        connection is closed (which unblocks its thread); its eventual
-        result or error is discarded.
-        """
-        results: queue.Queue = queue.Queue()
-
-        def runner(tag: str, conn: ServeClient, budget: float) -> None:
-            try:
-                results.put((tag, conn, self._attempt_on(
-                    conn, msg, x, encoding, idem, budget
-                ), None))
-            except BaseException as exc:
-                results.put((tag, conn, None, exc))
-
-        def get_or_deadline(timeout: float):
-            try:
-                return results.get(timeout=max(timeout, 1e-3))
-            except queue.Empty:
-                raise DeadlineExceeded(
-                    f"hedged request got no response within {deadline}s"
-                ) from None
-
-        primary = self._take_conn()
-        t1 = threading.Thread(
-            target=runner, args=("primary", primary, deadline), daemon=True
-        )
-        t1.start()
-        try:
-            tag, _conn, out, exc = results.get(timeout=hedge_after)
-        except queue.Empty:
-            self.stats["hedges"] += 1
-            hedge_conn = self._new_conn()
-            t2 = threading.Thread(
-                target=runner,
-                args=("hedge", hedge_conn, max(deadline - hedge_after, 1e-3)),
-                daemon=True,
-            )
-            t2.start()
-            tag = None
-            try:
-                tag, _conn, out, exc = get_or_deadline(deadline)
-                if exc is not None:
-                    # first finisher failed; give the survivor its chance
-                    tag, _conn, out, exc = get_or_deadline(deadline)
-                if tag == "hedge" and exc is None:
-                    self.stats["hedge_wins"] += 1
-            finally:
-                # cancel the loser: closing its socket unblocks its thread
-                # (neither finished => both are poisoned, drop both)
-                losers = (
-                    [primary if tag == "hedge" else hedge_conn]
-                    if tag is not None
-                    else [primary, hedge_conn]
-                )
-                for loser in losers:
-                    if loser is self._conn:
-                        self._conn = None
-                    self._discard(loser)
-        if exc is not None:
-            raise exc
+        self._conn = conn
         return out

@@ -47,14 +47,15 @@ inline, see :mod:`~repro.serve.batching`). Request lifecycle:
     retry of an in-flight matvec awaits the original's future (never
     double-batched), a retry of a completed one is answered from the
     stored result (never recomputed). Work admission is bounded — per
-    engine by the micro-batcher's ``max_queue``, globally by
-    ``max_inflight`` — and refusals are explicit load-shedding responses
-    (``shed: true`` with a ``retry_after_s`` hint), never silent queueing.
-    Shutdown is a *graceful drain*: in-flight requests (including cold
-    engine builds) complete, new work is refused with ``draining: true``,
-    and the listener stops only once the in-flight count hits zero (or
-    the drain grace expires). The health endpoint reports the resulting
-    state machine: ``ok`` / ``degraded`` (a recent shed) / ``draining``.
+    engine by :data:`MAX_QUEUE` pending micro-batch requests, globally by
+    :data:`MAX_INFLIGHT` requests in flight — and refusals are explicit
+    load-shedding responses (``shed: true`` with a ``retry_after_s``
+    hint), never silent queueing. Shutdown is a *graceful drain*:
+    in-flight requests (including cold engine builds) complete, new work
+    is refused with ``draining: true``, and the listener stops only once
+    the in-flight count hits zero (or :data:`DRAIN_GRACE_S` expires). The
+    health endpoint reports the resulting state machine: ``ok`` /
+    ``degraded`` (a recent shed) / ``draining``.
 """
 
 from __future__ import annotations
@@ -87,34 +88,20 @@ from .residency import EngineKey, EngineResidency, ResidentEngine
 __all__ = ["ServeConfig", "MatvecServer", "ServerHandle", "start_in_thread"]
 
 
-def _pool_start_method() -> str:
-    """Start method for the partition pool's workers.
-
-    ``fork`` is out: the pool is created from the server's event-loop
-    thread, and forking a threaded process can deadlock on locks the
-    forked copy will never see released. ``forkserver`` forks workers
-    from a clean single-threaded helper; ``spawn`` is the fallback where
-    it does not exist. Both re-import the parent's ``__main__`` for
-    pickling fidelity, which breaks when the server is embedded in a
-    process whose main module is not a real file (``python -c``, stdin,
-    a REPL) — for that case, drop the bogus ``__file__`` so the children
-    skip the re-import; our task function lives in this importable
-    module, and ``sys.path`` still propagates.
-    """
-    import multiprocessing
-    import sys
-
-    main = sys.modules.get("__main__")
-    main_file = getattr(main, "__file__", None)
-    if (
-        main is not None
-        and getattr(main, "__spec__", None) is None
-        and main_file is not None
-        and not os.path.exists(main_file)
-    ):
-        del main.__file__
-    methods = multiprocessing.get_all_start_methods()
-    return "forkserver" if "forkserver" in methods else "spawn"
+#: layout a request gets when it names no ``method``
+DEFAULT_METHOD = "2d-gp"
+#: simulated process count a request gets when it names no ``procs``
+DEFAULT_PROCS = 16
+#: per-engine pending-request bound before load shedding
+MAX_QUEUE = 128
+#: global in-flight work bound (matvec + partition + warmup) before shedding
+MAX_INFLIGHT = 512
+#: seconds a graceful drain waits for in-flight work before forcing stop
+DRAIN_GRACE_S = 30.0
+#: completed idempotency-table entries kept for retry dedup (LRU)
+IDEM_CAPACITY = 4096
+#: requests after the last shed during which health reports "degraded"
+DEGRADED_WINDOW = 100
 
 
 def _partition_task(A, kind, nparts, seed, cache_dir, inject_kill, attempt):
@@ -141,8 +128,6 @@ class ServeConfig:
     batch_deadline_ms: float = 2.0
     max_engines: int = 8
     max_resident_bytes: int | None = None
-    default_method: str = "2d-gp"
-    default_procs: int = 16
     default_seed: int = 0
     partition_timeout_s: float = 300.0
     partition_retries: int = 2
@@ -155,16 +140,6 @@ class ServeConfig:
     use_engine_store: bool = True
     allow_fault_injection: bool = False
     preload: tuple[str, ...] = ()
-    #: per-engine pending-request bound before load shedding
-    max_queue: int = 128
-    #: global in-flight work bound (matvec + partition) before shedding
-    max_inflight: int = 512
-    #: seconds a graceful drain waits for in-flight work before forcing stop
-    drain_grace_s: float = 30.0
-    #: completed idempotency-table entries kept for retry dedup (LRU)
-    idem_capacity: int = 4096
-    #: requests after the last shed during which health reports "degraded"
-    degraded_window: int = 100
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -173,14 +148,6 @@ class ServeConfig:
             raise ValueError("batch_deadline_ms must be >= 0")
         if self.partition_retries < 0:
             raise ValueError("partition_retries must be >= 0")
-        if self.max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.drain_grace_s < 0:
-            raise ValueError("drain_grace_s must be >= 0")
-        if self.idem_capacity < 1:
-            raise ValueError(f"idem_capacity must be >= 1, got {self.idem_capacity}")
 
 
 @dataclass
@@ -221,7 +188,6 @@ class MatvecServer:
         self.pool = ResilientPool(
             max_workers=config.pool_workers,
             max_retries=config.partition_retries,
-            mp_context=_pool_start_method(),
         )
         self.counters = {
             "requests": 0,
@@ -279,8 +245,8 @@ class MatvecServer:
                     name,
                     A,
                     mhash,
-                    self.config.default_method,
-                    self.config.default_procs,
+                    DEFAULT_METHOD,
+                    DEFAULT_PROCS,
                     self.config.default_seed,
                 )
             if on_started is not None:
@@ -307,7 +273,7 @@ class MatvecServer:
 
         New matvec/partition work is refused with ``draining: true`` from
         this point on; pending micro-batches flush now; the listener stops
-        once the last in-flight request completes (a ``drain_grace_s``
+        once the last in-flight request completes (a :data:`DRAIN_GRACE_S`
         timer forces the stop if something wedges).
         """
         if self._draining:
@@ -319,12 +285,8 @@ class MatvecServer:
         if self._stop is not None:
             if self._inflight_work == 0:
                 self._stop.set()
-            elif self.config.drain_grace_s > 0:
-                asyncio.get_running_loop().call_later(
-                    self.config.drain_grace_s, self._stop.set
-                )
             else:
-                self._stop.set()
+                asyncio.get_running_loop().call_later(DRAIN_GRACE_S, self._stop.set)
 
     @property
     def state(self) -> str:
@@ -334,10 +296,10 @@ class MatvecServer:
         if (
             self._last_shed_request is not None
             and self.counters["requests"] - self._last_shed_request
-            <= self.config.degraded_window
+            <= DEGRADED_WINDOW
         ):
             return "degraded"
-        if self._inflight_work >= self.config.max_inflight:
+        if self._inflight_work >= MAX_INFLIGHT:
             return "degraded"
         return "ok"
 
@@ -480,16 +442,8 @@ class MatvecServer:
                 self.residency.load_from_store, key, name
             )
             if entry is not None:
-                entry.batcher = MicroBatcher(
-                    entry.engine,
-                    max_batch=self.config.max_batch,
-                    deadline_s=self.config.batch_deadline_ms / 1e3,
-                    max_pending=self.config.max_queue,
-                )
                 entry.dist_builder = self._dist_builder(A, method, procs, seed)
-                for evicted in self.residency.admit(entry):
-                    if evicted.batcher is not None:
-                        evicted.batcher.drain()
+                self._admit(entry)
                 meta["engine_source"] = "disk"
                 meta["mmapped"] = entry.meta.get("mmapped", False)
                 meta["load_seconds"] = round(time.perf_counter() - t_load, 6)
@@ -547,12 +501,6 @@ class MatvecServer:
             cold_partition_seconds=partition_seconds,
             compile_seconds=time.perf_counter() - t1,
         )
-        entry.batcher = MicroBatcher(
-            dist.engine,
-            max_batch=self.config.max_batch,
-            deadline_s=self.config.batch_deadline_ms / 1e3,
-            max_pending=self.config.max_queue,
-        )
         deaths = self.pool.deaths - deaths_before
         if deaths:
             event = await asyncio.to_thread(
@@ -561,9 +509,7 @@ class MatvecServer:
             self.fault_events.append(event)
             meta["worker_deaths"] = deaths
             meta["recovery"] = event["recovery"]
-        for evicted in self.residency.admit(entry):
-            if evicted.batcher is not None:
-                evicted.batcher.drain()
+        self._admit(entry)
         self.residency.note_built()
         meta["engine_source"] = "built"
         meta["partition_seconds"] = round(partition_seconds, 6)
@@ -579,6 +525,22 @@ class MatvecServer:
             except Exception as exc:
                 meta["store_error"] = f"{type(exc).__name__}: {exc}"
         return _BuildOutcome(entry, meta)
+
+    def _admit(self, entry: ResidentEngine) -> None:
+        """Give *entry* its micro-batcher and make it resident.
+
+        Evicted entries' batchers are drained, so nothing queued on an
+        evicted engine is left waiting.
+        """
+        entry.batcher = MicroBatcher(
+            entry.engine,
+            max_batch=self.config.max_batch,
+            deadline_s=self.config.batch_deadline_ms / 1e3,
+            max_pending=MAX_QUEUE,
+        )
+        for evicted in self.residency.admit(entry):
+            if evicted.batcher is not None:
+                evicted.batcher.drain()
 
     def _price_worker_death(
         self, dist, name: str, key: EngineKey, deaths: int
@@ -673,11 +635,10 @@ class MatvecServer:
                 "draining": True,
                 "retry_after_s": self._retry_after_s(),
             })
-        if self._inflight_work >= self.config.max_inflight:
+        if self._inflight_work >= MAX_INFLIGHT:
             return self._shed_response(
                 rid,
-                f"{self._inflight_work} request(s) in flight "
-                f"(bound {self.config.max_inflight})",
+                f"{self._inflight_work} request(s) in flight (bound {MAX_INFLIGHT})",
             )
         return None
 
@@ -731,8 +692,8 @@ class MatvecServer:
 
     def _request_layout(self, msg: dict) -> tuple[str, int, int]:
         """A request's ``(method, procs, seed)``, defaulted and validated."""
-        method = msg.get("method", self.config.default_method)
-        procs = msg.get("procs", self.config.default_procs)
+        method = msg.get("method", DEFAULT_METHOD)
+        procs = msg.get("procs", DEFAULT_PROCS)
         seed = msg.get("seed", self.config.default_seed)
         if not isinstance(procs, int) or procs < 1:
             raise ProtocolError(f"procs must be a positive int, got {procs!r}")
@@ -821,11 +782,11 @@ class MatvecServer:
 
     def _trim_idem(self) -> None:
         """Evict oldest *completed* idempotency entries beyond capacity."""
-        while len(self._idem) > self.config.idem_capacity:
+        while len(self._idem) > IDEM_CAPACITY:
             stale = next(
                 (k for k, e in self._idem.items() if e.y is not None), None
             )
-            if stale is None:  # everything pending; bounded by max_inflight
+            if stale is None:  # everything pending; bounded by MAX_INFLIGHT
                 break
             del self._idem[stale]
 

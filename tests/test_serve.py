@@ -814,13 +814,13 @@ def test_micro_batcher_sheds_over_bound():
     assert b.flushes["drain"] == 1 and b.matvecs == 2
 
 
-def test_health_reports_degraded_after_shed(serve_env):
+def test_health_reports_degraded_after_shed(serve_env, monkeypatch):
+    monkeypatch.setattr("repro.serve.server.MAX_QUEUE", 1)
     tmp = _short_tmpdir()
     config = ServeConfig(
         socket_path=os.path.join(tmp, "shed.sock"),
         max_batch=2,
         batch_deadline_ms=200.0,
-        max_queue=1,
         allow_fault_injection=True,
     )
     handle = start_in_thread(config)
@@ -861,6 +861,119 @@ def test_health_reports_degraded_after_shed(serve_env):
         with ServeClient(config.socket_path, timeout=10.0) as c:
             c.request({"op": "shutdown"})
         handle.stop()
+
+
+def test_inflight_bound_sheds_concurrent_matvec(serve_env, monkeypatch):
+    """With one request allowed in flight, a matvec arriving while a slow
+    one computes is shed with a backpressure hint; the slow one completes."""
+    monkeypatch.setattr("repro.serve.server.MAX_INFLIGHT", 1)
+    tmp = _short_tmpdir()
+    config = ServeConfig(
+        socket_path=os.path.join(tmp, "inf.sock"), allow_fault_injection=True
+    )
+    handle = start_in_thread(config)
+    x = np.random.default_rng(11).standard_normal(serve_env["A"].shape[0])
+    slow: dict = {}
+
+    def fire_slow():
+        with ServeClient(config.socket_path, timeout=60.0) as c:
+            slow["resp"], _ = _matvec(c, serve_env, x, fault={"slow_ms": 1500.0})
+
+    try:
+        with ServeClient(config.socket_path, timeout=300.0) as c:
+            resp, _ = c.request(
+                {"op": "partition", "matrix": serve_env["mtx"],
+                 "procs": PROCS, "seed": 0}
+            )
+            assert resp["ok"], resp
+            t = threading.Thread(target=fire_slow)
+            t.start()
+            give_up = time.monotonic() + 30.0
+            while c.request({"op": "health"})[0]["inflight"] < 1:
+                assert time.monotonic() < give_up, "slow matvec never in flight"
+                time.sleep(0.01)
+            resp, y = _matvec(c, serve_env, x)
+        t.join(60)
+        assert not t.is_alive()
+        assert resp["shed"] is True and not resp["ok"] and y is None
+        assert resp["retry_after_s"] > 0
+        assert "in flight (bound 1)" in resp["error"]
+        assert slow["resp"]["ok"], slow["resp"]
+    finally:
+        with ServeClient(config.socket_path, timeout=10.0) as c:
+            c.request({"op": "shutdown"})
+        handle.stop()
+
+
+def test_idem_table_keeps_only_the_newest_completed_keys(serve_env, monkeypatch):
+    """Past the table's capacity the oldest completed key is forgotten:
+    its retry is computed again (bit-identically), the newest is deduped."""
+    monkeypatch.setattr("repro.serve.server.IDEM_CAPACITY", 2)
+    xs = np.random.default_rng(12).standard_normal((3, serve_env["A"].shape[0]))
+    keys = [f"cap-{os.getpid()}-{i}" for i in range(3)]
+
+    def deduped(c) -> int:
+        return c.request({"op": "stats"})[0]["counters"]["deduped"]
+
+    with ServeClient(serve_env["sock"], timeout=300.0) as c:
+        first = [_matvec(c, serve_env, xs[i], idem=keys[i]) for i in range(3)]
+        assert all(r["ok"] and not r.get("deduped") for r, _ in first)
+        before = deduped(c)
+        resp, y = _matvec(c, serve_env, xs[0], idem=keys[0])
+        assert resp["ok"] and not resp.get("deduped")
+        assert np.array_equal(y, first[0][1])
+        assert deduped(c) == before
+        resp, y = _matvec(c, serve_env, xs[2], idem=keys[2])
+        assert resp["ok"] and resp["deduped"] is True
+        assert np.array_equal(y, first[2][1])
+        assert deduped(c) == before + 1
+
+
+def test_warmup_reports_engine_tiers(serve_env):
+    """``warmup`` walks memory -> artifact store -> build and says which
+    tier each engine came from; bad requests and drains are refused."""
+    tmp = _short_tmpdir()
+    store = os.path.join(tmp, "engines")
+    msg = {"op": "warmup", "matrices": [serve_env["mtx"]] * 2,
+           "procs": PROCS, "seed": 0}
+
+    def sources(resp) -> list[str]:
+        assert resp["ok"], resp
+        return [w["engine_source"] for w in resp["warmed"]]
+
+    for i, expect in enumerate((["built", "memory"], ["disk", "memory"])):
+        sock = os.path.join(tmp, f"w{i}.sock")
+        handle = start_in_thread(ServeConfig(socket_path=sock, engine_store_dir=store))
+        try:
+            with ServeClient(sock, timeout=300.0) as c:
+                first, _ = c.request(msg)
+                assert sources(first) == expect
+                assert first["tiers"] == {
+                    "mem_hit": 1,
+                    "disk_hit": int(expect[0] == "disk"),
+                    "built": int(expect[0] == "built"),
+                }
+                second, _ = c.request(msg)
+                assert sources(second) == ["memory", "memory"]
+                assert second["tiers"] == dict(first["tiers"], mem_hit=3)
+                keys = {w["engine_key"] for w in first["warmed"] + second["warmed"]}
+                assert len(keys) == 1
+                empty, _ = c.request({"op": "warmup", "matrices": []})
+                assert not empty["ok"] and "non-empty list" in empty["error"]
+                c.request({"op": "shutdown"})
+        finally:
+            handle.stop()
+
+    from repro.serve import MatvecServer
+
+    server = MatvecServer(
+        ServeConfig(socket_path=os.path.join(tmp, "d.sock"), use_engine_store=False)
+    )
+    server.begin_drain()
+    refused = {"op": "warmup", "id": 7, "matrices": ["m"]}
+    resp = json.loads(asyncio.run(server._dispatch(refused, None)))
+    assert resp["id"] == 7 and not resp["ok"] and resp["draining"] is True
+    assert resp["retry_after_s"] > 0
 
 
 def test_server_handle_stop_raises_on_hung_thread():

@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import tempfile
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -502,6 +503,78 @@ def test_loadgen_deadline_counts_timeouts_separately(serve_env):
     assert res.requests + res.timeouts == 8  # every issue is accounted
     assert res.errors == 0 and res.divergences == 0
     assert res.as_dict()["timeouts"] == res.timeouts
+
+
+class _WarmOnlyClient:
+    """Fake ServeClient: the first connection answers the warm-up, every
+    later one (a session's) is refused."""
+
+    connected = 0
+
+    def __init__(self, socket_path, timeout=None):
+        type(self).connected += 1
+        if type(self).connected > 1:
+            raise ConnectionRefusedError(f"refused: {socket_path}")
+
+    def request(self, msg, x=None, **kw):
+        return {"ok": True, "op": msg["op"], "n": 4}, None
+
+    def close(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _raised_within(fn, seconds: float = 30.0) -> Exception | None:
+    """Run *fn* on a thread; fail the test if it has not returned in time."""
+    box: dict = {}
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:
+            box["exc"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"closed loop still running after {seconds}s"
+    return box.get("exc")
+
+
+@pytest.fixture
+def fake_loop(monkeypatch):
+    monkeypatch.setattr(_WarmOnlyClient, "connected", 0)
+    monkeypatch.setattr("repro.serve.loadgen.ServeClient", _WarmOnlyClient)
+    identity = types.SimpleNamespace(spmv=lambda x: x)
+    monkeypatch.setattr(
+        "repro.serve.loadgen.reference_engine", lambda *args: (identity, 4)
+    )
+
+
+def test_loadgen_raises_the_session_connect_error(fake_loop):
+    """A session that cannot connect before the start must surface its own
+    error, not the start barrier's BrokenBarrierError."""
+    exc = _raised_within(
+        lambda: run_loadgen("serve.sock", "m", concurrency=2, timeout=5.0)
+    )
+    assert isinstance(exc, ConnectionRefusedError), repr(exc)
+
+
+def test_chaos_soak_raises_the_session_setup_error(fake_loop):
+    """A session whose client cannot be built must fail the soak with that
+    error instead of leaving the start barrier waiting forever."""
+    exc = _raised_within(
+        lambda: run_chaos_soak(
+            "proxy.sock", "m", warm_socket_path="serve.sock",
+            concurrency=2, max_attempts=0, timeout=5.0,
+        )
+    )
+    assert isinstance(exc, ValueError) and "max_attempts" in str(exc), repr(exc)
 
 
 # ---------------------------------------------------------------------------

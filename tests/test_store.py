@@ -318,66 +318,9 @@ class TestAbftBudget:
         assert engine.abft_bytes > 0
         assert engine.nbytes == base + engine.abft_bytes
 
-    def test_materialization_triggers_recheck_and_eviction(self, small_rmat):
-        res = EngineResidency(max_engines=10)
-        first = self._admit(small_rmat, 0, res)
-        second = self._admit(small_rmat, 1, res)
-        # budget fits both engines now, but not after one ABFT growth
-        res.max_bytes = res.resident_bytes() + 1
-        self._materialize_abft(second)
-        assert res.abft_rechecks == 1
-        assert res.abft_evictions == 1
-        assert second.key in res  # the growing entry is never the victim
-        assert first.key not in res
-        assert res.resident_bytes() <= res.max_bytes
-
-    def test_budget_never_exceeded_after_growth(self, small_rmat):
-        res = EngineResidency(max_engines=10)
-        entries = [self._admit(small_rmat, s, res) for s in range(3)]
-        res.max_bytes = res.resident_bytes() + 1
-        self._materialize_abft(entries[-1])
-        # invariant: over-budget residency only survives as a single entry
-        assert res.resident_bytes() <= res.max_bytes or len(res) == 1
-        assert entries[-1].key in res
-        assert res.abft_evictions >= 1
-
-    def test_no_budget_means_recheck_is_a_noop(self, small_rmat):
-        res = EngineResidency(max_engines=10, max_bytes=None)
-        a = self._admit(small_rmat, 0, res)
-        b = self._admit(small_rmat, 1, res)
-        self._materialize_abft(b)
-        assert res.abft_rechecks == 1
-        assert res.abft_evictions == 0
-        assert a.key in res and b.key in res
-
-    def test_evicted_entries_are_disarmed(self, small_rmat):
-        res = EngineResidency(max_engines=10, max_bytes=None)
-        a = self._admit(small_rmat, 0, res)
-        res.evict(a.key)
-        assert a.engine.abft_listener is None
-        # late materialization on the evicted engine must not touch residency
-        self._materialize_abft(a)
-        assert res.abft_rechecks == 0
-
     def test_as_dict_surfaces_abft_bytes(self, small_rmat):
         res = EngineResidency(max_engines=10)
         a = self._admit(small_rmat, 0, res)
         assert a.as_dict()["abft_bytes"] == 0
         self._materialize_abft(a)
         assert a.as_dict()["abft_bytes"] == a.engine.abft_bytes > 0
-
-    def test_abft_drains_evicted_batcher(self, small_rmat):
-        class _Batcher:
-            drained = False
-
-            def drain(self):
-                self.drained = True
-
-        res = EngineResidency(max_engines=10)
-        victim = self._admit(small_rmat, 0, res)
-        victim.batcher = _Batcher()
-        grower = self._admit(small_rmat, 1, res)
-        res.max_bytes = res.resident_bytes() + 1
-        self._materialize_abft(grower)
-        assert victim.key not in res
-        assert victim.batcher.drained

@@ -294,26 +294,64 @@ class TestByteAccounting:
 # ---------------------------------------------------------------------------
 
 
-def _report_worker_env(_item):
-    return (
-        os.environ.get("OMP_NUM_THREADS"),
-        os.environ.get("OPENBLAS_NUM_THREADS"),
-    )
+#: thread-count getters an OpenBLAS build may export (reference name,
+#: then the prefixed / 64-bit-integer builds numpy and scipy wheels ship)
+_OPENBLAS_GETTERS = (
+    "openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "scipy_openblas_get_num_threads64_",
+)
 
 
+def _openblas_thread_counts(_item) -> dict[str, int]:
+    """Thread count of every OpenBLAS mapped into this worker, by file."""
+    import ctypes
+
+    import scipy.linalg  # noqa: F401  (maps scipy's own OpenBLAS too)
+
+    with open("/proc/self/maps") as maps:
+        fields = [line.split(maxsplit=5) for line in maps]
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    counts = {}
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts[os.path.basename(path)] = getter()
+                break
+    return counts
+
+
+def _assert_pinned(counts: dict[str, int]) -> None:
+    if not counts:
+        pytest.skip("no OpenBLAS loaded in the worker")
+    assert counts == dict.fromkeys(counts, 1)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
 class TestOversubscriptionGuard:
+    """Pool workers run every loaded OpenBLAS on one thread, not just
+    with the environment pinned: numpy has loaded its OpenBLAS before a
+    worker's initializer runs, under every start method."""
+
     def test_parallel_map_workers_pin_threads_to_one(self):
         from repro.parallel import parallel_map
 
-        for report in parallel_map(_report_worker_env, [0, 1], jobs=2):
-            assert report == ("1", "1")
+        for counts in parallel_map(_openblas_thread_counts, [0, 1], jobs=2):
+            _assert_pinned(counts)
 
     def test_resilient_pool_workers_pin_threads_to_one(self):
         from repro.parallel import ResilientPool
 
-        pool = ResilientPool(max_workers=1, mp_context="spawn")
+        pool = ResilientPool(max_workers=1)
         try:
-            report = pool.run(_report_worker_env, timeout=120.0)
+            counts = pool.run(_openblas_thread_counts, timeout=120.0)
         finally:
             pool.shutdown()
-        assert report == ("1", "1")
+        _assert_pinned(counts)
