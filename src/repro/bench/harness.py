@@ -32,7 +32,7 @@ from ..partitioning import PARTITION_METHODS, partition_matrix
 from ..partitioning.api import _repair
 from ..partitioning.kway import derive_nested_partition
 from ..runtime import CAB, CommStats, DistSparseMatrix, MachineModel, comm_stats
-from ..runtime.store import EngineKey, EngineStore, matrix_hash
+from ..runtime.store import EngineKey, _atomic_write, matrix_hash
 
 __all__ = [
     "PAPER_TO_PROXY_PROCS",
@@ -78,19 +78,13 @@ def default_cache_dir() -> Path:
 def atomic_save_npy(path: Path, arr: np.ndarray) -> None:
     """Write an .npy file atomically (tmp file + ``os.replace``).
 
-    Concurrent writers of the same key each write a distinct pid-suffixed
-    tmp file and race only on the atomic rename, so readers can never
-    observe a torn file. ``np.save`` gets an open handle because it
-    appends ``.npy`` to bare path names.
+    Concurrent writers of the same key — processes or threads — each
+    write a distinct tmp file and race only on the atomic rename, so
+    readers can never observe a torn file. ``np.save`` gets an open
+    handle because it appends ``.npy`` to bare path names.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as f:
-            np.save(f, arr)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _atomic_write(path, lambda f: np.save(f, arr))
 
 
 def rpart_cache_path(
@@ -211,7 +205,7 @@ def engine_store_key(
     seed: int = 0,
     nested_from: int | None = None,
 ) -> EngineKey:
-    """The :class:`EngineKey` a sweep cell's compiled engine stores under.
+    """The :class:`EngineKey` a cell's compiled engine stores under.
 
     Nested-derivation cells get a ``n{pmax}`` variant: a p=16 layout
     derived from the p=64 partition is a different matrix-on-ranks than
@@ -232,18 +226,12 @@ def run_spmv_cell(
     nested_from: int | None = None,
     validate: bool | None = None,
     orientation: str = "fixed",
-    engine_store: EngineStore | None = None,
 ) -> SpmvRecord:
     """Evaluate one (matrix, layout, p) cell.
 
     ``validate=None`` auto-enables the real four-phase multiply check for
     p <= 64 (the data movement is identical in structure at higher p; the
     check is skipped there only to keep sweep time down).
-
-    ``engine_store``, when given, is probed for a previously compiled
-    engine before the validation multiply (a hit skips the plan-build +
-    compile inside ``dist.spmv``); a miss compiles as usual and persists
-    the result for the next sweep.
     """
     layout = layout_for(
         A, method, nprocs, seed=seed, cache_dir=cache_dir,
@@ -255,20 +243,9 @@ def run_spmv_cell(
         validate = nprocs <= 64
     err = float("nan")
     if validate:
-        store_key = None
-        if engine_store is not None:
-            store_key = engine_store_key(
-                A, method, nprocs, seed=seed, nested_from=nested_from
-            )
-            hit = engine_store.load(store_key)
-            if hit is not None:
-                dist._engine = hit.engine
-                store_key = None  # already stored; skip the save below
         rng = np.random.default_rng(12345)
         x = rng.standard_normal(A.shape[0])
         err = float(np.abs(dist.spmv(x) - A @ x).max())
-        if store_key is not None:
-            engine_store.save(store_key, dist.engine, {"matrix": matrix_name})
     return SpmvRecord(
         matrix=matrix_name,
         method=layout.name,
@@ -286,11 +263,8 @@ def _spmv_cell_task(args: tuple) -> SpmvRecord:
     cache; the atomic writer makes that a benign duplicated computation,
     never a torn read.
     """
-    A, name, method, p, seed, cache_dir, store_dir = args
-    store = EngineStore(store_dir) if store_dir is not None else None
-    return run_spmv_cell(
-        A, name, method, p, seed=seed, cache_dir=cache_dir, engine_store=store
-    )
+    A, name, method, p, seed, cache_dir = args
+    return run_spmv_cell(A, name, method, p, seed=seed, cache_dir=cache_dir)
 
 
 def _matrix_grid_task(args: tuple) -> list[SpmvRecord]:
@@ -299,9 +273,8 @@ def _matrix_grid_task(args: tuple) -> list[SpmvRecord]:
     the shared partition cache (one deep rpart per method serves every p
     via nesting), so concurrent columns do not repeat partitioner work.
     """
-    name, A, methods, procs, machine, seed, cache_dir, nested, store_dir = args
+    name, A, methods, procs, machine, seed, cache_dir, nested = args
     A = as_csr(A)
-    store = EngineStore(store_dir) if store_dir is not None else None
     records: list[SpmvRecord] = []
     pmax = max(procs)
     for p in procs:
@@ -311,7 +284,6 @@ def _matrix_grid_task(args: tuple) -> list[SpmvRecord]:
                 run_spmv_cell(
                     A, name, method, p, machine=machine, seed=seed,
                     cache_dir=cache_dir, nested_from=nested_from,
-                    engine_store=store,
                 )
             )
     return records
@@ -326,16 +298,12 @@ def spmv_grid(
     cache_dir: Path | None = None,
     nested: bool = True,
     jobs: int | None = None,
-    engine_store: Path | str | None = None,
 ) -> list[SpmvRecord]:
     """Run the full sweep; matrices may be corpus names or name->matrix.
 
     ``jobs`` fans matrices across a process pool (cells within a matrix
     share cached partitions, so the matrix is the natural grain). Record
     order and contents are identical to the serial sweep.
-    ``engine_store`` (a directory) lets validation cells reuse compiled
-    engines across runs and workers; pool workers each open the same
-    directory, composing through the store's atomic writes.
     """
     if isinstance(matrices, list):
         matrices = {name: load_corpus_matrix(name) for name in matrices}
@@ -343,10 +311,8 @@ def spmv_grid(
         # workers must agree on one cache directory even if the pool was
         # forked before the caller exported $REPRO_CACHE_DIR
         cache_dir = default_cache_dir()
-    store_dir = Path(engine_store) if engine_store is not None else None
     tasks = [
-        (name, as_csr(A), methods, procs, machine, seed, cache_dir, nested,
-         store_dir)
+        (name, as_csr(A), methods, procs, machine, seed, cache_dir, nested)
         for name, A in matrices.items()
     ]
     from ..parallel import parallel_map

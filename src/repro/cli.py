@@ -138,18 +138,6 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-def _resolve_engine_store(value) -> Path | None:
-    """``--engine-store`` semantics: absent -> None, bare flag -> default
-    store directory, explicit value -> that directory."""
-    if value is None:
-        return None
-    if value == "":
-        from .runtime.store import default_store_dir
-
-        return default_store_dir()
-    return Path(value)
-
-
 def _cmd_spmv(args) -> int:
     from .bench.harness import _spmv_cell_task, default_cache_dir
     from .bench.reporting import format_table
@@ -157,9 +145,8 @@ def _cmd_spmv(args) -> int:
 
     A = _load(args.matrix)
     cache_dir = default_cache_dir()
-    store_dir = _resolve_engine_store(args.engine_store)
     tasks = [
-        (A, args.matrix, method, args.procs, args.seed, cache_dir, store_dir)
+        (A, args.matrix, method, args.procs, args.seed, cache_dir)
         for method in args.methods
     ]
     rows = []
@@ -226,11 +213,9 @@ def _cmd_regress(args) -> int:
     spec = _regress_spec(args)
     golden_dir = Path(args.golden_dir)
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    engine_store = _resolve_engine_store(args.engine_store)
     if args.action == "generate":
         paths = generate_goldens(
-            spec, golden_dir, cache_dir=cache_dir, progress=print, jobs=args.jobs,
-            engine_store=engine_store,
+            spec, golden_dir, cache_dir=cache_dir, progress=print, jobs=args.jobs
         )
         print(f"wrote {len(paths)} golden file(s) under {golden_dir}")
         return 0
@@ -248,7 +233,7 @@ def _cmd_regress(args) -> int:
 
     mismatches, ncells = check_goldens(
         spec, golden_dir, cache_dir=cache_dir, rtol=args.rtol, progress=print,
-        jobs=args.jobs, engine_store=engine_store,
+        jobs=args.jobs,
     )
     if not mismatches:
         print(
@@ -647,11 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("-p", "--procs", type=int, default=64)
     p.add_argument("--methods", nargs="+", default=default_methods)
-    p.add_argument("--engine-store", nargs="?", const="", default=None,
-                   metavar="DIR",
-                   help="reuse compiled engines from the artifact store "
-                        "(bare flag: $REPRO_ENGINE_STORE_DIR or the default "
-                        "store; with DIR: that directory)")
     p.set_defaults(fn=_cmd_spmv)
 
     p = sub.add_parser("eigen", help="compare layouts for the eigensolver",
@@ -677,11 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="process counts (default: 4 16 64)")
     common.add_argument("--cache-dir",
                         help="partition cache (default: $REPRO_CACHE_DIR)")
-    common.add_argument("--engine-store", nargs="?", const="", default=None,
-                        metavar="DIR",
-                        help="compiled-engine artifact store: warm cells skip "
-                             "their builds (bare flag: the default store "
-                             "directory; with DIR: that directory)")
     g = rsub.add_parser("generate", parents=[common],
                         help="recompute the grid and (over)write goldens")
     g.set_defaults(fn=_cmd_regress)

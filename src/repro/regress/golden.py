@@ -191,15 +191,10 @@ def _matrix_cells_task(args: tuple) -> dict:
     them across. Cell computation is pure; all golden-file reads/writes
     stay in the parent.
     """
-    name, A, spec, cache_dir, store_dir = args
+    name, A, spec, cache_dir = args
     if A is None:
         A = load_corpus_matrix(name)
-    store = None
-    if store_dir is not None:
-        from ..runtime.store import EngineStore
-
-        store = EngineStore(store_dir)
-    return compute_matrix_cells(A, spec, name, cache_dir, engine_store=store)
+    return compute_matrix_cells(A, spec, name, cache_dir)
 
 
 def _all_matrix_cells(
@@ -207,11 +202,9 @@ def _all_matrix_cells(
     cache_dir: Path | None,
     matrices: dict | None,
     jobs: int | None,
-    engine_store: Path | None = None,
 ) -> list[dict]:
     tasks = [
-        (name, matrices.get(name) if matrices is not None else None, spec,
-         cache_dir, engine_store)
+        (name, matrices.get(name) if matrices is not None else None, spec, cache_dir)
         for name in spec.matrices
     ]
     from ..parallel import parallel_map
@@ -226,18 +219,14 @@ def generate_goldens(
     matrices: dict | None = None,
     progress: Callable[[str], None] | None = None,
     jobs: int | None = None,
-    engine_store: Path | None = None,
 ) -> list[Path]:
     """Recompute the grid and (over)write one golden file per matrix.
 
     ``jobs`` fans the per-matrix recomputation across a process pool;
     the emitted files are byte-identical to a serial run.
-    ``engine_store`` (a directory) lets cells reuse compiled-engine
-    artifacts — metrics ride the artifact metadata, so warm runs skip
-    the builds without changing a byte of output.
     """
     paths = []
-    all_cells = _all_matrix_cells(spec, cache_dir, matrices, jobs, engine_store)
+    all_cells = _all_matrix_cells(spec, cache_dir, matrices, jobs)
     for i, (name, cells) in enumerate(zip(spec.matrices, all_cells), 1):
         paths.append(write_golden(golden_dir, name, golden_payload(name, spec, cells)))
         if progress is not None:
@@ -253,19 +242,18 @@ def check_goldens(
     rtol: float = DEFAULT_RTOL,
     progress: Callable[[str], None] | None = None,
     jobs: int | None = None,
-    engine_store: Path | None = None,
 ) -> tuple[list[Mismatch], int]:
     """Check the whole grid. Returns (mismatches, cells checked).
 
-    ``jobs`` parallelises the recomputation only; comparison against the
-    goldens is cheap and stays in the parent, in matrix order.
-    ``engine_store`` is the warm path: cells whose artifacts carry
-    matching metrics skip their builds entirely.
+    Every cell is recomputed from the current code (see
+    :mod:`repro.regress.grid`). ``jobs`` parallelises the recomputation
+    only; comparison against the goldens is cheap and stays in the
+    parent, in matrix order.
     """
     mismatches: list[Mismatch] = []
     ncells = 0
     total = len(spec.matrices)
-    all_cells = _all_matrix_cells(spec, cache_dir, matrices, jobs, engine_store)
+    all_cells = _all_matrix_cells(spec, cache_dir, matrices, jobs)
     for i, (name, cells) in enumerate(zip(spec.matrices, all_cells), 1):
         ncells += len(cells)
         found = compare_matrix(name, load_golden(golden_dir, name), cells, spec, rtol)

@@ -13,13 +13,13 @@ process counts derive from the p-max partition by recursive-bisection
 nesting — exactly how the benches amortise partitioner runs, so goldens
 and benches see identical layouts.
 
-With an ``engine_store`` directory, each cell additionally probes the
-compiled-engine artifact store before building anything: artifacts saved
-by a previous regress run carry the cell's metrics in their metadata, so
-a matching entry (same machine model) skips the layout + DistSparseMatrix
-build entirely. Metrics survive the JSON round-trip bit-exactly (ints
-stay ints, float repr is shortest-round-trip), so a store hit produces
-the same golden bytes as a fresh build.
+Every run recomputes every cell: the layout, the
+:class:`DistSparseMatrix` build and the metrics come from the current
+code, so a change to any of them shows up as a named-cell diff. The
+partition cache is the one thing reused, and it is keyed by matrix
+content, partitioner, part count and seed, not by code — after a
+partitioner change, check against an empty cache directory (CI keys its
+partition cache on the partitioning and graphs sources for this reason).
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..bench.harness import engine_store_key, layout_for
+from ..bench.harness import layout_for
 from ..generators.corpus import corpus_names, corpus_spec
 from ..graphs.csr import as_csr
 from ..layouts import paper_methods
 from ..runtime import MACHINES, DistSparseMatrix
-from ..runtime.store import EngineStore
 from .extract import cell_metrics
 
 __all__ = [
@@ -87,19 +86,12 @@ def compute_matrix_cells(
     spec: GridSpec,
     matrix: str,
     cache_dir: Path | None = None,
-    engine_store: "EngineStore | None" = None,
 ) -> dict[str, dict[str, int | float]]:
     """Metrics for every (method, p) cell of one matrix.
 
     Builds each layout (partitions come from the cache; p < max(procs)
     derives from the p-max partition by RB nesting) and a
     :class:`DistSparseMatrix` on the spec's machine model — no SpMV runs.
-
-    With ``engine_store``, the artifact metadata is probed first: an
-    entry saved by a previous run under the same key and machine model
-    carries this cell's metrics, so the whole build is skipped. On a
-    miss the freshly computed metrics (and the compiled engine) are
-    persisted for the next run.
     """
     A = as_csr(A)
     machine = MACHINES[spec.machine]
@@ -107,40 +99,14 @@ def compute_matrix_cells(
     cells: dict[str, dict[str, int | float]] = {}
     for p in sorted(spec.procs):
         for method in spec.methods_for(matrix):
-            nested_from = pmax if p != pmax else None
-            store_key = None
-            if engine_store is not None:
-                store_key = engine_store_key(
-                    A, method, p, seed=spec.seed, nested_from=nested_from
-                )
-                meta = engine_store.load_meta(store_key)
-                if (
-                    meta is not None
-                    and meta.get("machine") == spec.machine
-                    and isinstance(meta.get("cell_metrics"), dict)
-                ):
-                    cells[cell_key(method, p)] = meta["cell_metrics"]
-                    continue
             layout = layout_for(
                 A,
                 method,
                 p,
                 seed=spec.seed,
                 cache_dir=cache_dir,
-                nested_from=nested_from,
+                nested_from=pmax if p != pmax else None,
             )
             dist = DistSparseMatrix(A, layout, machine)
-            metrics = cell_metrics(dist)
-            cells[cell_key(method, p)] = metrics
-            if store_key is not None:
-                engine_store.save(
-                    store_key,
-                    dist.engine,
-                    {
-                        "matrix": matrix,
-                        "machine": spec.machine,
-                        "cell_metrics": metrics,
-                    },
-                )
+            cells[cell_key(method, p)] = cell_metrics(dist)
     return cells
-

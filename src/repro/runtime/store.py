@@ -7,10 +7,10 @@ partitioner across processes, but every *new process* still re-ran the
 rest of the cold path — :class:`~repro.runtime.distmatrix.DistSparseMatrix`
 construction, ``CommPlan.build``, and the
 :class:`~repro.runtime.engine.SpmvEngine` compile — on every serve cold
-start, regress run, and bench worker. This module persists the *end
-product* of that pipeline: the two compiled CSR operators, the
-slot→rank vector, and the operator shapes, as one uncompressed
-``.npz`` artifact keyed exactly like the partition cache.
+start and bench run. This module persists the *end product* of that
+pipeline: the two compiled CSR operators, the slot→rank vector, and the
+operator shapes, as one uncompressed ``.npz`` artifact keyed exactly
+like the partition cache.
 
 Key discipline (shared with the partition cache)
 ------------------------------------------------
@@ -26,13 +26,15 @@ at the same p are different matrices-on-ranks and must never collide.
 Write discipline (shared with the partition cache)
 --------------------------------------------------
 Writers land artifacts via a pid/thread-suffixed tmp file and one
-atomic ``os.replace``, so concurrent writers of the same key race only
-on the rename and readers can never observe a torn file. Before the
-rename, the artifact is **verified**: it is read back through the same
-loader clients use and the reconstructed engine's ``spmv``/``spmm``
-must be *bit-identical* to the in-memory one on a seeded probe (plus a
-member-by-member byte comparison). A machine that cannot round-trip its
-own artifact raises :class:`StoreVerifyError` instead of publishing it.
+atomic ``os.replace`` (:func:`_atomic_write`, which the partition
+cache's ``atomic_save_npy`` shares), so concurrent writers of the same
+key race only on the rename and readers can never observe a torn file.
+Before the rename, the artifact is **verified**: it is read back
+through the same loader clients use and the reconstructed engine's
+``spmv``/``spmm`` must be *bit-identical* to the in-memory one on a
+seeded probe (plus a member-by-member byte comparison). A machine that
+cannot round-trip its own artifact raises :class:`StoreVerifyError`
+instead of publishing it.
 
 Read discipline
 ---------------
@@ -54,9 +56,13 @@ Every artifact carries ``schema = ARTIFACT_SCHEMA`` in its metadata
 member. Readers refuse (treat as a miss) any other value, so engines
 compiled by older code are rebuilt, not mis-loaded; bump the constant
 whenever the serialized layout or the engine's compiled form changes.
-Content addressing handles matrix changes (new hash, new key); CI keys
-its engine-store cache on the runtime/partitioning sources so code
-changes start from an empty store.
+Content addressing handles matrix changes (new hash, new key). Nothing
+else is keyed: an artifact compiled by code that changed the compiled
+form without a schema bump still loads. So the store serves only the
+consumers that load engines — the server, ``repro cache``, the
+cold-start bench and the e2e benchmark session — and never the golden
+check (:mod:`repro.regress`), which recomputes every cell; CI keeps no
+engine store.
 """
 
 from __future__ import annotations
@@ -68,8 +74,10 @@ import struct
 import threading
 import zipfile
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -188,6 +196,30 @@ def _decode_meta(arr: np.ndarray) -> dict:
     return meta
 
 
+def _atomic_write(
+    path: Path,
+    write: Callable[[BinaryIO], object],
+    check: Callable[[Path], None] | None = None,
+) -> None:
+    """Land *path* atomically: ``write`` fills a tmp file, ``check`` (if
+    given) may reject it by raising, then one ``os.replace`` publishes it.
+
+    The tmp name carries the pid *and* the thread id, so concurrent
+    writers of one path — processes or threads of one process — never
+    share a tmp file and race only on the rename. The tmp file never
+    survives, whether the write, the check or the rename fails.
+    """
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        if check is not None:
+            check(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _probe_rng(key: EngineKey) -> np.random.Generator:
     """Deterministic per-key RNG for save-time verification probes."""
     digest = hashlib.sha1(str(key).encode()).digest()
@@ -284,14 +316,13 @@ class EngineStore:
         key: EngineKey,
         engine: SpmvEngine,
         extra_meta: dict | None = None,
-        verify: bool = True,
     ) -> Path:
         """Persist *engine* under *key* atomically; returns the path.
 
-        With ``verify`` (the default) the tmp file is read back through
-        the client loader and checked bit-identical — members byte-equal
-        and ``spmv``/``spmm`` equal on a seeded probe — before the
-        rename publishes it. An existing entry is replaced atomically.
+        The tmp file is read back through the client loader and checked
+        bit-identical — members byte-equal and ``spmv``/``spmm`` equal on
+        a seeded probe — before the rename publishes it. An existing
+        entry is replaced atomically.
         """
         path = self.path(key)
         meta = {
@@ -308,17 +339,11 @@ class EngineStore:
         if extra_meta:
             meta.update(extra_meta)
         arrays = engine.to_arrays()
-        tmp = path.with_name(
-            f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+        _atomic_write(
+            path,
+            lambda f: np.savez(f, meta=_meta_array(meta), **arrays),
+            check=lambda tmp: self._verify(tmp, key, engine, arrays),
         )
-        try:
-            with open(tmp, "wb") as f:
-                np.savez(f, meta=_meta_array(meta), **arrays)
-            if verify:
-                self._verify(tmp, key, engine, arrays)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
         self.counters["saves"] += 1
         return path
 
@@ -365,18 +390,6 @@ class EngineStore:
         self.counters["hits"] += 1
         self.counters["mmap_loads" if mmapped else "copy_loads"] += 1
         return LoadedEngine(engine=engine, meta=meta, mmapped=mmapped, path=path)
-
-    def load_meta(self, key: EngineKey) -> dict | None:
-        """The metadata member alone (no array mapping); None on miss.
-
-        This is the cheap probe the regress harness uses to skip whole
-        cell builds: artifact metadata can carry precomputed
-        ``cell_metrics`` alongside the engine bits.
-        """
-        meta = self._raw_meta(self.path(key))
-        if meta is None or meta.get("schema") != ARTIFACT_SCHEMA:
-            return None
-        return meta
 
     @staticmethod
     def _raw_meta(path: Path) -> dict | None:

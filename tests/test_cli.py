@@ -147,20 +147,24 @@ class TestCli:
 
 
 class TestCacheCli:
-    """`repro cache` + the --engine-store plumbing that populates it."""
+    """`repro cache` over a store holding one compiled engine."""
 
     def _populated_store(self, mtx_file, tmp_path):
+        from repro.bench.harness import engine_store_key
+        from repro.io import read_matrix_market
+        from repro.layouts import make_layout
+        from repro.runtime import CAB, DistSparseMatrix
+        from repro.runtime.store import EngineStore
+
         store = tmp_path / "engines"
-        rc = main([
-            "spmv", mtx_file, "-p", "4", "--methods", "2d-random",
-            "--engine-store", str(store),
-        ])
-        assert rc == 0
+        A = read_matrix_market(mtx_file)
+        dist = DistSparseMatrix(A, make_layout("2d-random", A, 4), CAB)
+        EngineStore(store).save(
+            engine_store_key(A, "2d-random", 4), dist.engine, {"matrix": mtx_file}
+        )
         return store
 
-    def test_spmv_populates_store_and_list_shows_it(
-        self, mtx_file, tmp_path, capsys
-    ):
+    def test_list_shows_the_artifact(self, mtx_file, tmp_path, capsys):
         store = self._populated_store(mtx_file, tmp_path)
         artifacts = list(store.glob("*.engine.npz"))
         assert len(artifacts) == 1

@@ -89,3 +89,53 @@ def test_docs_name_only_files_that_exist():
             if not any(REPO_ROOT.glob(path)):
                 missing.append(f"{source.relative_to(REPO_ROOT)}: {path}")
     assert not missing, f"docs name files that do not exist: {missing}"
+
+
+def _subcommand_options() -> dict[str, set[str]]:
+    """``repro <cmd>`` -> every option string of that subcommand's parser
+    and of its actions' parsers (``regress check``, ``cache list``, ...)."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    def options(parser: argparse.ArgumentParser) -> set[str]:
+        found: set[str] = set()
+        for action in parser._actions:
+            found.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                for child in action.choices.values():
+                    found |= options(child)
+        return found
+
+    top = build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: options(parser) for name, parser in sub.choices.items()}
+
+
+#: inline code spans and fenced blocks, where the docs spell out commands
+_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.S)
+#: one ``repro <cmd> ...`` invocation, up to the end of its line or span, a
+#: shell comment or a command separator
+_INVOCATION = re.compile(r"\brepro ([a-z][\w-]*)([^\n`#|;&]*)")
+_LONG_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def test_docs_name_only_cli_flags_that_exist():
+    """Every ``--flag`` after ``repro <cmd>`` in README, DESIGN and
+    EXPERIMENTS (``\\`` continuations joined) is an option of that
+    subcommand or of one of its actions."""
+    known = _subcommand_options()
+    wrong, seen = [], 0
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        text = re.sub(r"\\\n\s*", " ", (REPO_ROOT / doc).read_text())
+        for code in _CODE.findall(text):
+            for cmd, rest in _INVOCATION.findall(code):
+                if cmd not in known:
+                    wrong.append(f"{doc}: repro {cmd} (no such subcommand)")
+                    continue
+                for flag in _LONG_FLAG.findall(rest):
+                    seen += 1
+                    if flag not in known[cmd]:
+                        wrong.append(f"{doc}: repro {cmd} {flag}")
+    assert seen > 10  # the scan found the documented invocations
+    assert not wrong, f"docs name CLI flags that do not exist: {wrong}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
@@ -277,6 +278,42 @@ def test_atomic_save_creates_missing_dirs(tmp_path):
     path = tmp_path / "deep" / "er" / "x.npy"
     atomic_save_npy(path, np.arange(5))
     assert np.array_equal(np.load(path), np.arange(5))
+
+
+def test_atomic_save_two_threads_one_entry(tmp_path, monkeypatch):
+    """Two threads of one process writing one entry at once both land it.
+
+    The server builds engines on worker threads, and the 1D and 2D
+    layouts of one matrix share its rpart file; the barrier holds both
+    writers inside ``np.save`` so both tmp files exist before either
+    rename.
+    """
+    path = tmp_path / "x.npy"
+    barrier = threading.Barrier(2, timeout=30)
+    real_save = np.save
+
+    def save_then_wait(f, arr):
+        real_save(f, arr)
+        barrier.wait()
+
+    monkeypatch.setattr(np, "save", save_then_wait)
+    errors = []
+
+    def write(value):
+        try:
+            atomic_save_npy(path, np.full(4, value))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(v,)) for v in (1, 2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert np.load(path).tolist() in ([1] * 4, [2] * 4)
+    assert not list(tmp_path.glob("*.tmp-*")), "tmp files must never survive"
 
 
 def test_cached_rpart_jobs_hits_same_cache_entry(small_rmat, tmp_path):

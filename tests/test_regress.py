@@ -127,6 +127,28 @@ class TestPerturbations:
         report = format_mismatches(mismatches)
         assert "2d-block@p4" in report and "expand_messages" in report
 
+    def test_code_change_caught_after_a_passing_run(self, tmp_path, monkeypatch):
+        """Nothing cached between runs stands in for the computation: a
+        metric change right after a passing check is reported per cell."""
+        import repro.regress.grid as grid
+
+        gdir, cache = tmp_path / "golden", tmp_path / "cache"
+        generate_goldens(TINY_SPEC, gdir, cache_dir=cache)
+        assert check_goldens(TINY_SPEC, gdir, cache_dir=cache) == ([], 2)
+        real = grid.cell_metrics
+
+        def bumped(dist):
+            cell = real(dist)
+            cell["max_messages"] += 1
+            return cell
+
+        monkeypatch.setattr(grid, "cell_metrics", bumped)
+        mismatches, _ = check_goldens(TINY_SPEC, gdir, cache_dir=cache)
+        assert {(m.cell, m.metric) for m in mismatches} == {
+            ("1d-block@p4", "max_messages"),
+            ("2d-block@p4", "max_messages"),
+        }
+
     def test_float_within_rtol_passes(self, tmp_path):
         generate_goldens(TINY_SPEC, tmp_path)
         _perturb(

@@ -151,11 +151,11 @@ class TestRoundTrip:
     def test_meta_carries_key_and_extras(self, compiled, tmp_path):
         _, engine, key = compiled
         store = EngineStore(tmp_path)
-        store.save(key, engine, extra_meta={"matrix": "m", "cell_metrics": {"a": 1}})
-        meta = store.load_meta(key)
+        store.save(key, engine, extra_meta={"matrix": "m"})
+        meta = store.load(key).meta
         assert meta["key"] == str(key)
         assert meta["schema"] == ARTIFACT_SCHEMA
-        assert meta["cell_metrics"] == {"a": 1}
+        assert meta["matrix"] == "m"
         assert meta["n"] == engine.n
 
     def test_verify_rejects_broken_serialization(self, compiled, tmp_path):
@@ -224,7 +224,6 @@ class TestCorruption:
         with open(path, "wb") as f:
             np.savez(f, **members)
         assert store.load(key) is None
-        assert store.load_meta(key) is None
         assert store.counters["stale"] == 1
         assert store.counters["corrupt"] == 0
         assert store.entries()[0]["status"] == "stale"
