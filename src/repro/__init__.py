@@ -27,8 +27,8 @@ The package is organised in layers, bottom-up:
     alpha-beta-gamma cost model that turns the exact communication counts
     into modeled wall-clock time.
 ``repro.solvers``
-    Distributed iterative solvers: Lanczos, Krylov-Schur (the role of
-    Anasazi BKS), the power method / PageRank.
+    Distributed iterative solvers: Krylov-Schur (the role of Anasazi
+    BKS), LOBPCG, the power method / PageRank.
 ``repro.bench``
     Experiment harness regenerating every table and figure of the paper's
     evaluation section.

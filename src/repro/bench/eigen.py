@@ -102,9 +102,12 @@ def eigen_grid(
     machine: MachineModel = CAB,
     seed: int = 0,
     cache_dir: Path | None = None,
-    nested: bool = True,
 ) -> list[EigenRecord]:
-    """Table-4 style sweep: eigensolve time per (matrix, layout, p)."""
+    """Table-4 style sweep: eigensolve time per (matrix, layout, p).
+
+    Partitions below ``max(procs)`` nest from the ``max(procs)`` one, as in
+    :func:`~repro.bench.harness.spmv_grid`.
+    """
     records: list[EigenRecord] = []
     pmax = max(procs)
     for name in matrix_names:
@@ -113,7 +116,7 @@ def eigen_grid(
         profiles = profiles_for(name, k=k, tol=tol, nstarts=nstarts)
         for p in procs:
             for method in methods:
-                nested_from = pmax if (nested and p != pmax) else None
+                nested_from = pmax if p != pmax else None
                 # layout/partition computed on the adjacency structure,
                 # applied to the Laplacian (same off-diagonal pattern)
                 layout = layout_for(

@@ -5,7 +5,7 @@ Reproduces the paper's experimental procedure:
 * partitioning is a cached pre-processing step ("graph/hypergraph
   partitioning was done as a pre-processing step... partitions might be
   reused for several analyses") — rpart vectors are cached on disk keyed
-  by matrix content hash, method, part count and seed;
+  by matrix content hash, partitioner code, method, part count and seed;
 * for GP/HP methods the same rpart feeds both the 1D and 2D layout of a
   cell ("We used the same row-based graph or hypergraph partition rpart
   for 1D-GP/HP and for 2D-GP/HP");
@@ -17,9 +17,10 @@ Reproduces the paper's experimental procedure:
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -87,16 +88,35 @@ def atomic_save_npy(path: Path, arr: np.ndarray) -> None:
     _atomic_write(path, lambda f: np.save(f, arr))
 
 
+@cache
+def _code_fingerprint() -> str:
+    """sha1 of the sources an rpart is computed by, hashed once per process.
+
+    ``partitioning/`` computes the partition and imports ``graphs/``; the
+    matrix reaches the key through its content hash, so generators need
+    no part in it.
+    """
+    h = hashlib.sha1()
+    src = Path(__file__).resolve().parent.parent
+    for sub in ("partitioning", "graphs"):
+        for path in sorted((src / sub).rglob("*.py")):
+            h.update(path.relative_to(src).as_posix().encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()[:12]
+
+
 def rpart_cache_path(
     mhash: str, kind: str, nparts: int, seed: int, cache_dir: Path | None = None
 ) -> Path:
     """Where the rpart of (matrix content hash, kind, nparts, seed) is cached.
 
     Entries are keyed by partitioner kind ("gp"), not layout method
-    ("2d-gp"): the 1D and 2D layouts of a cell share one partition.
+    ("2d-gp"): the 1D and 2D layouts of a cell share one partition. The
+    name also carries a fingerprint of the partitioner's source, so code
+    that partitions differently never reads an older code's partitions.
     """
     cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-    return cache_dir / f"{mhash}_{kind}_k{nparts}_s{seed}.npy"
+    return cache_dir / f"{mhash}_{_code_fingerprint()}_{kind}_k{nparts}_s{seed}.npy"
 
 
 def load_cached_rpart(path: Path, n: int) -> np.ndarray | None:
@@ -198,21 +218,9 @@ class SpmvRecord:
     validation_error: float
 
 
-def engine_store_key(
-    A,
-    method: str,
-    nprocs: int,
-    seed: int = 0,
-    nested_from: int | None = None,
-) -> EngineKey:
-    """The :class:`EngineKey` a cell's compiled engine stores under.
-
-    Nested-derivation cells get a ``n{pmax}`` variant: a p=16 layout
-    derived from the p=64 partition is a different matrix-on-ranks than
-    one partitioned directly at 16, and the two must never collide.
-    """
-    variant = f"n{nested_from}" if nested_from is not None else ""
-    return EngineKey(matrix_hash(A), method.lower(), nprocs, seed, variant)
+def engine_store_key(A, method: str, nprocs: int, seed: int = 0) -> EngineKey:
+    """The :class:`EngineKey` a cell's compiled engine stores under."""
+    return EngineKey(matrix_hash(A), method.lower(), nprocs, seed)
 
 
 def run_spmv_cell(
@@ -273,13 +281,13 @@ def _matrix_grid_task(args: tuple) -> list[SpmvRecord]:
     the shared partition cache (one deep rpart per method serves every p
     via nesting), so concurrent columns do not repeat partitioner work.
     """
-    name, A, methods, procs, machine, seed, cache_dir, nested = args
+    name, A, methods, procs, machine, seed, cache_dir = args
     A = as_csr(A)
     records: list[SpmvRecord] = []
     pmax = max(procs)
     for p in procs:
         for method in methods:
-            nested_from = pmax if (nested and p != pmax) else None
+            nested_from = pmax if p != pmax else None
             records.append(
                 run_spmv_cell(
                     A, name, method, p, machine=machine, seed=seed,
@@ -296,10 +304,12 @@ def spmv_grid(
     machine: MachineModel = CAB,
     seed: int = 0,
     cache_dir: Path | None = None,
-    nested: bool = True,
     jobs: int | None = None,
 ) -> list[SpmvRecord]:
     """Run the full sweep; matrices may be corpus names or name->matrix.
+
+    Every process count below ``max(procs)`` derives its partition from
+    the ``max(procs)`` one by recursive-bisection nesting.
 
     ``jobs`` fans matrices across a process pool (cells within a matrix
     share cached partitions, so the matrix is the natural grain). Record
@@ -312,7 +322,7 @@ def spmv_grid(
         # forked before the caller exported $REPRO_CACHE_DIR
         cache_dir = default_cache_dir()
     tasks = [
-        (name, as_csr(A), methods, procs, machine, seed, cache_dir, nested)
+        (name, as_csr(A), methods, procs, machine, seed, cache_dir)
         for name, A in matrices.items()
     ]
     from ..parallel import parallel_map

@@ -85,7 +85,6 @@ def make_layout(
     rpart: np.ndarray | None = None,
     grid: tuple[int, int] | None = None,
     orientation: str = "fixed",
-    **partition_kwargs,
 ) -> Layout:
     """Build a named layout for matrix *A* on *nprocs* processes.
 
@@ -107,8 +106,6 @@ def make_layout(
     orientation:
         phi/psi orientation for 2D layouts: "fixed", "swapped" or "best"
         (see :func:`repro.layouts.cartesian.cartesian_layout`).
-    partition_kwargs:
-        Forwarded to the partitioner (``ub``, ``min_coarse``, ...).
     """
     method = method.lower()
     if method not in LAYOUT_NAMES:
@@ -124,9 +121,7 @@ def make_layout(
         elif kind == "random":
             rpart = random_rpart(n, nprocs, seed=seed)
         else:
-            rpart = partitioned_rpart(
-                A, nprocs, method=kind, seed=seed, **partition_kwargs
-            )
+            rpart = partitioned_rpart(A, nprocs, method=kind, seed=seed)
     else:
         rpart = np.asarray(rpart, dtype=np.int64)
         if len(rpart) != n:

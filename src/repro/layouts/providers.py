@@ -37,8 +37,6 @@ def random_rpart(n: int, nparts: int, seed: int = 0) -> np.ndarray:
     return rng.integers(0, nparts, size=n, dtype=np.int64)
 
 
-def partitioned_rpart(
-    A, nparts: int, method: str = "gp", seed: int = 0, **kwargs
-) -> np.ndarray:
+def partitioned_rpart(A, nparts: int, method: str = "gp", seed: int = 0) -> np.ndarray:
     """rpart from the graph/hypergraph partitioner (see ``partition_matrix``)."""
-    return partition_matrix(A, nparts, method=method, seed=seed, **kwargs).part
+    return partition_matrix(A, nparts, method=method, seed=seed).part

@@ -30,7 +30,7 @@ class _Recipe(NamedTuple):
 
     #: ``A -> structure`` the RB tree is walked on (a pool task: picklable)
     build: Callable
-    #: ``(structure, nparts, bisect_kwargs) -> node function`` for the walker
+    #: ``(structure, nparts) -> node function`` for the walker
     node: Callable
     #: vertex weights of the :class:`PartGraph` the k-way repair balances
     repair_weights: str | tuple[str, ...]
@@ -44,7 +44,7 @@ def _graph_recipe(weights) -> _Recipe:
     # a graph method walks and repairs the same PartGraph, at the caller's ub
     return _Recipe(
         build=partial(PartGraph.from_matrix, vertex_weights=weights),
-        node=lambda g, nparts, kwargs: partial(kway._split, kwargs=kwargs),
+        node=lambda g, nparts: kway._split,
         repair_weights=weights,
         repair_ub=lambda ub: ub,
         cut=lambda g, part, nparts: g.edgecut(part),
@@ -129,7 +129,6 @@ def partition_matrix(
     ub: float = 1.10,
     jobs: int | None = None,
     executor=None,
-    **kwargs,
 ) -> PartitionResult:
     """Partition the rows/columns of square matrix *A* into *nparts* parts.
 
@@ -160,9 +159,6 @@ def partition_matrix(
         same function either way (:func:`repro.partitioning._util.walk_rb`)
         and completion order cannot reach the result, so the part vector
         is bit-identical at any ``jobs``.
-    kwargs:
-        Forwarded to the bisection driver (``min_coarse``, ``n_initial``,
-        ``refine_passes``).
     """
     if method not in PARTITION_METHODS:
         if method == "hp-mc":
@@ -179,7 +175,7 @@ def partition_matrix(
     with _worker_pool(jobs, executor) as pool:
         with perf.phase("build-graph"):
             built = run_task(pool, recipe.build, A)
-        part = walk_rb(recipe.node(built, nparts, kwargs), built, nparts, ub, seed, pool)
+        part = walk_rb(recipe.node(built, nparts), built, nparts, ub, seed, pool)
         # a graph method's structure is its balance graph; hp's is rebuilt from A
         src = built if isinstance(built, PartGraph) else A
         part, imb = run_task(pool, _repair, src, method, part, nparts, ub)

@@ -51,11 +51,17 @@ __all__ = [
     "coarsen_to",
 ]
 
+#: Handshake rounds before the two-hop pass pairs what is left unmatched.
+MATCHING_ROUNDS = 4
+
+#: A coarsening level that keeps this fraction of its vertices or more has
+#: stalled, and :func:`coarsen_to` stops there.
+MIN_SHRINK = 0.95
+
 
 def handshake_matching(
     g: PartGraph,
     rng: np.random.Generator,
-    rounds: int = 4,
     max_vertex_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Heavy-edge handshake matching.
@@ -67,13 +73,12 @@ def handshake_matching(
     from destroying balance options later, the scale-free pitfall noted by
     Abou-Rjeili & Karypis [3].
     """
-    return _handshake_matching_vector(g, rng, rounds, max_vertex_weight)
+    return _handshake_matching_vector(g, rng, max_vertex_weight)
 
 
 def _handshake_matching_reference(
     g: PartGraph,
     rng: np.random.Generator,
-    rounds: int = 4,
     max_vertex_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Seed matching kernel, kept verbatim as the bit-identity oracle.
@@ -92,7 +97,7 @@ def _handshake_matching_reference(
     jitter = rng.random(len(g.adjncy)) * 1e-6
     unmatched_mask = np.ones(n, dtype=bool)
 
-    for _ in range(rounds):
+    for _ in range(MATCHING_ROUNDS):
         if not unmatched_mask.any():
             break
         keys = g.adjwgt + jitter
@@ -125,7 +130,6 @@ def _handshake_matching_reference(
 def _handshake_matching_vector(
     g: PartGraph,
     rng: np.random.Generator,
-    rounds: int = 4,
     max_vertex_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vector matching kernel — replays the reference rounds exactly.
@@ -208,7 +212,7 @@ def _handshake_matching_vector(
     unmatched_mask[u] = False
 
     affmask = np.zeros(n, dtype=bool)
-    for _ in range(1, rounds):
+    for _ in range(1, MATCHING_ROUNDS):
         if len(v) == 0:
             break  # fixpoint: later rounds would match nothing
         # refresh proposals whose inputs changed: the unmatched
@@ -488,14 +492,13 @@ def coarsen_to(
     min_vertices: int,
     rng: np.random.Generator,
     max_weight_fraction: float = 0.25,
-    min_shrink: float = 0.95,
     level=coarsen_level,
 ) -> list[tuple]:
     """Coarsen until fewer than *min_vertices* vertices remain.
 
     Returns the level stack ``[(g0, None), (g1, cmap1), ...]`` where
     ``cmap_k`` maps level k-1 vertices to level k vertices. Stops early
-    when a level shrinks by less than ``1 - min_shrink`` (matching has
+    when a level shrinks by less than ``1 - MIN_SHRINK`` (matching has
     stalled, typical for star-like scale-free cores).
 
     ``max_weight_fraction`` bounds any coarse vertex to that fraction of
@@ -508,7 +511,7 @@ def coarsen_to(
     while levels[-1][0].n > min_vertices:
         cur = levels[-1][0]
         gc, cmap = level(cur, rng, max_vertex_weight=max_w)
-        if gc.n >= cur.n * min_shrink:
+        if gc.n >= cur.n * MIN_SHRINK:
             break
         levels.append((gc, cmap))
     return levels

@@ -121,11 +121,10 @@ def hcoarsen_level(
     hg: Hypergraph,
     rng: np.random.Generator,
     max_vertex_weight: np.ndarray | None = None,
-    max_net_size: int = 50,
 ) -> tuple[Hypergraph, np.ndarray]:
     """One coarsening level: similarity, matching, contraction (profiled)."""
     with perf.phase("similarity"):
-        sim = similarity_graph(hg, max_net_size=max_net_size)
+        sim = similarity_graph(hg)
     with perf.phase("match"):
         match = handshake_matching(sim, rng, max_vertex_weight=max_vertex_weight)
     with perf.phase("contract"):

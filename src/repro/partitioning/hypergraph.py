@@ -99,11 +99,6 @@ class Hypergraph:
         """Number of balance constraints."""
         return self.vwgt.shape[1]
 
-    @property
-    def npins(self) -> int:
-        """Total pins (sum of net sizes)."""
-        return self.H.nnz
-
     def transpose_incidence(self) -> sp.csr_matrix:
         """``(n, nnets)`` CSR: nets incident to each vertex (cached)."""
         if self._HT is None:

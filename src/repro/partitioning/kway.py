@@ -13,7 +13,6 @@ deep partition across every process count of a scaling study
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,13 +30,15 @@ __all__ = [
     "PartitionQuality",
 ]
 
+#: Rounds of :func:`kway_balance_refine` before it gives up on balance.
+MAX_REPAIR_ROUNDS = 8
+
 
 def recursive_bisection(
     g: PartGraph,
     nparts: int,
     ub: float = 1.05,
     seed: int = 0,
-    **bisect_kwargs,
 ) -> np.ndarray:
     """Partition *g* into *nparts* parts; returns the part vector.
 
@@ -45,14 +46,14 @@ def recursive_bisection(
     tolerance, hierarchical ids, position-derived seeds) over
     :func:`_split` nodes, then the k-way balance repair at *ub*.
     """
-    part = walk_rb(partial(_split, kwargs=bisect_kwargs), g, nparts, ub, seed)
+    part = walk_rb(_split, g, nparts, ub, seed)
     with perf.phase("balance-repair"):
         part = kway_balance_refine(g, part, nparts, ub=ub)
     return check_part_vector(part, g.n, nparts)
 
 
 def _split(
-    g: PartGraph, k0: int, k: int, ub: float, seed, kwargs: dict
+    g: PartGraph, k0: int, k: int, ub: float, seed
 ) -> tuple[np.ndarray, PartGraph, PartGraph]:
     """One RB node: bisect *g* (k0 : k-k0)-proportionally, induce both sides.
 
@@ -67,7 +68,7 @@ def _split(
     # the accumulated excess in the last part — measurably worse)
     frac0 = k0 / k
     with perf.phase("bisect"):
-        bis = multilevel_bisect(g, (frac0, 1.0 - frac0), ub=ub, seed=seed, **kwargs)
+        bis = multilevel_bisect(g, (frac0, 1.0 - frac0), ub=ub, seed=seed)
     bis = two_sided(bis, g.vwgt[:, 0], frac0)
     left, right = (g.induced_subgraph(np.flatnonzero(bis == side)) for side in (0, 1))
     return bis, left, right
@@ -78,7 +79,6 @@ def kway_balance_refine(
     part: np.ndarray,
     nparts: int,
     ub: float | np.ndarray = 1.05,
-    max_rounds: int = 8,
 ) -> np.ndarray:
     """Greedy k-way balance repair after recursive bisection.
 
@@ -110,7 +110,7 @@ def kway_balance_refine(
     pw = g.part_weights(part, nparts)
 
     W = g.adjacency_matrix()
-    for _ in range(max_rounds):
+    for _ in range(MAX_REPAIR_ROUNDS):
         over = np.flatnonzero((pw > allow[None, :] + 1e-9).any(axis=1))
         if len(over) == 0:
             break

@@ -16,10 +16,9 @@ and benches see identical layouts.
 Every run recomputes every cell: the layout, the
 :class:`DistSparseMatrix` build and the metrics come from the current
 code, so a change to any of them shows up as a named-cell diff. The
-partition cache is the one thing reused, and it is keyed by matrix
-content, partitioner, part count and seed, not by code — after a
-partitioner change, check against an empty cache directory (CI keys its
-partition cache on the partitioning and graphs sources for this reason).
+partition cache is the one thing reused, and its file names carry a
+fingerprint of the partitioner's source, so a partitioner change
+re-partitions.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import ABFT_RTOL
 from .machine import MachineModel
 from .metrics import max_recovery_peers
 from .migration import price_pair_words
@@ -82,6 +81,19 @@ CORRUPTION_PHASES = ("expand", "compute", "fold")
 
 #: Fail-stop recovery strategies.
 RECOVERY_STRATEGIES = ("spare", "redistribute")
+
+#: Relative size of a sampled corruption, as a fraction of the value hit.
+CORRUPTION_MAGNITUDE = 1e-3
+
+#: Slowdown multiplier and length in iterations of a sampled straggler.
+STRAGGLER_FACTOR = 4.0
+STRAGGLER_DURATION = 5
+
+#: Fail-stop detection waits this multiple of the expected iteration time.
+DETECT_TIMEOUT_FACTOR = 3.0
+
+#: Words per owned vector entry in a checkpoint: the iterate x and y.
+CHECKPOINT_WORDS_PER_ENTRY = 2
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +190,6 @@ class FaultPlan:
         failstop_rate: float = 0.0,
         corruption_rate: float = 0.0,
         straggler_rate: float = 0.0,
-        corruption_magnitude: float = 1e-3,
-        straggler_factor: float = 4.0,
-        straggler_duration: int = 5,
     ) -> "FaultPlan":
         """Sample a plan from per-iteration event probabilities.
 
@@ -198,12 +207,12 @@ class FaultPlan:
             if corruption_rate and rng.random() < corruption_rate:
                 phase = CORRUPTION_PHASES[int(rng.integers(len(CORRUPTION_PHASES)))]
                 corruptions.append(
-                    Corruption(t, int(rng.integers(nprocs)), phase, corruption_magnitude)
+                    Corruption(t, int(rng.integers(nprocs)), phase, CORRUPTION_MAGNITUDE)
                 )
             if straggler_rate and rng.random() < straggler_rate:
                 stragglers.append(
                     Straggler(int(rng.integers(nprocs)), t,
-                              straggler_duration, straggler_factor)
+                              STRAGGLER_DURATION, STRAGGLER_FACTOR)
                 )
         return cls(
             nprocs=nprocs,
@@ -258,19 +267,12 @@ class FaultConfig:
     ``abft`` switches the always-on checksum verification (and its per-SpMV
     ``detect`` charge); ``checkpoint_interval`` is the number of iterations
     between state snapshots (0 disables both the snapshots and the rollback
-    bound — a fail-stop then replays from iteration 0);
-    ``detect_timeout_factor`` prices fail-stop detection as that multiple
-    of the expected iteration time; ``execute_numerics=None`` runs real
-    injected SpMVs exactly when the plan schedules corruption (campaigns
-    that only model fail-stop/straggler cost skip the numerics).
+    bound — a fail-stop then replays from iteration 0).
     """
 
     abft: bool = True
-    abft_rtol: float = ABFT_RTOL
     checkpoint_interval: int = 10
-    detect_timeout_factor: float = 3.0
     recovery_strategy: str = "spare"
-    execute_numerics: bool | None = None
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 0:
@@ -280,8 +282,6 @@ class FaultConfig:
                 f"recovery_strategy {self.recovery_strategy!r} not in "
                 f"{RECOVERY_STRATEGIES}"
             )
-        if not math.isfinite(self.detect_timeout_factor) or self.detect_timeout_factor < 0:
-            raise ValueError("detect_timeout_factor must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +308,20 @@ def abft_detect_seconds(dist: "DistSparseMatrix") -> float:
     return float(mach.gamma_mem * per_rank.max() + mach.allreduce_time(dist.nprocs, 1))
 
 
-def checkpoint_write_seconds(dist: "DistSparseMatrix", words_per_entry: int = 2) -> float:
+def checkpoint_write_seconds(dist: "DistSparseMatrix") -> float:
     """Modeled cost of one coordinated checkpoint of the vector state.
 
-    Every rank streams its owned entries (x and y by default — the
-    iterate state a rollback needs; the matrix itself is immutable and
+    Every rank streams its owned entries (x and y — the iterate state a
+    rollback needs; the matrix itself is immutable and
     checkpointed once, off the critical path) to stable storage, priced
     as one alpha message plus beta per word, busiest rank setting the
     pace — the same postal accounting as a communication phase.
     """
     owned = dist.vector_map.counts()
     pair = {
-        (int(r), -1): int(words_per_entry * c) for r, c in enumerate(owned) if c
+        (int(r), -1): int(CHECKPOINT_WORDS_PER_ENTRY * c)
+        for r, c in enumerate(owned)
+        if c
     }
     seconds, _, _, _ = price_pair_words(pair, dist.nprocs, dist.machine)
     return seconds
@@ -625,9 +627,6 @@ def run_with_faults(
         raise ValueError(
             f"plan is for {plan.nprocs} ranks, distribution has {dist.nprocs}"
         )
-    execute = config.execute_numerics
-    if execute is None:
-        execute = len(plan.corruptions) > 0
 
     mach = dist.machine
     ledger = CostLedger()
@@ -641,7 +640,7 @@ def run_with_faults(
     last_checkpoint = 0
 
     x = None
-    if execute:
+    if plan.corruptions:
         rng0 = np.random.default_rng(np.random.SeedSequence((plan.seed, 0xC1EA)))
         x = rng0.standard_normal(dist.n)
         nrm = np.linalg.norm(x)
@@ -663,8 +662,8 @@ def run_with_faults(
         if config.abft:
             ledger.add("detect", abft_iter)
 
-        corrs = plan.corruptions_at(t)
-        if execute and x is not None:
+        if x is not None:
+            corrs = plan.corruptions_at(t)
             eng = dist.engine
             partials = eng._local @ x
             rngs = {
@@ -687,7 +686,7 @@ def run_with_faults(
                         (c, _inject_fold(dist, c, partials, rngs[id(c)]))
                     )
             y = eng.fold(partials)
-            check = eng.abft_check(x, partials, y, rtol=config.abft_rtol)
+            check = eng.abft_check(x, partials, y)
             flagged = set(int(r) for r in check.flagged_ranks)
             detected_any = False
             for c, phase_used, effect in pre_fold:
@@ -708,22 +707,10 @@ def run_with_faults(
                 y = eng.spmv(x)
             nrm = np.linalg.norm(y)
             x = y / nrm if nrm > 0 else y
-        else:
-            for c in corrs:
-                # numerics disabled: record the scheduled event; ABFT's
-                # verdict is modeled as detected iff ABFT is on
-                injections.append(
-                    InjectionRecord(t, c.rank, c.phase, float("nan"),
-                                    float("nan"), config.abft)
-                )
-                ledger.record(FaultEvent(t, "corruption", c.rank, c.phase, config.abft,
-                                         note="modeled"))
-                if config.abft:
-                    ledger.add("recover", clean_iter + abft_iter)
 
         for fs in plan.failstops_at(t):
             detect_s = (
-                config.detect_timeout_factor * clean_iter
+                DETECT_TIMEOUT_FACTOR * clean_iter
                 + mach.allreduce_time(dist.nprocs)
             )
             ledger.add("detect", detect_s)

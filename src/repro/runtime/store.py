@@ -15,13 +15,10 @@ like the partition cache.
 Key discipline (shared with the partition cache)
 ------------------------------------------------
 Artifacts are keyed by :class:`EngineKey` — ``(matrix content hash,
-layout method, procs, seed[, variant])`` — where :func:`matrix_hash` is
-the same sha1-of-structure digest ``cached_rpart`` uses, so an engine
-artifact and its cached rpart always name the same partition. The
-``variant`` field disambiguates engines whose layout was *derived*
-rather than partitioned directly (e.g. ``n64`` for a p=16 layout nested
-from the p=64 partition in a scaling sweep): nested and direct layouts
-at the same p are different matrices-on-ranks and must never collide.
+layout method, procs, seed)`` — where :func:`matrix_hash` is the same
+sha1-of-structure digest ``cached_rpart`` names its files by, so one
+hash identifies a matrix across both caches. Unlike an rpart file name,
+the key carries no fingerprint of the code (see Invalidation).
 
 Write discipline (shared with the partition cache)
 --------------------------------------------------
@@ -129,22 +126,15 @@ def matrix_hash(A) -> str:
 
 @dataclass(frozen=True)
 class EngineKey:
-    """Identity of one compiled engine (mirrors the partition-cache key).
-
-    ``variant`` distinguishes derived layouts (e.g. ``"n64"`` for a
-    partition nested from p=64) from directly partitioned ones; it is
-    empty for the direct case so serve keys keep their historical form.
-    """
+    """Identity of one compiled engine (mirrors the partition-cache key)."""
 
     matrix_hash: str
     method: str
     procs: int
     seed: int
-    variant: str = ""
 
     def __str__(self) -> str:
-        base = f"{self.matrix_hash}_{self.method}_k{self.procs}_s{self.seed}"
-        return f"{base}_{self.variant}" if self.variant else base
+        return f"{self.matrix_hash}_{self.method}_k{self.procs}_s{self.seed}"
 
 
 def default_store_dir() -> Path:
@@ -332,7 +322,6 @@ class EngineStore:
             "method": key.method,
             "procs": key.procs,
             "seed": key.seed,
-            "variant": key.variant,
             "n": int(engine.n),
             "engine_nbytes": int(engine.nbytes),
         }

@@ -87,10 +87,6 @@ class CostLedger:
         """Seconds in the four SpMV phases only."""
         return sum(self._t.get(p, 0.0) for p in SPMV_PHASES)
 
-    def fault_total(self) -> float:
-        """Seconds in the three resilience phases only."""
-        return sum(self._t.get(p, 0.0) for p in FAULT_PHASES)
-
     def breakdown(self) -> dict[str, float]:
         """Copy of the phase -> seconds mapping."""
         return dict(self._t)

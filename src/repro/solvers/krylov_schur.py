@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lanczos import expand_krylov
 from .operators import DistOperator
 
 __all__ = ["eigsh_dist", "KrylovSchurResult", "Checkpoint", "CheckpointConfig"]
@@ -132,6 +131,55 @@ class CheckpointConfig:
     def __post_init__(self) -> None:
         if self.every < 1:
             raise ValueError(f"checkpoint interval must be >= 1, got {self.every}")
+
+
+def expand_krylov(
+    op: DistOperator,
+    V: np.ndarray,
+    H: np.ndarray,
+    j_start: int,
+    j_end: int,
+    rng: np.random.Generator,
+) -> int:
+    """Grow an orthonormal basis V (n, m+1) from column j_start to j_end.
+
+    Maintains the Arnoldi relation ``A V_j = V_{j+1} H_{j+1,j}`` with H
+    symmetric up to round-off (we store the full projection, which makes
+    the thick-restart arrowhead blocks come out automatically). Returns
+    the final column count reached (early exit on breakdown).
+
+    Reorthogonalisation is full (two passes of classical Gram-Schmidt
+    against the whole basis) on purpose: scale-free Laplacian spectra are
+    clustered near their top and selective schemes lose orthogonality
+    quickly. The paper's Anasazi configuration likewise carries the full
+    basis.
+    """
+    space = op.space
+    for j in range(j_start, j_end):
+        w = op.matvec(V[:, j])
+        # two-pass CGS against all current columns
+        h1 = space.multi_dot(V[:, : j + 1], w)
+        w = space.multi_axpy(V[:, : j + 1], h1, w)
+        h2 = space.multi_dot(V[:, : j + 1], w)
+        w = space.multi_axpy(V[:, : j + 1], h2, w)
+        H[: j + 1, j] = h1 + h2
+        beta = space.norm(w)
+        H[j + 1, j] = beta
+        H[j, j + 1] = beta
+        if beta <= 1e-14 * max(abs(H[j, j]), 1.0):
+            # invariant subspace: restart with a fresh random direction
+            w = rng.standard_normal(op.n)
+            h = space.multi_dot(V[:, : j + 1], w)
+            w = space.multi_axpy(V[:, : j + 1], h, w)
+            nw = space.norm(w)
+            if nw <= 1e-14:
+                return j + 1
+            V[:, j + 1] = w / nw
+            H[j + 1, j] = 0.0
+            H[j, j + 1] = 0.0
+        else:
+            V[:, j + 1] = w / beta
+    return j_end
 
 
 def _select(theta: np.ndarray, which: str) -> np.ndarray:

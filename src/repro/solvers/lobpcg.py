@@ -48,7 +48,6 @@ def lobpcg_dist(
     k: int = 10,
     tol: float = 1e-3,
     max_iter: int = 500,
-    X0: np.ndarray | None = None,
     seed: int = 0,
 ) -> LobpcgResult:
     """Compute the *k* largest eigenpairs of a distributed operator.
@@ -72,8 +71,7 @@ def lobpcg_dist(
     space = op.space
     rng = np.random.default_rng(seed)
 
-    X = X0 if X0 is not None else rng.standard_normal((n, k))
-    X, _ = space.qr(X)
+    X, _ = space.qr(rng.standard_normal((n, k)))
     AX = _block_matvec(op, X)
     P = np.zeros((n, 0))
     AP = np.zeros((n, 0))

@@ -17,6 +17,7 @@ from repro.bench import (
     spmv_grid,
     table2_rows,
 )
+from repro.bench import harness
 from repro.bench.harness import SpmvRecord
 from repro.runtime import CommStats
 
@@ -36,6 +37,27 @@ class TestPartitionCache:
             small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path, nested_from=16
         )
         assert np.array_equal(coarse, fine * 4 // 16)
+
+    def test_entries_are_keyed_by_partitioner_code(
+        self, small_powerlaw, tmp_path, monkeypatch
+    ):
+        """A changed partitioner source misses the entries older code made."""
+        calls = []
+        real = harness.partition_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "partition_matrix", counting)
+        first = cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)
+        cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)
+        assert len(calls) == 1  # the fill, then a hit
+        monkeypatch.setattr(harness, "_code_fingerprint", lambda: "0" * 12)
+        again = cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)
+        assert len(calls) == 2  # recomputed under the new fingerprint
+        assert np.array_equal(first, again)
+        assert len(list(tmp_path.glob("*_gp_k4_s0.npy"))) == 2
 
     def test_different_seeds_different_entries(self, small_powerlaw, tmp_path):
         cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)

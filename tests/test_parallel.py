@@ -123,7 +123,7 @@ def test_held_executor_really_reorders_the_walk(small_rmat, monkeypatch):
     def recorded(landed):
         def node(sub, *args):
             landed.append(sub.n)
-            return kway._split(sub, *args, kwargs={})
+            return kway._split(sub, *args)
         return node
 
     inline, reordered = [], []

@@ -1,8 +1,11 @@
 """Tests for the partitioning front door (partition_matrix)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.layouts import make_layout
 from repro.partitioning import PartGraph, partition_matrix
 from repro.partitioning.api import PARTITION_METHODS
 
@@ -42,6 +45,22 @@ class TestPartitionMatrix:
         for jobs in (None, 2):
             with pytest.raises(ValueError, match="nparts"):
                 partition_matrix(small_rmat, 0, jobs=jobs)
+
+    def test_unknown_keywords_fail_at_the_call_site(self, small_rmat):
+        """A misspelled keyword is a TypeError raised by the call itself —
+        not swallowed by a layout that never partitions, and not raised
+        from deep inside the bisection after the graph was built."""
+        calls = [
+            lambda: make_layout("2d-block", small_rmat, 4, orientaton="best"),
+            lambda: make_layout("1d-random", small_rmat, 4, orientaton="best"),
+            lambda: make_layout("2d-gp", small_rmat, 4, orientaton="best"),
+            lambda: partition_matrix(small_rmat, 1, sed=3),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="unexpected keyword") as err:
+                call()
+            # the innermost frame is the lambda making the call
+            assert err.traceback[-1].path == Path(__file__)
 
     def test_deterministic(self, small_powerlaw):
         r1 = partition_matrix(small_powerlaw, 8, method="gp", seed=3)

@@ -65,12 +65,6 @@ class TestEngineKey:
         key = EngineKey("a" * 12, "2d-gp", 16, 3)
         assert str(key) == "aaaaaaaaaaaa_2d-gp_k16_s3"
 
-    def test_variant_suffix_disambiguates_nested(self):
-        direct = EngineKey("a" * 12, "2d-gp", 16, 0)
-        nested = EngineKey("a" * 12, "2d-gp", 16, 0, "n64")
-        assert str(nested) == str(direct) + "_n64"
-        assert direct != nested
-
     def test_matrix_hash_is_structural(self, small_rmat):
         h = matrix_hash(small_rmat)
         assert len(h) == 12
