@@ -13,11 +13,9 @@ decorrelated-jitter backoff, circuit breaker) — through a seeded
   delay / drop at elevated probability) so every class demonstrably
   executes and recovers;
 * one **combined phase** with every wire class active plus seeded
-  slow-engine injections (priced via
-  :func:`repro.runtime.faults.straggler_overhead_seconds`);
+  slow-engine injections (a real ``slow_ms`` stall in the server);
 * one **worker-kill exercise**: a cold engine key whose pool partition
-  is killed mid-build (real ``os._exit`` in the worker), priced via
-  :func:`repro.runtime.faults.recovery_stats`.
+  is killed mid-build (real ``os._exit`` in the worker) and retried.
 
 Gates (exit 1, ``"ok": false`` in ``BENCH_chaos.json``):
 
@@ -27,8 +25,8 @@ Gates (exit 1, ``"ok": false`` in ``BENCH_chaos.json``):
   eventually answered within its deadline);
 * every scheduled injection class executed at least once (the five wire
   classes from the proxy ledgers, worker kill, slow engine);
-* worker-kill recovery and slow-engine overhead priced through the
-  runtime's alpha-beta-gamma model (positive modeled seconds);
+* the server's own fault log holds at least one ``worker-death`` and
+  one ``slow-engine`` event;
 * combined-phase p99 within ``--max-p99-inflation-ms`` of baseline p99.
 
 Run directly (not under pytest)::
@@ -189,31 +187,18 @@ def run(smoke: bool, concurrency: int, chaos_seed: int,
         if combined_sem.get("slow_engine", 0) < 1:
             failures.append("injection class 'slow_engine' never executed")
 
-        # -- recovery pricing ----------------------------------------------
+        # -- the server's fault log ---------------------------------------
         with ServeClient(sock, timeout=30.0) as c:
             stats, _ = c.request({"op": "stats"})
         events = stats.get("fault_events", [])
-        deaths = [e for e in events if e["kind"] == "worker-death"]
-        slows = [e for e in events if e["kind"] == "slow-engine"]
-        if not deaths or deaths[0]["recovery"]["modeled_seconds"] <= 0:
-            failures.append(
-                "worker-kill recovery was not priced via recovery_stats"
-            )
-        if not slows or slows[0]["modeled_overhead_seconds"] <= 0:
-            failures.append(
-                "slow-engine overhead was not priced via "
-                "straggler_overhead_seconds"
-            )
-        pricing = {
-            "worker_deaths": len(deaths),
-            "recovery_modeled_seconds": (
-                deaths[0]["recovery"]["modeled_seconds"] if deaths else 0.0
-            ),
-            "slow_engine_events": len(slows),
-            "slow_modeled_overhead_seconds": (
-                slows[0]["modeled_overhead_seconds"] if slows else 0.0
-            ),
+        logged = {
+            "worker_deaths": sum(e["kind"] == "worker-death" for e in events),
+            "slow_engine_events": sum(e["kind"] == "slow-engine" for e in events),
         }
+        if logged["worker_deaths"] < 1:
+            failures.append("the server logged no worker-death event")
+        if logged["slow_engine_events"] < 1:
+            failures.append("the server logged no slow-engine event")
 
         # -- latency inflation ---------------------------------------------
         inflation = phases["combined"]["result"]["p99_ms"] - baseline.p99_ms
@@ -242,7 +227,7 @@ def run(smoke: bool, concurrency: int, chaos_seed: int,
         "max_p99_inflation_ms": max_p99_inflation_ms,
         "phases": phases,
         "wire_injections": wire_totals,
-        "pricing": pricing,
+        "fault_events": logged,
         "p99_inflation_ms": round(inflation, 3),
         "divergences": sum(p["result"]["divergences"] for p in phases.values()),
         "lost_acked": sum(p["result"]["lost_acked"] for p in phases.values()),
@@ -276,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
               f"p99 {r['p99_ms']:.1f} ms, divergences {r['divergences']}, "
               f"lost_acked {r['lost_acked']}")
     print(f"wire injections: {payload['wire_injections']}")
-    print(f"pricing: {payload['pricing']}")
+    print(f"fault events: {payload['fault_events']}")
     print(f"p99 inflation: {payload['p99_inflation_ms']:.1f} ms")
     print(f"wrote {OUT_PATH.relative_to(REPO_ROOT)}")
     if failures:

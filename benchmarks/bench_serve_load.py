@@ -21,8 +21,8 @@ batched answers must match the serial answers bit for bit.
 One fault exercise follows: a ``partition`` request for a cold key with
 ``fault: {kill_worker: true}``. The injected death is real
 (``os._exit`` in the pool worker); the gate demands the request still
-complete from the rebuilt pool and carry a recovery event priced via
-:func:`repro.runtime.faults.recovery_stats`.
+complete, retried on the rebuilt pool rather than degraded to the
+in-process path.
 
 Gates (exit 1, ``"ok": false`` in ``BENCH_serve.json``):
 
@@ -30,8 +30,8 @@ Gates (exit 1, ``"ok": false`` in ``BENCH_serve.json``):
   warm matrix at the default concurrency of 16;
 * batched p99 latency <= ``--max-p99-ms`` (host-calibrated ceiling);
 * zero bitwise divergences, zero request errors, in every phase;
-* the worker-death request completes with ``worker_deaths >= 1`` and
-  ``recovery.modeled_seconds > 0``.
+* the worker-death request completes with ``worker_deaths >= 1``,
+  ``partition_source == "pool"`` and not ``degraded``.
 
 Run directly (not under pytest)::
 
@@ -143,7 +143,7 @@ def run(
 
         # fault exercise: cold key (unseen seed -> partition-cache miss), one
         # injected worker death; the request must complete off the rebuilt
-        # pool with the recovery priced in runtime.faults units
+        # pool
         fault_matrix, fault_procs = matrices[0]
         # the injected death only happens if a partition actually runs, so
         # evict any cached rpart for the fault key (prior runs share the
@@ -175,14 +175,17 @@ def run(
             "worker_deaths": resp.get("worker_deaths", 0),
             "degraded": resp.get("degraded"),
             "partition_source": resp.get("partition_source"),
-            "recovery": resp.get("recovery"),
         }
         if not fault["ok"]:
             failures.append(f"fault exercise: request failed: {resp.get('error')}")
         elif fault["worker_deaths"] < 1:
             failures.append("fault exercise: no worker death was observed")
-        elif not fault["recovery"] or fault["recovery"].get("modeled_seconds", 0) <= 0:
-            failures.append("fault exercise: recovery was not priced via runtime.faults")
+        elif fault["partition_source"] != "pool" or fault["degraded"]:
+            failures.append(
+                "fault exercise: the killed partition was not retried on the "
+                f"pool (source {fault['partition_source']!r}, "
+                f"degraded {fault['degraded']})"
+            )
     finally:
         try:
             with ServeClient(sock, timeout=10.0) as c:
@@ -243,10 +246,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  divergences  {rec['batched']['divergences']} + "
               f"{rec['serial']['divergences']}")
     fault = payload["fault"]
-    rec = fault.get("recovery") or {}
     print(f"fault: deaths={fault['worker_deaths']} source={fault['partition_source']} "
-          f"recovery={rec.get('modeled_seconds', 0):.3e} s "
-          f"({rec.get('peers', 0)} peers)")
+          f"degraded={fault['degraded']}")
     print(f"wrote {OUT_PATH.relative_to(REPO_ROOT)}")
     if failures:
         print("\nFAILURES:", file=sys.stderr)

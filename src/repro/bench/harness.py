@@ -17,10 +17,9 @@ Reproduces the paper's experimental procedure:
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,13 @@ from ..partitioning import PARTITION_METHODS, partition_matrix
 from ..partitioning.api import _repair
 from ..partitioning.kway import derive_nested_partition
 from ..runtime import CAB, CommStats, DistSparseMatrix, MachineModel, comm_stats
-from ..runtime.store import EngineKey, _atomic_write, matrix_hash
+from ..runtime.store import (
+    EngineKey,
+    _atomic_write,
+    code_fingerprint,
+    evict_other_generations,
+    matrix_hash,
+)
 
 __all__ = [
     "PAPER_TO_PROXY_PROCS",
@@ -88,23 +93,6 @@ def atomic_save_npy(path: Path, arr: np.ndarray) -> None:
     _atomic_write(path, lambda f: np.save(f, arr))
 
 
-@cache
-def _code_fingerprint() -> str:
-    """sha1 of the sources an rpart is computed by, hashed once per process.
-
-    ``partitioning/`` computes the partition and imports ``graphs/``; the
-    matrix reaches the key through its content hash, so generators need
-    no part in it.
-    """
-    h = hashlib.sha1()
-    src = Path(__file__).resolve().parent.parent
-    for sub in ("partitioning", "graphs"):
-        for path in sorted((src / sub).rglob("*.py")):
-            h.update(path.relative_to(src).as_posix().encode())
-            h.update(path.read_bytes())
-    return h.hexdigest()[:12]
-
-
 def rpart_cache_path(
     mhash: str, kind: str, nparts: int, seed: int, cache_dir: Path | None = None
 ) -> Path:
@@ -112,11 +100,13 @@ def rpart_cache_path(
 
     Entries are keyed by partitioner kind ("gp"), not layout method
     ("2d-gp"): the 1D and 2D layouts of a cell share one partition. The
-    name also carries a fingerprint of the partitioner's source, so code
-    that partitions differently never reads an older code's partitions.
+    name also carries a fingerprint of the partitioner's source
+    (``partitioning/`` and the ``graphs/`` it imports), so code that
+    partitions differently never reads an older code's partitions.
     """
     cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-    return cache_dir / f"{mhash}_{_code_fingerprint()}_{kind}_k{nparts}_s{seed}.npy"
+    fp = code_fingerprint("partitioning", "graphs")
+    return cache_dir / f"{mhash}_{fp}_{kind}_k{nparts}_s{seed}.npy"
 
 
 def load_cached_rpart(path: Path, n: int) -> np.ndarray | None:
@@ -171,6 +161,7 @@ def cached_rpart(
         A, nparts, method=kind, seed=seed, jobs=jobs, executor=executor
     ).part
     atomic_save_npy(path, part)
+    evict_other_generations(path)
     return part
 
 

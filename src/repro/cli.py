@@ -737,7 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preload", nargs="+", metavar="MATRIX",
                    help="matrices to partition and compile before accepting load")
     p.add_argument("--allow-fault-injection", action="store_true",
-                   help="honor fault:{kill_worker} requests (for tests and benches only)")
+                   help="honor fault:{kill_worker, slow_ms} requests "
+                        "(for tests and benches only)")
     p.add_argument("--engine-store-dir", default=None, metavar="DIR",
                    help="compiled-engine artifact store directory "
                         "(default: engines/ under the partition cache)")

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,7 +69,6 @@ __all__ = [
     "FaultRunResult",
     "CampaignCell",
     "recovery_stats",
-    "straggler_overhead_seconds",
     "abft_detect_seconds",
     "checkpoint_write_seconds",
     "run_with_faults",
@@ -751,30 +750,6 @@ def dist_modeled_with_slowdown(
     ledger = CostLedger()
     dist.charge_spmv(ledger, slowdown=slowdown)
     return ledger.spmv_total()
-
-
-def straggler_overhead_seconds(
-    dist: "DistSparseMatrix", rank: int, factor: float
-) -> float:
-    """Modeled extra seconds one SpMV pays when *rank* runs *factor*x slow.
-
-    The serving layer's slow-engine injections are priced through this:
-    the stall a client observes is wall time, but the comparable ledger
-    quantity is the modeled critical-path inflation of a single-rank
-    straggler — the same number a :class:`Straggler` injection records in
-    a fault campaign.
-    """
-    if factor < 1.0:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if not 0 <= rank < dist.nprocs:
-        raise ValueError(f"rank {rank} out of range for nprocs {dist.nprocs}")
-    slowdown = np.ones(dist.nprocs)
-    slowdown[rank] = factor
-    return max(
-        dist_modeled_with_slowdown(dist, slowdown)
-        - dist_modeled_with_slowdown(dist, None),
-        0.0,
-    )
 
 
 # ---------------------------------------------------------------------------

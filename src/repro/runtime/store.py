@@ -17,8 +17,9 @@ Key discipline (shared with the partition cache)
 Artifacts are keyed by :class:`EngineKey` — ``(matrix content hash,
 layout method, procs, seed)`` — where :func:`matrix_hash` is the same
 sha1-of-structure digest ``cached_rpart`` names its files by, so one
-hash identifies a matrix across both caches. Unlike an rpart file name,
-the key carries no fingerprint of the code (see Invalidation).
+hash identifies a matrix across both caches. Like an rpart file name,
+an artifact's file name also carries a code fingerprint (see
+Invalidation).
 
 Write discipline (shared with the partition cache)
 --------------------------------------------------
@@ -50,16 +51,16 @@ replaces it), never a crash or a wrong answer.
 Invalidation
 ------------
 Every artifact carries ``schema = ARTIFACT_SCHEMA`` in its metadata
-member. Readers refuse (treat as a miss) any other value, so engines
-compiled by older code are rebuilt, not mis-loaded; bump the constant
-whenever the serialized layout or the engine's compiled form changes.
-Content addressing handles matrix changes (new hash, new key). Nothing
-else is keyed: an artifact compiled by code that changed the compiled
-form without a schema bump still loads. So the store serves only the
-consumers that load engines — the server, ``repro cache``, the
-cold-start bench and the e2e benchmark session — and never the golden
-check (:mod:`repro.regress`), which recomputes every cell; CI keeps no
-engine store.
+member; readers treat any other value as a miss, so a file in an older
+format is rebuilt, not mis-loaded. What the engine computes is keyed by
+the file name, which carries the :func:`code_fingerprint` of
+:data:`ENGINE_SOURCES`: an engine compiled by other code is a miss, and
+the save of its rebuild deletes it (:func:`evict_other_generations`,
+which the partition cache shares). Content addressing handles matrix
+changes. The store serves only the consumers that load engines — the
+server, ``repro cache``, the cold-start bench and the e2e benchmark
+session — and never the golden check (:mod:`repro.regress`), which
+recomputes every cell; CI keeps no engine store.
 """
 
 from __future__ import annotations
@@ -67,12 +68,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 import threading
 import zipfile
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import BinaryIO
 
@@ -83,19 +86,41 @@ from .engine import SpmvEngine
 
 __all__ = [
     "ARTIFACT_SCHEMA",
+    "ENGINE_SOURCES",
     "EngineKey",
     "EngineStore",
     "LoadedEngine",
     "StoreVerifyError",
+    "code_fingerprint",
     "default_store_dir",
+    "evict_other_generations",
     "matrix_hash",
 ]
 
 #: Serialized-artifact schema version. Bump whenever the member layout
-#: or the engine's compiled form changes; readers treat any other value
-#: as a miss (stale artifact → rebuild, never a mis-load). v3 dropped
-#: v2's persisted apply-plan row splits (``plan_*`` members, ``dims[6]``).
+#: changes; readers treat any other value as a miss (stale artifact →
+#: rebuild, never a mis-load). v3 dropped v2's persisted apply-plan row
+#: splits (``plan_*`` members, ``dims[6]``).
 ARTIFACT_SCHEMA = 3
+
+#: The sources, under ``repro/``, that shape a compiled engine: the
+#: partition, the layout built on it, and the maps, plan, assembly and
+#: compile of the runtime. Their fingerprint names every artifact.
+ENGINE_SOURCES = (
+    "partitioning",
+    "graphs",
+    "layouts",
+    "runtime/maps.py",
+    "runtime/plan.py",
+    "runtime/distmatrix.py",
+    "runtime/engine.py",
+)
+
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+#: a cache file name: matrix hash, the code fingerprint (absent from
+#: names written before fingerprints), then the rest of the key
+_CACHE_NAME = re.compile(r"([^_]+)_(?:[0-9a-f]{12}_)?(.+)")
 
 #: npz member names an artifact must carry besides ``meta``.
 _MEMBERS = (
@@ -122,6 +147,43 @@ def matrix_hash(A) -> str:
     h.update(np.ascontiguousarray(A.indptr).tobytes())
     h.update(np.ascontiguousarray(A.indices).tobytes())
     return h.hexdigest()[:12]
+
+
+@cache
+def code_fingerprint(*sources: str) -> str:
+    """sha1 of the named sources, hashed once per process per tuple.
+
+    Each source is a path under ``repro/``: a subpackage (every ``.py``
+    in it, recursively) or one module. The matrix reaches a cache key
+    through its content hash, so generators need no part in it.
+    """
+    h = hashlib.sha1()
+    for sub in sources:
+        root = _PACKAGE_ROOT / sub
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
+            h.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()[:12]
+
+
+def _generations(directory: Path, name: str) -> list[Path]:
+    """The files in *directory* naming *name*'s entry under any fingerprint."""
+    m = _CACHE_NAME.fullmatch(name)
+    if m is None:
+        return []
+    return [
+        p
+        for p in directory.glob(f"{m[1]}_*{m[2]}")
+        if (g := _CACHE_NAME.fullmatch(p.name)) and g.groups() == m.groups()
+    ]
+
+
+def evict_other_generations(path: Path) -> None:
+    """After a cache write, delete *path*'s entry under any other code
+    fingerprint: nothing reads it again."""
+    for p in _generations(path.parent, path.name):
+        if p != path:
+            p.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -296,8 +358,12 @@ class EngineStore:
             "copy_loads": 0,
         }
 
-    def path(self, key: EngineKey | str) -> Path:
-        return self.root / f"{key}.engine.npz"
+    def path(self, key: EngineKey) -> Path:
+        """Where *key*'s engine, compiled by the current code, is stored."""
+        fp = code_fingerprint(*ENGINE_SOURCES)
+        return self.root / (
+            f"{key.matrix_hash}_{fp}_{key.method}_k{key.procs}_s{key.seed}.engine.npz"
+        )
 
     # -- write path --------------------------------------------------------
 
@@ -333,6 +399,7 @@ class EngineStore:
             lambda f: np.savez(f, meta=_meta_array(meta), **arrays),
             check=lambda tmp: self._verify(tmp, key, engine, arrays),
         )
+        evict_other_generations(path)
         self.counters["saves"] += 1
         return path
 
@@ -392,6 +459,7 @@ class EngineStore:
 
     def entries(self) -> list[dict]:
         """One record per artifact on disk (``repro cache list``)."""
+        current = f"_{code_fingerprint(*ENGINE_SOURCES)}_"
         out = []
         for p in sorted(self.root.glob("*.engine.npz")):
             rec: dict = {"file": p.name, "bytes": p.stat().st_size}
@@ -402,18 +470,21 @@ class EngineStore:
                 for field_name in ("key", "n", "procs", "method", "seed", "schema"):
                     rec[field_name] = meta.get(field_name)
                 rec["matrix"] = meta.get("matrix")
-                rec["status"] = (
-                    "ok" if meta.get("schema") == ARTIFACT_SCHEMA else "stale"
-                )
+                fresh = meta.get("schema") == ARTIFACT_SCHEMA and current in p.name
+                rec["status"] = "ok" if fresh else "stale"
             out.append(rec)
         return out
 
     def evict(self, key: EngineKey | str) -> bool:
-        """Drop one entry; True if it existed."""
-        path = self.path(key)
-        existed = path.exists()
-        path.unlink(missing_ok=True)
-        return existed
+        """Drop every generation of one entry; True if any existed.
+
+        A string names the entry as ``repro cache list`` shows it: its
+        key, or its file name without ``.engine.npz``.
+        """
+        found = _generations(self.root, f"{key}.engine.npz")
+        for p in found:
+            p.unlink(missing_ok=True)
+        return bool(found)
 
     def clear(self) -> int:
         """Drop every entry; returns the count removed."""

@@ -21,8 +21,8 @@ this package is the long-lived counterpart:
     The asyncio server: pipelined request dispatch, idempotency-keyed
     retry dedup, admission control with explicit shedding, graceful
     drain, cold-matrix partitioning over a resilient worker pool with
-    timeout/retry/degradation, fault injection (worker death, slow
-    engine) priced via :mod:`repro.runtime.faults`.
+    timeout/retry/degradation, fault injection (a real worker death, a
+    real slow-engine stall) counted in the server's fault events.
 :mod:`~repro.serve.resilience`
     Client-side resilience: :class:`RetryingClient` with seeded
     decorrelated-jitter backoff and a circuit breaker, retry-safe

@@ -25,16 +25,16 @@ Wire fault classes (server -> client frames):
     Drop the connection instead of forwarding the frame.
 ``delay``
     Hold the frame for ``delay_ms`` before forwarding (latency, not
-    loss — the p99 inflation the chaos bench prices).
+    loss — the p99 inflation the chaos bench bounds).
 ``drop``
     Swallow the frame; the client's per-request deadline fires.
 
 Requests (client -> server) pass through untouched: request-side faults
 are injected *semantically* instead — the soak driver stamps seeded
-requests with the server's ``fault`` field (``kill_worker``,
-``slow_ms``/``straggler_factor``), reusing the PR 3 machinery and its
-`recovery_stats` pricing. Injecting on the response side keeps the
-accounting clean: every request that reaches the server is processed
+requests with the server's ``fault`` field (``kill_worker``, a real
+pool-worker death, or ``slow_ms``, a real stall). Injecting on the
+response side keeps the accounting clean: every request that reaches
+the server is processed
 exactly once (retries deduplicate through the idempotency table), so
 "zero lost acknowledged requests" is checkable without heuristics.
 

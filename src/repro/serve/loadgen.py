@@ -422,7 +422,6 @@ def run_chaos_soak(
     inject_kill: bool = False,
     p_slow: float = 0.0,
     slow_ms: float = 2.0,
-    straggler_factor: float = 8.0,
 ) -> ChaosSoakResult:
     """Closed-loop soak through a chaos proxy with retrying clients.
 
@@ -433,11 +432,10 @@ def run_chaos_soak(
     schedule — like the proxy's injections — replays exactly.
 
     Semantic injections ride the request path: *inject_kill* stamps the
-    warm-up partition with a worker-kill fault (priced through
-    ``recovery_stats`` by the server), and each request independently
-    carries a slow-engine fault with seeded probability *p_slow* (priced
-    through ``straggler_overhead_seconds``). Both require the server to
-    run with ``allow_fault_injection``.
+    warm-up partition with a worker-kill fault (a real pool-worker
+    death the server retries), and each request independently carries
+    a *slow_ms* stall with seeded probability *p_slow*. Both require the
+    server to run with ``allow_fault_injection``.
     """
     if not 0.0 <= p_slow <= 1.0:
         raise ValueError(f"p_slow must be in [0, 1], got {p_slow}")
@@ -464,7 +462,7 @@ def run_chaos_soak(
                 idx = int(pick.integers(vector_pool))
                 fault = None
                 if p_slow > 0 and float(pick.uniform()) < p_slow:
-                    fault = {"slow_ms": slow_ms, "straggler_factor": straggler_factor}
+                    fault = {"slow_ms": slow_ms}
                 counts["requests"] += 1
                 t0 = time.perf_counter()
                 try:

@@ -20,8 +20,10 @@ CLI tax this package exists to remove, so lookups go through two tiers:
 Keys are ``(matrix content hash, method, procs, seed)`` — the same
 content-hash scheme as the partition cache
 (:func:`repro.bench.harness.cached_rpart` uses
-``{hash}_{kind}_k{nparts}_s{seed}``), so a resident engine, its disk
-artifact, and its cached rpart all name the same partition. Tier
+``{hash}_{code}_{kind}_k{nparts}_s{seed}``), so a resident engine, its
+disk artifact, and its cached rpart all name the same partition. Both
+file names carry a fingerprint of the code that made them, so a disk
+hit is always an engine the running code would have compiled. Tier
 outcomes are counted (``tier_counts``) and reported through serve
 ``health``/``stats`` so load and chaos harnesses can assert cold-path
 behavior instead of inferring it from latency.
@@ -45,7 +47,6 @@ from typing import TYPE_CHECKING
 from ..runtime.store import EngineKey
 
 if TYPE_CHECKING:  # import cycle guard: runtime imports stay lazy
-    from ..runtime.distmatrix import DistSparseMatrix
     from ..runtime.engine import SpmvEngine
     from ..runtime.store import EngineStore
 
@@ -54,21 +55,17 @@ __all__ = ["EngineKey", "ResidentEngine", "EngineResidency"]
 
 @dataclass
 class ResidentEngine:
-    """One hot entry: the compiled engine plus its provenance and stats.
+    """One hot entry: the compiled engine, its batcher and its provenance.
 
-    ``dist`` is ``None`` for engines reconstructed from the disk store —
-    the whole point of the artifact is skipping the
-    :class:`DistSparseMatrix` build. The rare paths that need one (the
-    fault-injection pricing hooks) call ``dist_builder``, attached by
-    the server, to rebuild it lazily.
+    Built and store-loaded entries have the same shape: the server keeps
+    only the engine it multiplies with, never the distribution it was
+    compiled from.
     """
 
     key: EngineKey
     matrix: str  # display name the first admitting request used
-    dist: "DistSparseMatrix | None"
     engine: "SpmvEngine"
     batcher: object | None = None  # MicroBatcher, attached by the server
-    dist_builder: object | None = None  # () -> DistSparseMatrix, lazy
     hits: int = 0
     cold_partition_seconds: float = 0.0
     compile_seconds: float = 0.0
@@ -81,16 +78,6 @@ class ResidentEngine:
     @property
     def nbytes(self) -> int:
         return self.engine.nbytes
-
-    def ensure_dist(self) -> "DistSparseMatrix":
-        """The backing distribution, rebuilt on demand for store loads."""
-        if self.dist is None:
-            if self.dist_builder is None:
-                raise RuntimeError(
-                    f"entry {self.key} has no distribution and no builder"
-                )
-            self.dist = self.dist_builder()
-        return self.dist
 
     def as_dict(self) -> dict:
         """JSON view for the ``stats`` op."""
@@ -159,8 +146,8 @@ class EngineResidency:
         """Tier 2: reconstruct *key* from the disk store (None on miss).
 
         Blocking (file I/O) — safe off the event loop. The returned
-        entry is *not* admitted; the caller attaches a batcher and a
-        ``dist_builder`` and calls :meth:`admit` from the loop thread.
+        entry is *not* admitted; the caller attaches a batcher and calls
+        :meth:`admit` from the loop thread.
         """
         if self.store is None:
             return None
@@ -171,7 +158,6 @@ class EngineResidency:
         return ResidentEngine(
             key=key,
             matrix=matrix,
-            dist=None,
             engine=loaded.engine,
             meta={
                 "engine_source": "disk",

@@ -13,8 +13,9 @@ inline, see :mod:`~repro.serve.batching`). Request lifecycle:
 
 **cold matvec / partition**
     The engine key is ``(matrix hash, method, procs, seed)`` — identical
-    to the partition-cache key, so a cold engine walks the storage
-    tiers in cost order: first the **compiled-engine artifact store**
+    to the partition-cache key, and both caches name their files with a
+    fingerprint of the code that made them, so a cold engine walks the
+    storage tiers in cost order: first the **compiled-engine artifact store**
     (:class:`repro.runtime.store.EngineStore` — a zero-copy mmap load
     that skips partition → maps → plan → compile entirely), then the
     on-disk rpart cache. A true miss of both is sharded to a
@@ -28,15 +29,15 @@ inline, see :mod:`~repro.serve.batching`). Request lifecycle:
     response says so. The ``warmup`` op (and ``repro serve warmup``)
     prefetches a matrix list through the same path ahead of traffic.
 
-**worker death**
-    A killed partition worker (real death — the injection calls
-    ``os._exit`` in the child, only honored when the server was started
-    with ``allow_fault_injection``) breaks the pool; the pool rebuilds
-    and retries, and the completed request's response carries a recovery
-    event priced through :func:`repro.runtime.faults.recovery_stats` —
-    the same alpha-beta-gamma accounting the fault-tolerant runtime uses,
-    so "what does losing a partition worker cost" is answerable in the
-    same unit as every other number in this repo.
+**fault injection** (only honored when the server was started with
+``allow_fault_injection``; a request's ``fault`` object takes two keys)
+    ``kill_worker`` kills the partition worker outright (``os._exit`` in
+    the child, a real death): the pool rebuilds and retries, the
+    response reports ``worker_deaths`` and a ``worker-death`` event is
+    logged. ``slow_ms`` stalls the request that long before it joins its
+    micro-batch, like a straggling engine, and logs a ``slow-engine``
+    event. Both are real events the server observes; neither is priced
+    in modeled seconds.
 
 **resilience semantics** (what the chaos harness exercises)
     Connections are *pipelined*: each framed request dispatches as its
@@ -102,6 +103,8 @@ DRAIN_GRACE_S = 30.0
 IDEM_CAPACITY = 4096
 #: requests after the last shed during which health reports "degraded"
 DEGRADED_WINDOW = 100
+#: the keys a request's ``fault`` object may carry
+FAULT_KEYS = ("kill_worker", "slow_ms")
 
 
 def _partition_task(A, kind, nparts, seed, cache_dir, inject_kill, attempt):
@@ -409,26 +412,6 @@ class MatvecServer:
             timeout=self.config.partition_timeout_s,
         )
 
-    def _dist_builder(self, A, method: str, procs: int, seed: int):
-        """A blocking ``() -> DistSparseMatrix`` for store-loaded entries.
-
-        Disk-loaded engines skip the distribution build entirely; the
-        fault-pricing paths that need one (slow-engine injection) call
-        this lazily, reusing the cached rpart so the rebuild costs a
-        layout + plan build, never a re-partition in the common case.
-        """
-
-        def build():
-            from ..bench.harness import layout_for
-            from ..runtime import CAB, DistSparseMatrix
-
-            layout = layout_for(
-                A, method, procs, seed=seed, cache_dir=self._cache_dir()
-            )
-            return DistSparseMatrix(A, layout, CAB)
-
-        return build
-
     async def _build_engine(
         self, key: EngineKey, name: str, A, method: str, procs: int, seed: int,
         fault_kill: bool,
@@ -442,7 +425,6 @@ class MatvecServer:
                 self.residency.load_from_store, key, name
             )
             if entry is not None:
-                entry.dist_builder = self._dist_builder(A, method, procs, seed)
                 self._admit(entry)
                 meta["engine_source"] = "disk"
                 meta["mmapped"] = entry.meta.get("mmapped", False)
@@ -487,28 +469,26 @@ class MatvecServer:
             from ..runtime import CAB, DistSparseMatrix
 
             layout = make_layout(method, A, procs, seed=seed, rpart=rpart)
-            dist = DistSparseMatrix(A, layout, CAB)
-            dist.engine  # compile now, off the event loop
-            return dist
+            return DistSparseMatrix(A, layout, CAB).engine  # compile off the loop
 
         t1 = time.perf_counter()
-        dist = await asyncio.to_thread(build)
+        engine = await asyncio.to_thread(build)
         entry = ResidentEngine(
             key=key,
             matrix=name,
-            dist=dist,
-            engine=dist.engine,
+            engine=engine,
             cold_partition_seconds=partition_seconds,
             compile_seconds=time.perf_counter() - t1,
         )
         deaths = self.pool.deaths - deaths_before
         if deaths:
-            event = await asyncio.to_thread(
-                self._price_worker_death, dist, name, key, deaths
-            )
-            self.fault_events.append(event)
+            self.fault_events.append({
+                "kind": "worker-death",
+                "matrix": name,
+                "key": str(key),
+                "deaths": deaths,
+            })
             meta["worker_deaths"] = deaths
-            meta["recovery"] = event["recovery"]
         self._admit(entry)
         self.residency.note_built()
         meta["engine_source"] = "built"
@@ -541,34 +521,6 @@ class MatvecServer:
         for evicted in self.residency.admit(entry):
             if evicted.batcher is not None:
                 evicted.batcher.drain()
-
-    def _price_worker_death(
-        self, dist, name: str, key: EngineKey, deaths: int
-    ) -> dict:
-        """Price a partition-worker death as a runtime recovery event.
-
-        The modeled analogue of losing a partition worker mid-build is a
-        fail-stop of one rank of the distribution the build produced:
-        :func:`repro.runtime.faults.recovery_stats` prices restoring that
-        rank's blocks and re-syncing its communication peers, which is the
-        repo's standard unit for "what did this failure cost".
-        """
-        from ..runtime.faults import recovery_stats
-
-        rec = recovery_stats(dist, failed_rank=0, strategy="spare")
-        return {
-            "kind": "worker-death",
-            "matrix": name,
-            "key": str(key),
-            "deaths": deaths,
-            "recovery": {
-                "strategy": rec.strategy,
-                "peers": rec.peers,
-                "restore_words": rec.restore_words,
-                "resync_words": rec.resync_words,
-                "modeled_seconds": rec.modeled_seconds,
-            },
-        }
 
     # -- request dispatch --------------------------------------------------
 
@@ -705,7 +657,7 @@ class MatvecServer:
         """Validate and normalize a request's ``fault`` injection field."""
         fault = msg.get("fault")
         if not fault:
-            return {"kill_worker": False, "slow_ms": 0.0, "straggler_factor": 1.0}
+            return {"kill_worker": False, "slow_ms": 0.0}
         if not self.config.allow_fault_injection:
             raise ProtocolError(
                 "fault injection not enabled (start the server with "
@@ -713,52 +665,26 @@ class MatvecServer:
             )
         if not isinstance(fault, dict):
             raise ProtocolError(f"fault must be an object, got {type(fault).__name__}")
+        unknown = sorted(set(fault) - set(FAULT_KEYS))
+        if unknown:
+            raise ProtocolError(
+                f"unknown fault key(s) {unknown}; known: {', '.join(FAULT_KEYS)}"
+            )
         slow_ms = float(fault.get("slow_ms") or 0.0)
-        factor = float(fault.get("straggler_factor") or 1.0)
         if slow_ms < 0:
             raise ProtocolError(f"fault.slow_ms must be >= 0, got {slow_ms}")
-        if factor < 1.0:
-            raise ProtocolError(f"fault.straggler_factor must be >= 1, got {factor}")
-        return {
-            "kill_worker": bool(fault.get("kill_worker")),
-            "slow_ms": slow_ms,
-            "straggler_factor": factor,
-        }
+        return {"kill_worker": bool(fault.get("kill_worker")), "slow_ms": slow_ms}
 
-    async def _inject_slow_engine(self, entry: ResidentEngine, fault: dict) -> dict:
-        """Stall one request like a straggling engine; price the overhead.
-
-        The real injected stall is ``slow_ms`` of event-loop sleep before
-        the request joins its micro-batch; the *modeled* price is what a
-        ``straggler_factor`` slowdown of one rank costs a distributed
-        SpMV under the machine model — the same unit PR 3's straggler
-        injections are priced in.
-        """
-        from ..runtime.faults import straggler_overhead_seconds
-
-        await asyncio.sleep(fault["slow_ms"] / 1e3)
-        # store-loaded entries have no DistSparseMatrix; pricing needs
-        # one, so rebuild it lazily off the loop (cached rpart, no
-        # re-partition) — the injection path only, never the hot path
-        dist = entry.dist
-        if dist is None:
-            dist = await asyncio.to_thread(entry.ensure_dist)
-        modeled = straggler_overhead_seconds(
-            dist, rank=0, factor=fault["straggler_factor"]
-        )
-        event = {
+    async def _inject_slow_engine(self, entry: ResidentEngine, slow_ms: float) -> dict:
+        """Stall one request for *slow_ms*, like a straggling engine."""
+        await asyncio.sleep(slow_ms / 1e3)
+        self.fault_events.append({
             "kind": "slow-engine",
             "matrix": entry.matrix,
             "key": str(entry.key),
-            "slow_ms": fault["slow_ms"],
-            "straggler_factor": fault["straggler_factor"],
-            "modeled_overhead_seconds": modeled,
-        }
-        self.fault_events.append(event)
-        return {
-            "slow_ms": fault["slow_ms"],
-            "modeled_overhead_seconds": modeled,
-        }
+            "slow_ms": slow_ms,
+        })
+        return {"slow_ms": slow_ms}
 
     async def _answer_from_idem(
         self, rid, msg: dict, payload: bytes | None, idem: str, hit: _IdemEntry
@@ -823,7 +749,7 @@ class MatvecServer:
             entry = outcome.entry
             slow_meta = None
             if fault["slow_ms"]:
-                slow_meta = await self._inject_slow_engine(entry, fault)
+                slow_meta = await self._inject_slow_engine(entry, fault["slow_ms"])
             recorder = SpanRecorder()
             recorder.mark_since("queue", t_arrival)
             y, batch_size = await entry.batcher.submit(x, recorder)

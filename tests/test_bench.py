@@ -20,6 +20,7 @@ from repro.bench import (
 from repro.bench import harness
 from repro.bench.harness import SpmvRecord
 from repro.runtime import CommStats
+from repro.runtime.store import matrix_hash
 
 
 class TestPartitionCache:
@@ -53,11 +54,30 @@ class TestPartitionCache:
         first = cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)
         cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)
         assert len(calls) == 1  # the fill, then a hit
-        monkeypatch.setattr(harness, "_code_fingerprint", lambda: "0" * 12)
+        monkeypatch.setattr(harness, "code_fingerprint", lambda *sources: "0" * 12)
         again = cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)
         assert len(calls) == 2  # recomputed under the new fingerprint
         assert np.array_equal(first, again)
-        assert len(list(tmp_path.glob("*_gp_k4_s0.npy"))) == 2
+        # ... and the write evicted the older code's entry
+        assert len(list(tmp_path.glob("*_gp_k4_s0.npy"))) == 1
+
+    def test_a_write_evicts_other_generations(
+        self, small_powerlaw, tmp_path, monkeypatch
+    ):
+        """A write under fingerprint B removes what A, or code from before
+        fingerprints, wrote for the same entry, and nothing else."""
+        part = cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)
+        [written] = tmp_path.glob("*_gp_k4_s0.npy")
+        mhash = matrix_hash(small_powerlaw)
+        legacy = tmp_path / f"{mhash}_gp_k4_s0.npy"
+        np.save(legacy, part)
+        cached_rpart(small_powerlaw, "gp", 4, seed=1, cache_dir=tmp_path)
+        monkeypatch.setattr(harness, "code_fingerprint", lambda *sources: "b" * 12)
+        cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)
+        assert not written.exists() and not legacy.exists()
+        assert (tmp_path / f"{mhash}_{'b' * 12}_gp_k4_s0.npy").exists()
+        assert len(list(tmp_path.glob("*_s1.npy"))) == 1  # another key survives
+        assert len(list(tmp_path.glob("*.npy"))) == 2
 
     def test_different_seeds_different_entries(self, small_powerlaw, tmp_path):
         cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)

@@ -9,9 +9,13 @@ The contracts under test:
   encoding and whatever batch the request landed in;
 * **residency** — engines stay hot behind the LRU and evict in LRU
   order under count and byte bounds;
-* **resilience** — a killed partition worker is retried and the request
-  completes, priced via :func:`repro.runtime.faults.recovery_stats`; a
-  pool that cannot deliver degrades to the in-process reference path.
+* **resilience** — a killed partition worker is retried, counted and
+  logged, and the request completes; a pool that cannot deliver
+  degrades to the in-process reference path; a ``fault`` object with a
+  key the server does not know is refused;
+* **disk tier** — an engine is served from the artifact store only if
+  the running code compiled it, and serving one (a stalled request
+  included) builds no distribution.
 
 Everything runs hermetically: a generated matrix written to a temp
 MatrixMarket file, a private partition-cache directory, short ``/tmp``
@@ -220,7 +224,7 @@ def test_concurrent_mixed_matvec_and_partition(serve_env):
 # ---------------------------------------------------------------------------
 
 
-def test_worker_death_is_retried_and_priced(serve_env):
+def test_worker_death_is_retried_and_counted(serve_env):
     with ServeClient(serve_env["sock"], timeout=300.0) as c:
         resp, _ = c.request({
             "op": "partition", "matrix": serve_env["mtx"], "procs": PROCS,
@@ -230,14 +234,26 @@ def test_worker_death_is_retried_and_priced(serve_env):
         assert resp["worker_deaths"] >= 1
         assert not resp["degraded"]  # the retry completed on the pool
         assert resp["partition_source"] == "pool"
-        rec = resp["recovery"]
-        assert rec["strategy"] == "spare"
-        assert rec["modeled_seconds"] > 0
-        assert rec["peers"] >= 1 and rec["restore_words"] > 0
+        assert "recovery" not in resp
 
         stats, _ = c.request({"op": "stats"})
         assert stats["pool"]["deaths"] >= 1
-        assert any(e["kind"] == "worker-death" for e in stats["fault_events"])
+        deaths = [e for e in stats["fault_events"] if e["kind"] == "worker-death"]
+        assert deaths and deaths[-1]["deaths"] >= 1
+        assert "recovery" not in deaths[-1]
+
+
+@pytest.mark.parametrize(
+    "fault", [{"kill_workr": True}, {"slow_ms": 5.0, "straggler_factor": 8.0}]
+)
+def test_unknown_fault_keys_are_refused(serve_env, fault):
+    """A misspelled or retired fault key is an error, never a no-op."""
+    n = serve_env["A"].shape[0]
+    with ServeClient(serve_env["sock"], timeout=300.0) as c:
+        resp, y = _matvec(c, serve_env, np.ones(n), fault=fault)
+        assert not resp["ok"] and y is None
+        assert "unknown fault key" in resp["error"]
+        assert "kill_worker" in resp["error"] and "slow_ms" in resp["error"]
 
 
 def test_fault_injection_rejected_when_disabled():
@@ -337,7 +353,7 @@ def _entry(key_seed: int, nbytes: int = 100) -> ResidentEngine:
             self.nbytes = nb
 
     key = EngineKey("h" * 12, "2d-gp", 4, key_seed)
-    return ResidentEngine(key=key, matrix="m", dist=None, engine=_Eng(nbytes))
+    return ResidentEngine(key=key, matrix="m", engine=_Eng(nbytes))
 
 
 def test_residency_lru_and_byte_bounds():
@@ -974,6 +990,67 @@ def test_warmup_reports_engine_tiers(serve_env):
     resp = json.loads(asyncio.run(server._dispatch(refused, None)))
     assert resp["id"] == 7 and not resp["ok"] and resp["draining"] is True
     assert resp["retry_after_s"] > 0
+
+
+def _matvec_on_fresh_server(tmp: str, name: str, mtx: str, x, **extra):
+    """One 2d-random matvec from a new in-thread server over *tmp*'s caches."""
+    sock = os.path.join(tmp, f"{name}.sock")
+    msg = {"op": "matvec", "matrix": mtx, "method": "2d-random", "procs": PROCS}
+    handle = start_in_thread(ServeConfig(
+        socket_path=sock,
+        cache_dir=os.path.join(tmp, "cache"),
+        engine_store_dir=os.path.join(tmp, "engines"),
+        allow_fault_injection=True,
+    ))
+    try:
+        with ServeClient(sock, timeout=300.0) as c:
+            return c.request({**msg, **extra}, x=x, encoding="bin")
+    finally:
+        handle.stop()
+
+
+def test_slow_engine_from_disk_builds_no_distribution(serve_env, monkeypatch):
+    """A stalled request on a store-loaded engine stalls for ``slow_ms``
+    and nothing more: the server builds no distribution to serve it."""
+    from repro.runtime.distmatrix import DistSparseMatrix
+
+    tmp = _short_tmpdir()
+    x = np.random.default_rng(3).standard_normal(serve_env["A"].shape[0])
+    built, y_built = _matvec_on_fresh_server(tmp, "a", serve_env["mtx"], x)
+    assert built["ok"] and built["engine_source"] == "built", built
+
+    constructed = []
+    real_init = DistSparseMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DistSparseMatrix, "__init__", counting_init)
+    resp, y = _matvec_on_fresh_server(
+        tmp, "b", serve_env["mtx"], x, fault={"slow_ms": 50.0}
+    )
+    assert resp["ok"] and resp["engine_source"] == "disk", resp
+    assert constructed == []
+    assert resp["slow_engine"] == {"slow_ms": 50.0}
+    assert np.array_equal(y, y_built)
+
+
+def test_engine_of_other_code_is_not_served_from_disk(serve_env, monkeypatch):
+    """An artifact compiled by other code is a store miss: the server
+    rebuilds it, and the rebuild replaces the older generation."""
+    from repro.runtime import store
+
+    tmp = _short_tmpdir()
+    x = np.ones(serve_env["A"].shape[0])
+    first, y_first = _matvec_on_fresh_server(tmp, "a", serve_env["mtx"], x)
+    assert first["ok"] and first["engine_source"] == "built", first
+    monkeypatch.setattr(store, "code_fingerprint", lambda *sources: "0" * 12)
+    second, y = _matvec_on_fresh_server(tmp, "b", serve_env["mtx"], x)
+    assert second["ok"] and second["engine_source"] != "disk", second
+    assert np.array_equal(y, y_first)
+    artifacts = os.listdir(os.path.join(tmp, "engines"))
+    assert len(artifacts) == 1 and "_000000000000_" in artifacts[0]
 
 
 def test_server_handle_stop_raises_on_hung_thread():

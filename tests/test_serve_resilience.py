@@ -575,25 +575,3 @@ def test_chaos_soak_raises_the_session_setup_error(fake_loop):
         )
     )
     assert isinstance(exc, ValueError) and "max_attempts" in str(exc), repr(exc)
-
-
-# ---------------------------------------------------------------------------
-# slow-engine pricing helper
-# ---------------------------------------------------------------------------
-
-
-def test_straggler_overhead_positive_and_monotone():
-    from repro.bench.harness import layout_for
-    from repro.runtime import CAB, DistSparseMatrix
-    from repro.runtime.faults import straggler_overhead_seconds
-
-    A = rmat(scale=7, edge_factor=8, seed=3)
-    dist = DistSparseMatrix(A, layout_for(A, "2d-block", 4), CAB)
-    four = straggler_overhead_seconds(dist, rank=0, factor=4.0)
-    eight = straggler_overhead_seconds(dist, rank=0, factor=8.0)
-    assert four > 0.0
-    assert eight >= four  # a slower rank can only inflate the critical path
-    with pytest.raises(ValueError):
-        straggler_overhead_seconds(dist, rank=0, factor=0.5)
-    with pytest.raises(ValueError):
-        straggler_overhead_seconds(dist, rank=99, factor=2.0)

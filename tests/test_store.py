@@ -228,6 +228,25 @@ class TestCorruption:
         x = np.random.default_rng(5).standard_normal(engine.n)
         assert np.array_equal(loaded.engine.spmv(x), engine.spmv(x))
 
+    def test_a_save_evicts_other_generations(self, compiled, tmp_path, monkeypatch):
+        """A save under fingerprint B removes what A, or code from before
+        fingerprints, stored under the same key, and nothing else."""
+        from repro.runtime import store as store_module
+
+        _, engine, key = compiled
+        store, _, old = self._saved(compiled, tmp_path)
+        legacy = tmp_path / f"{key}.engine.npz"
+        legacy.write_bytes(old.read_bytes())
+        other = store.save(EngineKey(key.matrix_hash, key.method, key.procs, 9), engine)
+        monkeypatch.setattr(store_module, "code_fingerprint", lambda *s: "b" * 12)
+        assert store.load(key) is None  # an engine of other code is a miss
+        new = store.save(key, engine)
+        assert "_bbbbbbbbbbbb_" in new.name
+        assert not old.exists() and not legacy.exists()
+        assert sorted(tmp_path.glob("*.engine.npz")) == sorted([new, other])
+        status = {e["file"]: e["status"] for e in store.entries()}
+        assert status == {new.name: "ok", other.name: "stale"}
+
     def test_entries_and_evict(self, compiled, tmp_path):
         store, key, _ = self._saved(compiled, tmp_path)
         entries = store.entries()
@@ -293,7 +312,7 @@ class TestAbftBudget:
 
     def _admit(self, A, seed, residency):
         engine, key = _fresh_engine(A, seed)
-        entry = ResidentEngine(key=key, matrix="m", dist=None, engine=engine)
+        entry = ResidentEngine(key=key, matrix="m", engine=engine)
         residency.admit(entry)
         return entry
 
