@@ -105,10 +105,6 @@ def _store_identity(engine, key, store) -> tuple[list[str], bool]:
         fails.append(f"loaded spmv diverged for {key}")
     if not np.array_equal(engine.spmm(X), loaded.engine.spmm(X)):
         fails.append(f"loaded spmm diverged for {key}")
-    y, partials = loaded.engine.spmv_with_partials(x)
-    check = loaded.engine.abft_check(x, partials, y)
-    if check.detected:
-        fails.append(f"loaded engine's ABFT check flagged a clean run for {key}")
     return fails, loaded.mmapped
 
 

@@ -17,12 +17,6 @@ once on a workstation, reuse for many analyses:
     Golden-invariant regression harness: snapshot the plan-level metrics
     of the layout x matrix x p grid, or check the working tree against
     the snapshots in ``tests/golden/`` (see :mod:`repro.regress`).
-``faults {run,campaign}``
-    Deterministic fault-injection campaigns (fail-stop, silent data
-    corruption, stragglers) with ABFT detection and costed recovery —
-    ``run`` replays one seeded plan against one layout and prints the
-    event trace; ``campaign`` sweeps fail-stop rates across layouts
-    (see :mod:`repro.runtime.faults`).
 ``serve --socket PATH [--http PORT]``
     Long-lived matvec server: compiled engines stay resident behind an
     LRU, concurrent matvecs coalesce into batched ``spmm`` calls, cold
@@ -46,15 +40,15 @@ once on a workstation, reuse for many analyses:
     expiries. ``--chaos`` interposes a seeded chaos proxy and drives
     the load through retrying clients instead.
 
-Every subcommand that uses randomness (partitioning, fault schedules,
-solver start vectors) takes the same ``--seed`` flag; one seed makes the
-whole pipeline — plans, injections, detection verdicts, modeled seconds —
+Every subcommand that uses randomness (partitioning, solver start
+vectors, chaos schedules) takes the same ``--seed`` flag; one seed makes
+the whole pipeline — partitions, start vectors, modeled seconds —
 bit-reproducible.
 
 Heavy subcommands additionally share a ``--jobs N`` flag that fans
-independent work (RB subtrees, sweep cells, campaign layouts) across a
-process pool (:mod:`repro.parallel`). Output is bit-identical to a serial
-run at any job count — parallelism is an execution detail, never a result
+independent work (RB subtrees, sweep cells) across a process pool
+(:mod:`repro.parallel`). Output is bit-identical to a serial run at any
+job count — parallelism is an execution detail, never a result
 parameter.
 """
 
@@ -248,63 +242,6 @@ def _cmd_regress(args) -> int:
         Path(args.report).write_text(report + "\n")
         print(f"diff report written to {args.report}")
     return 1
-
-
-def _cmd_faults(args) -> int:
-    from .bench.harness import layout_for
-    from .bench.reporting import format_table
-    from .runtime import CAB, DistSparseMatrix, FaultConfig, FaultPlan
-    from .runtime.faults import CAMPAIGN_COLUMNS, fault_campaign, run_with_faults
-
-    A = _load(args.matrix)
-    config = FaultConfig(
-        abft=not args.no_abft,
-        checkpoint_interval=args.checkpoint_interval,
-        recovery_strategy=args.strategy,
-    )
-
-    def plan_for(failstop_rate: float) -> FaultPlan:
-        return FaultPlan.from_rates(
-            args.procs,
-            args.iterations,
-            seed=args.seed,
-            failstop_rate=failstop_rate,
-            corruption_rate=args.corruption_rate,
-            straggler_rate=args.straggler_rate,
-        )
-
-    if args.action == "run":
-        plan = plan_for(args.failstop_rate)
-        layout = layout_for(A, args.method, args.procs, seed=args.seed)
-        dist = DistSparseMatrix(A, layout, CAB)
-        res = run_with_faults(dist, plan, config=config, layout_name=layout.name)
-        print(
-            f"{layout.name} p={args.procs}: {plan.nevents} scheduled fault(s), "
-            f"seed {args.seed}"
-        )
-        if res.ledger.events:
-            print(format_table(
-                ["iter", "kind", "rank", "phase", "detected", "seconds", "note"],
-                [e.row() for e in res.ledger.events],
-            ))
-        for phase, t in sorted(res.ledger.breakdown().items()):
-            print(f"  {phase:<14} {t:.4e} s")
-        print(
-            f"clean {res.clean_seconds:.4e} s -> faulty {res.total_seconds:.4e} s "
-            f"({100.0 * res.overhead:.1f}% resilience overhead)"
-        )
-        return 0
-
-    layouts = [layout_for(A, mth, args.procs, seed=args.seed) for mth in args.methods]
-    for rate in args.failstop_rates:
-        plan = plan_for(rate)
-        cells = fault_campaign(A, layouts, plan, config=config, jobs=args.jobs)
-        print(
-            f"-- fail-stop rate {rate:g}/iter over {args.iterations} iterations "
-            f"({plan.nevents} event(s), seed {args.seed})"
-        )
-        print(format_table(CAMPAIGN_COLUMNS, [c.row() for c in cells]))
-    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -670,39 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("dir_a")
     d.add_argument("dir_b")
     d.set_defaults(fn=_cmd_regress)
-
-    p = sub.add_parser(
-        "faults", help="deterministic fault-injection campaigns (see DESIGN.md §8)"
-    )
-    fsub = p.add_subparsers(dest="action", required=True)
-    fcommon = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    fcommon.add_argument("matrix")
-    fcommon.add_argument("-p", "--procs", type=int, default=64)
-    fcommon.add_argument("--iterations", type=int, default=100,
-                         help="SpMV iterations to simulate (default: 100)")
-    fcommon.add_argument("--corruption-rate", type=float, default=0.0,
-                         help="per-iteration silent-corruption probability")
-    fcommon.add_argument("--straggler-rate", type=float, default=0.0,
-                         help="per-iteration straggler-onset probability")
-    fcommon.add_argument("--checkpoint-interval", type=int, default=10,
-                         help="iterations between checkpoints (0 disables)")
-    fcommon.add_argument("--strategy", choices=("spare", "redistribute"),
-                         default="spare", help="fail-stop recovery strategy")
-    fcommon.add_argument("--no-abft", action="store_true",
-                         help="disable ABFT checksum detection")
-    f = fsub.add_parser("run", parents=[fcommon],
-                        help="one seeded plan against one layout, with event trace")
-    f.add_argument("--method", default="2d-gp")
-    f.add_argument("--failstop-rate", type=float, default=0.02,
-                   help="per-iteration fail-stop probability (default: 0.02)")
-    f.set_defaults(fn=_cmd_faults)
-    f = fsub.add_parser("campaign", parents=[fcommon, jobbed],
-                        help="sweep fail-stop rates across layouts")
-    f.add_argument("--methods", nargs="+", default=default_methods)
-    f.add_argument("--failstop-rates", nargs="+", type=float,
-                   default=[0.0, 0.02, 0.05],
-                   help="fail-stop rates to sweep (default: 0 0.02 0.05)")
-    f.set_defaults(fn=_cmd_faults)
 
     p = sub.add_parser(
         "serve", help="long-lived batched matvec server (see DESIGN.md §12)",

@@ -21,8 +21,7 @@ recursive bisection over a pool
 
 sweep fan-out
     :func:`parallel_map` fans independent cells (one corpus matrix's
-    grid column, one campaign layout, one regression golden) across
-    workers.
+    grid column, one regression golden) across workers.
 """
 
 from __future__ import annotations
@@ -210,8 +209,8 @@ class ResilientPool:
     that, so this wrapper rebuilds the pool and retries the task, a
     bounded number of times, and enforces a per-task timeout by the only
     means an abandoned process task allows — discarding the pool. Each
-    broken-pool incident is counted in :attr:`deaths` so callers can
-    price the recovery (:func:`repro.runtime.faults.recovery_stats`).
+    broken-pool incident is counted in :attr:`deaths`, which the server
+    reports in its ``stats``.
 
     The task callable receives the attempt index as its final positional
     argument; deterministic tasks ignore it, fault-injection tasks use it

@@ -11,10 +11,10 @@ messages, volumes, imbalance) are exact, machine-independent quantities.
 from .machine import MachineModel, CAB, HOPPER, ZERO_COMM, MACHINES
 from .maps import Map
 from .plan import CommPlan
-from .trace import CostLedger, FaultEvent, SPMV_PHASES, FAULT_PHASES
+from .trace import CostLedger, SPMV_PHASES
 from .distmatrix import DistSparseMatrix
 from .distvector import DistVectorSpace
-from .engine import SpmvEngine, AbftCheck
+from .engine import SpmvEngine
 from .threads import ApplyPlan, balanced_row_splits
 from .store import (
     ARTIFACT_SCHEMA,
@@ -27,20 +27,7 @@ from .store import (
 )
 from .metrics import CommStats, comm_stats, recovery_peers, max_recovery_peers
 from .collectives import COLLECTIVE_ALGORITHMS, phase_time
-from .migration import MigrationStats, migration_stats, price_pair_words
-from .faults import (
-    FailStop,
-    Corruption,
-    Straggler,
-    FaultPlan,
-    FaultConfig,
-    RecoveryStats,
-    FaultRunResult,
-    CampaignCell,
-    recovery_stats,
-    run_with_faults,
-    fault_campaign,
-)
+from .migration import MigrationStats, migration_stats
 
 __all__ = [
     "MachineModel",
@@ -51,13 +38,10 @@ __all__ = [
     "Map",
     "CommPlan",
     "CostLedger",
-    "FaultEvent",
     "SPMV_PHASES",
-    "FAULT_PHASES",
     "DistSparseMatrix",
     "DistVectorSpace",
     "SpmvEngine",
-    "AbftCheck",
     "ApplyPlan",
     "balanced_row_splits",
     "ARTIFACT_SCHEMA",
@@ -75,16 +59,4 @@ __all__ = [
     "phase_time",
     "MigrationStats",
     "migration_stats",
-    "price_pair_words",
-    "FailStop",
-    "Corruption",
-    "Straggler",
-    "FaultPlan",
-    "FaultConfig",
-    "RecoveryStats",
-    "FaultRunResult",
-    "CampaignCell",
-    "recovery_stats",
-    "run_with_faults",
-    "fault_campaign",
 ]

@@ -23,12 +23,6 @@ the trade can be quantified (``benchmarks/bench_ablation_collectives.py``):
 These are *cost models* of the same data movement (the numerics are
 identical — tested); what changes is how the runtime charges time for a
 given :class:`repro.runtime.plan.CommPlan`.
-
-Every model takes an optional per-rank ``slowdown`` vector (>= 1.0,
-default all-ones) from the fault-injection layer
-(:mod:`repro.runtime.faults`): a straggling rank multiplies its own
-per-rank cost before the max-over-ranks, which is exactly how a slow
-process stretches a bulk-synchronous phase.
 """
 
 from __future__ import annotations
@@ -42,16 +36,12 @@ __all__ = ["phase_time_direct", "phase_time_tree", "phase_time_hypercube",
            "COLLECTIVE_ALGORITHMS", "phase_time"]
 
 
-def phase_time_direct(
-    plan: CommPlan, machine: MachineModel, slowdown: np.ndarray | None = None
-) -> float:
+def phase_time_direct(plan: CommPlan, machine: MachineModel) -> float:
     """Point-to-point: the plan's native cost (delegates to the plan)."""
-    return plan.phase_time(machine, slowdown=slowdown)
+    return plan.phase_time(machine)
 
 
-def phase_time_tree(
-    plan: CommPlan, machine: MachineModel, slowdown: np.ndarray | None = None
-) -> float:
+def phase_time_tree(plan: CommPlan, machine: MachineModel) -> float:
     """Binomial-tree routing per rank's send set.
 
     A rank with s distinct destinations pays ``alpha * ceil(log2(s+1))``
@@ -75,23 +65,17 @@ def phase_time_tree(
         machine.alpha * (hops_s + hops_r)
         + machine.beta * (sent_v * np.maximum(hops_s, 1.0) + recv_v * np.maximum(hops_r, 1.0))
     )
-    if slowdown is not None:
-        per_rank = per_rank * slowdown
     return float(per_rank.max())
 
 
-def phase_time_hypercube(
-    plan: CommPlan, machine: MachineModel, slowdown: np.ndarray | None = None
-) -> float:
+def phase_time_hypercube(plan: CommPlan, machine: MachineModel) -> float:
     """HLP hypercube fold: d = ceil(log2 p) rounds, payloads combined.
 
     Every rank participates in all d rounds (alpha * d latency, flat). The
     routed volume per rank per round is bounded by its total traffic: a
     payload from s to t travels along the dimensions where s and t differ
     (on average d/2 hops), so we charge ``beta * (d/2) * traffic`` spread
-    over rounds with the busiest rank setting the pace. Under stragglers
-    the lock-step rounds make *every* round as slow as the slowest
-    participant, so the whole phase scales by ``slowdown.max()``.
+    over rounds with the busiest rank setting the pace.
     """
     p = plan.nprocs
     if p <= 1:
@@ -102,10 +86,7 @@ def phase_time_hypercube(
     np.add.at(traffic, plan.src, sizes)
     np.add.at(traffic, plan.dst, sizes)
     max_traffic = float(traffic.max()) if len(traffic) else 0.0
-    t = d * machine.alpha + machine.beta * (d / 2.0) * max_traffic
-    if slowdown is not None and len(slowdown):
-        t *= float(np.max(slowdown))
-    return t
+    return d * machine.alpha + machine.beta * (d / 2.0) * max_traffic
 
 
 COLLECTIVE_ALGORITHMS = {
@@ -116,10 +97,7 @@ COLLECTIVE_ALGORITHMS = {
 
 
 def phase_time(
-    plan: CommPlan,
-    machine: MachineModel,
-    algorithm: str = "direct",
-    slowdown: np.ndarray | None = None,
+    plan: CommPlan, machine: MachineModel, algorithm: str = "direct"
 ) -> float:
     """Phase cost under the named communication algorithm."""
     try:
@@ -128,4 +106,4 @@ def phase_time(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(COLLECTIVE_ALGORITHMS)}"
         ) from None
-    return fn(plan, machine, slowdown=slowdown)
+    return fn(plan, machine)

@@ -309,8 +309,7 @@ class DistSparseMatrix:
     # -- cost model ------------------------------------------------------------
 
     def charge_spmv(self, ledger: CostLedger, count: int = 1,
-                    algorithm: str = "direct",
-                    slowdown: np.ndarray | None = None) -> None:
+                    algorithm: str = "direct") -> None:
         """Charge the modeled cost of *count* SpMVs to *ledger*.
 
         The communication structure is iteration-invariant, so cost scales
@@ -318,24 +317,15 @@ class DistSparseMatrix:
         executed multiply. ``algorithm`` selects the communication model
         for the expand/fold phases ("direct", "tree" or "hypercube"; see
         :mod:`repro.runtime.collectives` and the paper's reference [18]).
-
-        *slowdown* is an optional per-rank multiplier (>= 1 for
-        stragglers, from :mod:`repro.runtime.faults`): every phase is a
-        max-over-ranks, so one slow rank stretches all four phases.
+        Every phase is a max over ranks: the busiest rank's messages,
+        flops and received fold words set its time.
         """
         mach = self.machine
-        ledger.add("expand",
-                   count * phase_time(self.import_plan, mach, algorithm, slowdown))
-        flops_per_rank = 2.0 * self.local_nnz.astype(np.float64)
-        if slowdown is not None:
-            flops_per_rank = flops_per_rank * slowdown
-        flops = flops_per_rank.max() if self.nprocs else 0.0
+        ledger.add("expand", count * phase_time(self.import_plan, mach, algorithm))
+        flops = 2.0 * self.local_nnz.max() if self.nprocs else 0.0
         ledger.add("local-compute", count * mach.compute_time(flops))
-        ledger.add("fold",
-                   count * phase_time(self.fold_plan, mach, algorithm, slowdown))
+        ledger.add("fold", count * phase_time(self.fold_plan, mach, algorithm))
         recv = self.fold_plan.recv_volume().astype(np.float64)
-        if slowdown is not None:
-            recv = recv * slowdown
         sum_cost = mach.gamma_mem * (recv.max() if len(recv) else 0.0)
         ledger.add("sum", count * float(sum_cost))
 

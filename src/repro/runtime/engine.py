@@ -50,27 +50,9 @@ slices in the same stored-entry order as the fused multiply, so the
 threaded apply is **bit-identical** to the serial one
 (``tests/test_threads.py``). Nothing in the package raises the budget
 (DESIGN.md §15).
-
-ABFT checksums (Huang & Abraham 1984)
--------------------------------------
-For fault tolerance the engine also precomputes *checksum vectors*: for
-each rank r, the column sums of its block rows of ``local``, i.e. the
-weight vector ``w_r = e^T A_r`` such that rank r's partial-sum buffer must
-satisfy ``sum(partials_r) == w_r @ x`` for the *true* x. Comparing the two
-sides (:meth:`abft_check`) detects any corruption injected into the
-expand payloads, the local CSR values, or the local compute of rank r —
-and localises it to the rank — at O(n/p) modeled cost per SpMV (each rank
-sums its own buffer and evaluates one sparse dot, then one p-word
-allreduce). A second, global identity ``sum(y) == sum_r w_r @ x`` catches
-corruption of fold payloads in transit (after the per-rank checksums
-passed at the producer). Thresholds scale with ``|w_r| @ |x|`` so float
-reassociation never false-positives; see
-:class:`~repro.runtime.faults.FaultPlan` for the injection side.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,12 +61,7 @@ from ..perf import phase
 from . import threads as _threads
 from .threads import ApplyPlan
 
-__all__ = ["SpmvEngine", "AbftCheck"]
-
-#: Relative detection threshold: generous against float-reassociation
-#: noise (~1e3 ulp at double precision), far below any meaningful
-#: corruption (the injection default is 1e-3 relative).
-ABFT_RTOL = 1e-8
+__all__ = ["SpmvEngine"]
 
 
 def _adopt_csr(data, indices, indptr, shape) -> sp.csr_matrix:
@@ -109,29 +86,6 @@ def _adopt_csr(data, indices, indptr, shape) -> sp.csr_matrix:
     M.indices = indices
     M.indptr = indptr
     return M
-
-
-@dataclass(frozen=True)
-class AbftCheck:
-    """Verdict of one ABFT checksum test over a four-phase SpMV.
-
-    ``rank_discrepancy[r]`` is ``|sum(partials_r) - w_r @ x|``;
-    ``rank_threshold[r]`` the reassociation-noise bound it is compared
-    against. ``flagged_ranks`` lists ranks whose discrepancy exceeded the
-    bound (expand/compute-side corruption); ``fold_flagged`` is True when
-    the per-rank sums passed but the folded result violates the global
-    checksum (fold-transit corruption).
-    """
-
-    rank_discrepancy: np.ndarray
-    rank_threshold: np.ndarray
-    flagged_ranks: np.ndarray
-    fold_flagged: bool
-
-    @property
-    def detected(self) -> bool:
-        """True if any checksum test tripped."""
-        return bool(len(self.flagged_ranks)) or self.fold_flagged
 
 
 class SpmvEngine:
@@ -192,10 +146,7 @@ class SpmvEngine:
             shape=(n, len(row_concat)),
         )
 
-        #: slot -> owning rank of the concatenated partial-sum buffer
-        self._slot_rank = rank_of_slot
         self._nprocs = p
-        self._abft: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix] | None = None
         self._threads = 1
         self._plan: ApplyPlan | None = None
 
@@ -254,16 +205,13 @@ class SpmvEngine:
         """The engine's full compiled state as flat arrays.
 
         Everything :meth:`spmv`/:meth:`spmm` touch — the two CSR
-        operators, the slot→rank vector, and the shapes — round-trips
-        through :meth:`from_arrays` *bit-identically by contract*: the
+        operators and the shapes — round-trips through
+        :meth:`from_arrays` *bit-identically by contract*: the
         reconstructed engine's results equal this one's to the last bit
         (the artifact store verifies that at save time, and
-        ``BENCH_coldstart.json`` gates it corpus-wide). The lazy ABFT
-        operators are deliberately excluded: they are derived purely
-        from ``local`` and ``slot_rank``, so a loaded engine rebuilds
-        them on first :meth:`abft_check` exactly as a compiled one does.
-        The thread budget is runtime state, not compiled state: a loaded
-        engine starts serial.
+        ``BENCH_coldstart.json`` gates it corpus-wide). The thread budget
+        is runtime state, not compiled state: a loaded engine starts
+        serial.
         """
         return {
             "dims": np.array(
@@ -276,7 +224,6 @@ class SpmvEngine:
             "fold_data": self._fold.data,
             "fold_indices": self._fold.indices,
             "fold_indptr": self._fold.indptr,
-            "slot_rank": np.asarray(self._slot_rank, dtype=np.int64),
         }
 
     @classmethod
@@ -307,12 +254,8 @@ class SpmvEngine:
             arrays["fold_indptr"],
             (int(dims[4]), int(dims[5])),
         )
-        eng._slot_rank = np.asarray(arrays["slot_rank"])
         if eng._fold.shape[0] != n or eng._local.shape[1] != n:
             raise ValueError("operator shapes inconsistent with n")
-        if len(eng._slot_rank) != eng._local.shape[0]:
-            raise ValueError("slot_rank length inconsistent with local operator")
-        eng._abft = None
         eng._threads = 1
         eng._plan = None
         return eng
@@ -322,116 +265,35 @@ class SpmvEngine:
         """Resident bytes of the compiled operators.
 
         The residency layer (:mod:`repro.serve.residency`) budgets its LRU
-        by this number: the two CSR operators and ``slot_rank`` are a
-        serial engine's whole footprint. A budget above 1 adds its apply
-        plan (split arrays plus each bound block's small indptr — the
-        entry arrays are zero-copy views counted once with their parent),
-        the lazily built ABFT operators count once they exist, and Python
-        object overhead is ignored as noise.
+        by this number: the two CSR operators are a serial engine's whole
+        footprint. A budget above 1 adds its apply plan (split arrays plus
+        each bound block's small indptr — the entry arrays are zero-copy
+        views counted once with their parent), and Python object overhead
+        is ignored as noise.
         """
-        total = self._slot_rank.nbytes
+        total = 0
         for op in (self._local, self._fold):
             total += op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
         if self._plan is not None:
             total += self._plan.nbytes
-        return int(total) + self.abft_bytes
-
-    @property
-    def abft_bytes(self) -> int:
-        """Bytes of the lazily built ABFT state (0 until first use).
-
-        Split out from :attr:`nbytes` so the residency layer can report
-        how much of an entry's footprint appeared *after* admission: the
-        residency checks its byte budget at admission only, and no serve
-        path builds these operators. Counts the three checksum operators
-        (the selector, weights, and |weights|), all resident once built.
-        """
-        if self._abft is None:
-            return 0
-        total = 0
-        for op in self._abft:
-            total += op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
         return int(total)
-
-    # -- ABFT checksums ----------------------------------------------------
-
-    def _abft_operators(self):
-        """(S, E, Eabs): slot->rank selector, checksum weights, |weights|.
-
-        ``S`` is the (p, slots) 0/1 matrix summing each rank's partial
-        buffer; ``E = S @ local`` holds rank r's Huang-Abraham checksum
-        vector ``w_r = e^T A_r`` in row r; ``Eabs`` the entrywise absolute
-        values for the noise bound. Built lazily: campaigns with ABFT off
-        never pay for it.
-        """
-        if self._abft is None:
-            nslots = self._local.shape[0]
-            S = sp.csr_matrix(
-                (np.ones(nslots), self._slot_rank,
-                 np.arange(nslots + 1, dtype=np.int64)),
-                shape=(nslots, self._nprocs),
-            ).T.tocsr()
-            E = (S @ self._local).tocsr()
-            Eabs = sp.csr_matrix(
-                (np.abs(E.data), E.indices, E.indptr), shape=E.shape
-            )
-            self._abft = (S, E, Eabs)
-        return self._abft
 
     def spmv_with_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(y, partials)``: the result plus the pre-fold partial sums.
 
         ``partials`` is the concatenation of every rank's partial-sum
         buffer (the expand + local-compute output); ``y = fold @
-        partials``. The fault injector perturbs ``partials`` between the
-        two stages to model corruption at specific pipeline points.
+        partials``. Splitting the two stages lets a caller time expand +
+        local compute apart from fold + sum.
         """
         with phase("engine.local"):
             partials = self._apply(self._local, x)
         return self.fold(partials), partials
 
     def fold(self, partials: np.ndarray) -> np.ndarray:
-        """Fold + sum a (possibly perturbed) partial-sum buffer."""
+        """Fold + sum a partial-sum buffer from :meth:`spmv_with_partials`."""
         with phase("engine.fold"):
             return self._apply(self._fold, partials)
-
-    def abft_check(
-        self,
-        x: np.ndarray,
-        partials: np.ndarray,
-        y: np.ndarray | None = None,
-        rtol: float = ABFT_RTOL,
-    ) -> AbftCheck:
-        """Huang-Abraham checksum test of one executed SpMV.
-
-        Compares each rank's observed partial sum against its precomputed
-        checksum dot ``w_r @ x``, flagging ranks whose discrepancy exceeds
-        ``rtol * (|w_r| @ |x| + |observed|)`` — a bound the exact
-        computation can only approach through float reassociation, so a
-        clean run never trips it (tested over the golden corpus). When *y*
-        is given, additionally checks the global identity
-        ``sum(y) == sum_r w_r @ x`` that catches fold-transit corruption.
-        """
-        S, E, Eabs = self._abft_operators()
-        with phase("engine.abft"):
-            observed = S @ partials
-            expected = E @ x
-            noise_scale = Eabs @ np.abs(x)
-        disc = np.abs(observed - expected)
-        threshold = rtol * (noise_scale + np.abs(observed))
-        flagged = np.flatnonzero(disc > threshold)
-        fold_flagged = False
-        if y is not None:
-            total_disc = abs(float(np.sum(y)) - float(np.sum(expected)))
-            total_thr = rtol * float(np.sum(noise_scale) + np.abs(y).sum())
-            # only attribute to the fold if the producer-side sums passed
-            fold_flagged = total_disc > total_thr and len(flagged) == 0
-        return AbftCheck(
-            rank_discrepancy=disc,
-            rank_threshold=threshold,
-            flagged_ranks=flagged,
-            fold_flagged=fold_flagged,
-        )
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` through the compiled four phases.

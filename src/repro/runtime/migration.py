@@ -20,7 +20,7 @@ import numpy as np
 from ..graphs.csr import as_csr
 from .machine import CAB, MachineModel
 
-__all__ = ["MigrationStats", "migration_stats", "price_pair_words"]
+__all__ = ["MigrationStats", "migration_stats"]
 
 #: doubles-equivalent on the wire per moved nonzero: value + row + column
 #: index (Epetra ships (i, j, a_ij) triples during redistribution)
@@ -43,7 +43,7 @@ class MigrationStats:
     modeled_seconds: float
 
 
-def price_pair_words(
+def _price_pair_words(
     pair_words: dict[tuple[int, int], int],
     nprocs: int,
     machine: MachineModel,
@@ -54,23 +54,18 @@ def price_pair_words(
     rank's cost is the sum over its sends and receives of alpha + beta *
     payload, and the modeled wall-clock is the busiest rank's cost — the
     same postal accounting :meth:`CommPlan.phase_time` applies to SpMV
-    phases. Negative ranks denote non-rank endpoints (checkpoint storage
-    in the recovery model); their payloads are priced on the rank side
-    only. Returns ``(modeled_seconds, max_rank_words, max_rank_messages,
-    total_words)`` — the schedule-independent summary both migration and
-    fail-stop recovery (:mod:`repro.runtime.faults`) report.
+    phases. Returns ``(modeled_seconds, max_rank_words,
+    max_rank_messages, total_words)``.
     """
     sent_w = np.zeros(nprocs, dtype=np.int64)
     recv_w = np.zeros(nprocs, dtype=np.int64)
     sent_m = np.zeros(nprocs, dtype=np.int64)
     recv_m = np.zeros(nprocs, dtype=np.int64)
     for (s, d), w in pair_words.items():
-        if s >= 0:
-            sent_w[s] += w
-            sent_m[s] += 1
-        if d >= 0:
-            recv_w[d] += w
-            recv_m[d] += 1
+        sent_w[s] += w
+        sent_m[s] += 1
+        recv_w[d] += w
+        recv_m[d] += 1
     per_rank_t = machine.alpha * (sent_m + recv_m) + machine.beta * (sent_w + recv_w)
     total_words = int(sum(pair_words.values()))
     rank_words = sent_w + recv_w
@@ -123,7 +118,7 @@ def migration_stats(
             pair = (key // nprocs, key % nprocs)
             pair_words[pair] = pair_words.get(pair, 0) + _VEC_WORDS * c
 
-    seconds, max_words, max_msgs, total_words = price_pair_words(
+    seconds, max_words, max_msgs, total_words = _price_pair_words(
         pair_words, nprocs, machine
     )
     return MigrationStats(

@@ -183,21 +183,16 @@ class CommPlan:
             "max_recv_volume": int(rvol.max()) if len(rvol) else 0,
         }
 
-    def phase_time(self, machine, slowdown: np.ndarray | None = None) -> float:
+    def phase_time(self, machine) -> float:
         """Modeled wall-clock of this phase: max over ranks of send+recv.
 
         Each rank's cost is the sum over its messages of alpha + beta *
         payload, posted sends and receives both charged (no overlap — the
-        conservative postal model). *slowdown*, when given, is a per-rank
-        multiplier (>= 1 for stragglers) applied before the max — a slow
-        rank stretches the whole phase because every peer waits on its
-        sends and receives.
+        conservative postal model).
         """
         sizes = self.message_sizes()
         per_rank = np.zeros(self.nprocs)
         cost = machine.alpha + machine.beta * sizes
         np.add.at(per_rank, self.src, cost)
         np.add.at(per_rank, self.dst, cost)
-        if slowdown is not None:
-            per_rank *= slowdown
         return float(per_rank.max()) if self.nprocs else 0.0

@@ -100,8 +100,9 @@ __all__ = [
 #: Serialized-artifact schema version. Bump whenever the member layout
 #: changes; readers treat any other value as a miss (stale artifact →
 #: rebuild, never a mis-load). v3 dropped v2's persisted apply-plan row
-#: splits (``plan_*`` members, ``dims[6]``).
-ARTIFACT_SCHEMA = 3
+#: splits (``plan_*`` members, ``dims[6]``); v4 dropped the
+#: ``slot_rank`` member.
+ARTIFACT_SCHEMA = 4
 
 #: The sources, under ``repro/``, that shape a compiled engine: the
 #: partition, the layout built on it, and the maps, plan, assembly and
@@ -131,7 +132,6 @@ _MEMBERS = (
     "fold_data",
     "fold_indices",
     "fold_indptr",
-    "slot_rank",
 )
 
 

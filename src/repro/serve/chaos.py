@@ -2,12 +2,11 @@
 
 :class:`ChaosProxy` sits between clients and a running
 :class:`~.server.MatvecServer` on its own unix socket and mangles the
-*response* stream according to a :class:`ChaosSchedule` — the serving
-analogue of :class:`repro.runtime.faults.FaultPlan`. Like the runtime's
-plans, every injection decision is a pure function of
-``(seed, connection, frame)`` drawn through ``np.random.SeedSequence``,
-so a chaos run replays bit-identically: same seed, same torn frames,
-same flipped bytes, same ledger.
+*response* stream according to a :class:`ChaosSchedule`. Every
+injection decision is a pure function of ``(seed, connection, frame)``
+drawn through ``np.random.SeedSequence``, so a chaos run replays
+bit-identically: same seed, same torn frames, same flipped bytes, same
+ledger.
 
 Wire fault classes (server -> client frames):
 

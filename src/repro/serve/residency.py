@@ -33,9 +33,8 @@ by resident bytes (:attr:`SpmvEngine.nbytes
 <repro.runtime.engine.SpmvEngine.nbytes>`). Eviction only forgets — the
 partition and the engine artifact survive on disk, so re-admission
 costs an mmap load, not a re-partition. The budget is checked at
-admission: no serve path builds an engine's lazy ABFT operators, so an
-admitted engine does not grow (``abft_bytes`` is still reported per
-entry).
+admission; a served engine is serial, so it does not grow after it is
+admitted.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ class ResidentEngine:
             "method": self.key.method,
             "seed": self.key.seed,
             "nbytes": self.nbytes,
-            "abft_bytes": self.engine.abft_bytes,
             "hits": self.hits,
             "engine_source": self.meta.get("engine_source", "built"),
             "cold_partition_seconds": round(self.cold_partition_seconds, 6),
@@ -196,7 +194,7 @@ class EngineResidency:
         return entry
 
     def resident_bytes(self) -> int:
-        """Total engine bytes currently resident (ABFT operators included)."""
+        """Total engine bytes currently resident."""
         return sum(e.nbytes for e in self._entries.values())
 
     def entries(self) -> list[ResidentEngine]:

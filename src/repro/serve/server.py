@@ -106,6 +106,19 @@ DEGRADED_WINDOW = 100
 #: the keys a request's ``fault`` object may carry
 FAULT_KEYS = ("kill_worker", "slow_ms")
 
+_FRAME_KEYS = frozenset({"op", "id", "crc"})
+_TARGET_KEYS = _FRAME_KEYS | {"matrix", "method", "procs", "seed", "fault"}
+#: the top-level keys each op accepts; any other key is refused by name,
+#: so a misspelled field is an error rather than a silent default
+OP_KEYS = {
+    "health": _FRAME_KEYS,
+    "stats": _FRAME_KEYS,
+    "shutdown": _FRAME_KEYS | {"mode"},
+    "matvec": _TARGET_KEYS | {"idem", "bin", "x", "x_b64"},
+    "partition": _TARGET_KEYS,
+    "warmup": _FRAME_KEYS | {"matrices", "method", "procs", "seed"},
+}
+
 
 def _partition_task(A, kind, nparts, seed, cache_dir, inject_kill, attempt):
     """Pool-worker unit: one cold partition, written through the cache.
@@ -525,11 +538,24 @@ class MatvecServer:
     # -- request dispatch --------------------------------------------------
 
     async def _dispatch(self, msg: dict, payload: bytes | None) -> bytes:
-        """Route one decoded request; return the full wire response."""
+        """Route one decoded request; return the full wire response.
+
+        An unknown op, or a key its op does not accept (:data:`OP_KEYS`),
+        is refused with an error naming it.
+        """
         self.counters["requests"] += 1
         rid = msg.get("id")
         op = msg.get("op")
         try:
+            accepted = OP_KEYS.get(op) if isinstance(op, str) else None
+            if accepted is None:
+                raise ProtocolError(f"unknown op {op!r}")
+            unknown = sorted(set(msg) - accepted)
+            if unknown:
+                raise ProtocolError(
+                    f"unknown key(s) {unknown} for op {op!r}; "
+                    f"accepted: {', '.join(sorted(accepted))}"
+                )
             if op == "health":
                 return encode_message(self._health(rid))
             if op == "stats":
@@ -546,9 +572,7 @@ class MatvecServer:
                 return await self._handle_matvec(rid, msg, payload)
             if op == "partition":
                 return await self._handle_partition(rid, msg)
-            if op == "warmup":
-                return await self._handle_warmup(rid, msg)
-            raise ProtocolError(f"unknown op {op!r}")
+            return await self._handle_warmup(rid, msg)
         except QueueFull as exc:
             return self._shed_response(rid, str(exc))
         except ProtocolError as exc:

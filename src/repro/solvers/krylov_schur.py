@@ -24,9 +24,7 @@ as ``.npz``); passing the snapshot back via ``resume=`` continues the
 solve exactly where it stopped and converges to the same eigenpairs the
 uninterrupted run reaches. Each snapshot's modeled write cost is charged
 to the ledger's ``checkpoint`` phase
-(:meth:`~repro.runtime.distvector.DistVectorSpace.charge_checkpoint`) —
-the fault campaigns in :mod:`repro.runtime.faults` price the same
-mechanism at the SpMV level.
+(:meth:`~repro.runtime.distvector.DistVectorSpace.charge_checkpoint`).
 """
 
 from __future__ import annotations

@@ -73,36 +73,6 @@ class TestCli:
         ]) == 3
         assert "regress generate" in capsys.readouterr().out
 
-    def test_faults_run(self, mtx_file, capsys):
-        assert main([
-            "faults", "run", mtx_file, "-p", "8", "--iterations", "20",
-            "--failstop-rate", "0.1", "--corruption-rate", "0.1",
-            "--method", "2d-block", "--seed", "5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "resilience overhead" in out
-        assert "recover" in out
-
-    def test_faults_campaign(self, mtx_file, capsys):
-        assert main([
-            "faults", "campaign", mtx_file, "-p", "8", "--iterations", "15",
-            "--failstop-rates", "0.0", "0.1",
-            "--methods", "1d-block", "2d-block", "--seed", "5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "rec peers" in out
-        assert "1D-Block" in out and "2D-Block" in out
-
-    def test_faults_campaign_is_reproducible(self, mtx_file, capsys):
-        argv = [
-            "faults", "campaign", mtx_file, "-p", "8", "--iterations", "15",
-            "--failstop-rates", "0.1", "--methods", "2d-block", "--seed", "9",
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first
-
     def test_seed_flag_uniform_across_subcommands(self):
         from repro.cli import build_parser
 
@@ -112,8 +82,7 @@ class TestCli:
             ["spmv", "x", "--seed", "7"],
             ["eigen", "x", "--seed", "7"],
             ["regress", "check", "--seed", "7"],
-            ["faults", "run", "x", "--seed", "7"],
-            ["faults", "campaign", "x", "--seed", "7"],
+            ["serve", "--seed", "7"],
         ):
             assert parser.parse_args(argv).seed == 7
 

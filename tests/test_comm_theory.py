@@ -6,16 +6,23 @@ tests verify our stack realises the theory *exactly* — the column-net
 connectivity-1 cut of a row partition equals the expand volume the runtime
 actually schedules, message bounds match the analysis of section 3.2, and
 1D/2D layouts built from the same rpart move the volumes the paper's
-analysis says they move.
+analysis says they move. The same bound caps how many peers must help
+rebuild a dead rank's state (``recovery_peers``).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.generators import rmat
 from repro.layouts import make_layout, oned_layout, random_rpart, process_grid_shape
 from repro.partitioning import Hypergraph
-from repro.runtime import DistSparseMatrix, comm_stats
+from repro.runtime import (
+    DistSparseMatrix,
+    comm_stats,
+    max_recovery_peers,
+    recovery_peers,
+)
 
 
 class TestHypergraphExactness:
@@ -96,3 +103,38 @@ class TestSection32Analysis:
             np.arange(A.shape[0]), np.arange(A.shape[0])
         )
         assert np.array_equal(diag_ranks, lay.vector_part)
+
+
+def _peers_by_message(dist, rank):
+    """Naive oracle: walk every import and fold message one at a time."""
+    peers = set()
+    for plan in (dist.import_plan, dist.fold_plan):
+        for src, dst in zip(plan.src.tolist(), plan.dst.tolist()):
+            if src == rank:
+                peers.add(dst)
+            if dst == rank:
+                peers.add(src)
+    peers.discard(rank)
+    return len(peers)
+
+
+class TestRecoveryPeers:
+    """Rebuilding a dead rank touches exactly the ranks it exchanges
+    messages with — inside its process row and column for 2D layouts."""
+
+    @pytest.mark.parametrize("method", ["1d-gp", "2d-block", "2d-random"])
+    def test_peers_match_per_message_oracle(self, small_rmat, method):
+        dist = DistSparseMatrix(small_rmat, make_layout(method, small_rmat, 16, seed=1))
+        for rank in range(dist.nprocs):
+            assert recovery_peers(dist, rank) == _peers_by_message(dist, rank)
+
+    def test_2d_recovery_bounded_1d_gp_not(self, small_rmat):
+        """At p=64, 2D layouts recover through at most pr + pc - 2 peers;
+        1D-GP of a scale-free graph does not."""
+        p, pr, pc = 64, 8, 8
+        bound = pr + pc - 2
+        for method in ("2d-block", "2d-random"):
+            dist = DistSparseMatrix(small_rmat, make_layout(method, small_rmat, p, seed=0))
+            assert max_recovery_peers(dist) <= bound
+        dist1d = DistSparseMatrix(small_rmat, make_layout("1d-gp", small_rmat, p))
+        assert max_recovery_peers(dist1d) > bound

@@ -154,6 +154,17 @@ class TestCostModel:
         expected = CAB.gamma_flop * 2 * dist.local_nnz.max()
         assert np.isclose(led.get("local-compute"), expected)
 
+    def test_sum_phase_scales_with_max_fold_receive(self, small_rmat):
+        """The sum phase is paced by the rank receiving the most fold
+        words, not the least: volumes must differ for this to bite."""
+        lay = make_layout("2d-random", small_rmat, 9, seed=1)
+        dist = DistSparseMatrix(small_rmat, lay, machine=CAB)
+        recv = dist.fold_plan.recv_volume()
+        assert recv.min() < recv.max()
+        led = CostLedger()
+        dist.charge_spmv(led)
+        assert led.get("sum") == pytest.approx(CAB.gamma_mem * recv.max())
+
 
 class TestScatterGather:
     def test_roundtrip(self, small_rmat, rng):

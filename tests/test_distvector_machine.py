@@ -1,5 +1,7 @@
 """Tests for the machine model, cost ledger and distributed vector space."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ class TestMachineModel:
 
     def test_allreduce_log_p(self):
         assert CAB.allreduce_time(1) == 0.0
+        # two ranks still exchange one message: one hop, never free
+        assert CAB.allreduce_time(2) == pytest.approx(CAB.alpha + CAB.beta)
+        assert CAB.allreduce_time(2, 5) == pytest.approx(CAB.alpha + 5 * CAB.beta)
         assert np.isclose(CAB.allreduce_time(8), 3 * (CAB.alpha + CAB.beta))
         assert CAB.allreduce_time(9) > CAB.allreduce_time(8)
 
@@ -57,6 +62,31 @@ class TestCostLedger:
         assert a.get("x") == 3.0
         a.reset()
         assert a.total() == 0.0
+
+
+class TestFiniteValidation:
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma_flop", "gamma_mem"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_machine_rejects_nonfinite(self, field, bad):
+        kwargs = dict(name="bad", alpha=1e-6, beta=1e-9,
+                      gamma_flop=1e-10, gamma_mem=1e-10)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MachineModel(**kwargs)
+
+    def test_machine_rejects_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            MachineModel(name="bad", alpha=-1e-6, beta=1e-9,
+                         gamma_flop=1e-10, gamma_mem=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ledger_rejects_nonfinite_seconds(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            CostLedger().add("expand", bad)
+
+    def test_ledger_rejects_negative_seconds(self):
+        with pytest.raises(ValueError, match="negative"):
+            CostLedger().add("expand", -1.0)
 
 
 class TestDistVectorSpace:

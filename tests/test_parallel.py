@@ -25,8 +25,6 @@ from repro.partitioning import PARTITION_METHODS, _util, kway, partition_matrix
 from repro.partitioning._util import child_seeds, walk_rb
 from repro.partitioning.partgraph import PartGraph
 from repro.regress import GridSpec, check_goldens, generate_goldens
-from repro.runtime import FaultPlan
-from repro.runtime.faults import fault_campaign
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +354,3 @@ def test_regress_jobs_identical(small_rmat, small_powerlaw, tmp_path):
         spec, gdir, cache_dir=tmp_path / "c3", matrices=mats, jobs=2
     )
     assert mism == [] and ncells == 4
-
-
-def test_fault_campaign_jobs_identical(small_rmat, tmp_path):
-    from repro.bench.harness import layout_for
-
-    layouts = [
-        layout_for(small_rmat, m, 8, cache_dir=tmp_path)
-        for m in ("1d-block", "2d-block", "2d-gp")
-    ]
-    plan = FaultPlan.from_rates(8, 40, seed=1, failstop_rate=0.05, corruption_rate=0.02)
-    assert fault_campaign(small_rmat, layouts, plan) == fault_campaign(
-        small_rmat, layouts, plan, jobs=2
-    )

@@ -4,7 +4,7 @@ The contracts under test:
 
 * **round-trip identity** — an engine reconstructed from its artifact
   (zero-copy mmap path included) is bit-identical through ``spmv``,
-  ``spmm``, and the ABFT checksum machinery;
+  ``spmm`` and the partial-sum split;
 * **corruption safety** — a damaged or truncated artifact is a clean
   miss (rebuild), never a crash or a wrong answer, and a save
   atomically replaces it;
@@ -12,10 +12,7 @@ The contracts under test:
   artifact visible to readers;
 * **invalidation** — artifacts with a different schema stamp are stale
   misses, so engines serialized by older code are rebuilt, not
-  mis-loaded;
-* **residency budget** — the lazy ABFT operators growing an admitted
-  engine trigger a byte-budget re-check, so ``max_bytes`` holds even
-  for footprint that did not exist at admission time.
+  mis-loaded.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from repro.runtime.store import (
     default_store_dir,
     matrix_hash,
 )
-from repro.serve.residency import EngineResidency, ResidentEngine
 
 PROCS = 8
 
@@ -52,12 +48,6 @@ def compiled(small_rmat):
     dist = DistSparseMatrix(small_rmat, layout)
     key = EngineKey(matrix_hash(small_rmat), "2d-random", PROCS, 0)
     return small_rmat, dist.engine, key
-
-
-def _fresh_engine(A, seed=0):
-    layout = make_layout("2d-random", A, PROCS, seed=0)
-    engine = DistSparseMatrix(A, layout).engine
-    return engine, EngineKey(matrix_hash(A), "2d-random", PROCS, seed)
 
 
 class TestEngineKey:
@@ -102,7 +92,7 @@ class TestRoundTrip:
         x = rng.standard_normal(A.shape[0])
         assert np.array_equal(engine.spmv(x), clone.spmv(x))
 
-    def test_mmap_load_spmv_spmm_abft(self, compiled, tmp_path, rng):
+    def test_mmap_load_spmv_spmm(self, compiled, tmp_path, rng):
         A, engine, key = compiled
         store = EngineStore(tmp_path)
         store.save(key, engine)
@@ -112,15 +102,11 @@ class TestRoundTrip:
         X = rng.standard_normal((A.shape[0], 3))
         assert np.array_equal(engine.spmv(x), loaded.engine.spmv(x))
         assert np.array_equal(engine.spmm(X), loaded.engine.spmm(X))
-        # the ABFT operators rebuild from the mmapped CSR and stay clean
+        # the partial-sum split runs from the mmapped CSR, bit for bit
         y, partials = loaded.engine.spmv_with_partials(x)
-        assert np.array_equal(y, engine.spmv(x))
-        assert not loaded.engine.abft_check(x, partials, y).detected
-        assert loaded.engine.abft_bytes > 0
-        # injected corruption is still caught through the loaded engine
-        bad = partials.copy()
-        bad[0] += 1e3
-        assert loaded.engine.abft_check(x, bad).detected
+        y0, partials0 = engine.spmv_with_partials(x)
+        assert np.array_equal(y, y0) and np.array_equal(partials, partials0)
+        assert np.array_equal(loaded.engine.fold(partials), y0)
         assert store.counters["hits"] == 1
         assert store.counters["mmap_loads"] == 1
 
@@ -305,34 +291,3 @@ class TestConcurrency:
         assert np.array_equal(loaded.engine.spmv(x), want)
         assert reader.counters["corrupt"] == 0
         assert not list(store_dir.glob("*.tmp-*"))
-
-
-class TestAbftBudget:
-    """The residency byte budget under lazy ABFT materialization."""
-
-    def _admit(self, A, seed, residency):
-        engine, key = _fresh_engine(A, seed)
-        entry = ResidentEngine(key=key, matrix="m", engine=engine)
-        residency.admit(entry)
-        return entry
-
-    @staticmethod
-    def _materialize_abft(entry, seed=0):
-        x = np.random.default_rng(seed).standard_normal(entry.engine.n)
-        _, partials = entry.engine.spmv_with_partials(x)
-        entry.engine.abft_check(x, partials)
-
-    def test_abft_bytes_zero_until_materialized(self, small_rmat):
-        engine, _ = _fresh_engine(small_rmat)
-        assert engine.abft_bytes == 0
-        base = engine.nbytes
-        engine._abft_operators()
-        assert engine.abft_bytes > 0
-        assert engine.nbytes == base + engine.abft_bytes
-
-    def test_as_dict_surfaces_abft_bytes(self, small_rmat):
-        res = EngineResidency(max_engines=10)
-        a = self._admit(small_rmat, 0, res)
-        assert a.as_dict()["abft_bytes"] == 0
-        self._materialize_abft(a)
-        assert a.as_dict()["abft_bytes"] == a.engine.abft_bytes > 0

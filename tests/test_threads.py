@@ -7,12 +7,11 @@ Three contracts:
   hub row, fewer nnz than threads, one thread) — hypothesis hammers it;
 * the threaded apply is **bit-identical** to the serial fused multiply a
   budget of 1 runs (``np.array_equal``, not a tolerance) for
-  spmv/spmm/partials/fold/ABFT at any thread count, including on an
+  spmv/spmm/partials/fold at any thread count, including on an
   engine loaded from the artifact store; a budget of 1 plans nothing and
   never touches the pool, and ``set_threads`` takes only integers >= 1;
-* the accounting is honest: a serial engine's ``nbytes`` is its
-  operators plus ``slot_rank``, a budget above 1 adds exactly its plan,
-  ``abft_bytes`` is the three checksum operators, and process-pool
+* the accounting is honest: a serial engine's ``nbytes`` is its two
+  operators, a budget above 1 adds exactly its plan, and process-pool
   workers pin BLAS/OpenMP to one thread.
 """
 
@@ -143,7 +142,7 @@ def engine(request):
 
 class TestThreadedBitIdentity:
     @pytest.mark.parametrize("t", [1, 2, 4, 8])
-    def test_spmv_spmm_partials_abft(self, engine, t):
+    def test_spmv_spmm_partials(self, engine, t):
         rng = np.random.default_rng(t)
         x = rng.standard_normal(engine.n)
         X = rng.standard_normal((engine.n, 5))
@@ -151,7 +150,6 @@ class TestThreadedBitIdentity:
         y0 = engine.spmv(x)
         Y0 = engine.spmm(X)
         yp0, p0 = engine.spmv_with_partials(x)
-        c0 = engine.abft_check(x, p0, yp0)
         engine.set_threads(t)
         assert engine.threads == t
         assert np.array_equal(engine.spmv(x), y0)
@@ -160,19 +158,6 @@ class TestThreadedBitIdentity:
         assert np.array_equal(yp, yp0)
         assert np.array_equal(p, p0)
         assert np.array_equal(engine.fold(p), yp0)
-        c = engine.abft_check(x, p, yp)
-        assert not c.detected
-        assert np.array_equal(c.rank_discrepancy, c0.rank_discrepancy)
-        assert np.array_equal(c.rank_threshold, c0.rank_threshold)
-
-    def test_threaded_abft_still_detects_corruption(self, engine):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(engine.n)
-        engine.set_threads(4)
-        _, p = engine.spmv_with_partials(x)
-        p = p.copy()
-        p[len(p) // 2] += 10.0 * (1.0 + abs(p[len(p) // 2]))
-        assert engine.abft_check(x, p).detected
 
     def test_budget_of_one_runs_the_fused_path(self, engine, monkeypatch):
         def no_pool(*_):
@@ -191,7 +176,6 @@ class TestThreadedBitIdentity:
         engine.spmm(X)
         _, p = engine.spmv_with_partials(x)
         engine.fold(p)
-        engine.abft_check(x, p)
 
     def test_fresh_engines_are_serial(self, small_rmat):
         dist = DistSparseMatrix(small_rmat, make_layout("2d-block", small_rmat, 8))
@@ -252,10 +236,9 @@ class TestByteAccounting:
         assert loaded is not None and loaded.mmapped
         return dist.engine, loaded.engine
 
-    def test_serial_nbytes_is_operators_plus_slot_rank(self, built_and_loaded):
+    def test_serial_nbytes_is_the_two_operators(self, built_and_loaded):
         for eng in built_and_loaded:
-            raw = eng._slot_rank.nbytes + _op_bytes(eng._local, eng._fold)
-            assert eng.nbytes == raw
+            assert eng.nbytes == _op_bytes(eng._local, eng._fold)
 
     def test_set_threads_adds_exactly_the_plan(self, built_and_loaded):
         for eng in built_and_loaded:
@@ -265,19 +248,6 @@ class TestByteAccounting:
             assert eng.nbytes == base + eng._plan.nbytes
             eng.set_threads(1)
             assert eng.nbytes == base
-
-    @pytest.mark.parametrize("t", [1, 4])
-    def test_abft_bytes_counts_only_the_three_operators(self, small_rmat, t):
-        dist = DistSparseMatrix(small_rmat, make_layout("2d-block", small_rmat, 8))
-        eng = dist.engine
-        eng.set_threads(t)
-        assert eng.abft_bytes == 0
-        before = eng.nbytes
-        x = np.random.default_rng(0).standard_normal(eng.n)
-        _, p = eng.spmv_with_partials(x)
-        eng.abft_check(x, p)
-        assert eng.abft_bytes == _op_bytes(*eng._abft)
-        assert eng.nbytes == before + eng.abft_bytes
 
     def test_plan_nbytes_counts_only_new_allocations(self, small_rmat):
         dist = DistSparseMatrix(small_rmat, make_layout("1d-block", small_rmat, 4))
