@@ -10,7 +10,8 @@ averages ten solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import zipfile
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,9 +21,15 @@ from ..generators.corpus import load_corpus_matrix
 from ..graphs.csr import as_csr
 from ..graphs.ops import normalized_laplacian
 from ..runtime import CAB, CommStats, DistSparseMatrix, MachineModel, comm_stats
-from ..runtime.store import matrix_hash
+from ..runtime.store import (
+    _atomic_write,
+    code_fingerprint,
+    default_cache_dir,
+    evict_other_generations,
+    matrix_hash,
+)
 from ..solvers.replay import SolveProfile, modeled_solve_seconds, solve_profile
-from .harness import PROXY_PROCS, default_cache_dir, layout_for
+from .harness import PROXY_PROCS, layout_for
 
 __all__ = ["EigenRecord", "eigen_grid", "profiles_for"]
 
@@ -43,40 +50,44 @@ class EigenRecord:
     converged: bool
 
 
-def _profile_path(matrix_name: str, k: int, tol: float, seed: int):
+def _profile_path(matrix_name: str, k: int, tol: float, seed: int) -> Path:
+    """Where one solve profile is cached: like an rpart, named by the
+    matrix content hash and a fingerprint of the code that computed it
+    (the solvers and the Laplacian they run on)."""
     h = matrix_hash(load_corpus_matrix(matrix_name))
-    return default_cache_dir() / f"profile_{matrix_name}_{h}_k{k}_t{tol:g}_s{seed}.npz"
+    fp = code_fingerprint("solvers", "graphs")
+    return default_cache_dir() / f"{h}_{fp}_profile_k{k}_t{tol:g}_s{seed}.npz"
+
+
+def _read_profile(path: Path) -> SolveProfile | None:
+    """A cached profile; a missing, torn or foreign file is a miss."""
+    try:
+        with np.load(path) as z:
+            return SolveProfile(
+                matvecs=int(z["matvecs"]),
+                stream_factor=float(z["stream_factor"]),
+                gemm_flop_factor=float(z["gemm_flop_factor"]),
+                scalar_reductions=int(z["scalar_reductions"]),
+                vector_reductions=int(z["vector_reductions"]),
+                vector_reduction_words=int(z["vector_reduction_words"]),
+                converged=bool(z["converged"]),
+                eigenvalues=z["eigenvalues"],
+            )
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
 
 
 def _one_profile(matrix_name: str, k: int, tol: float, seed: int) -> SolveProfile:
     """Solve profile with on-disk caching (eigensolves are the expensive
     pre-processing of the eigen benches, like partitions are for SpMV)."""
     path = _profile_path(matrix_name, k, tol, seed)
-    if path.exists():
-        z = np.load(path)
-        return SolveProfile(
-            matvecs=int(z["matvecs"]),
-            stream_factor=float(z["stream_factor"]),
-            gemm_flop_factor=float(z["gemm_flop_factor"]),
-            scalar_reductions=int(z["scalar_reductions"]),
-            vector_reductions=int(z["vector_reductions"]),
-            vector_reduction_words=int(z["vector_reduction_words"]),
-            converged=bool(z["converged"]),
-            eigenvalues=z["eigenvalues"],
-        )
+    prof = _read_profile(path)
+    if prof is not None:
+        return prof
     A = load_corpus_matrix(matrix_name)
     prof = solve_profile(normalized_laplacian(A), k=k, tol=tol, seed=seed)
-    np.savez(
-        path,
-        matvecs=prof.matvecs,
-        stream_factor=prof.stream_factor,
-        gemm_flop_factor=prof.gemm_flop_factor,
-        scalar_reductions=prof.scalar_reductions,
-        vector_reductions=prof.vector_reductions,
-        vector_reduction_words=prof.vector_reduction_words,
-        converged=prof.converged,
-        eigenvalues=prof.eigenvalues,
-    )
+    _atomic_write(path, lambda f: np.savez(f, **asdict(prof)))
+    evict_other_generations(path)
     return prof
 
 

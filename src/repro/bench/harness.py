@@ -17,9 +17,7 @@ Reproduces the paper's experimental procedure:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +34,7 @@ from ..runtime.store import (
     EngineKey,
     _atomic_write,
     code_fingerprint,
+    default_cache_dir,
     evict_other_generations,
     matrix_hash,
 )
@@ -61,24 +60,6 @@ PAPER_TO_PROXY_PROCS = {64: 4, 256: 16, 1024: 64, 4096: 256, 16384: 1024}
 
 #: The standard strong-scaling sweep (paper: 64, 256, 1024, 4096).
 PROXY_PROCS = (4, 16, 64, 256)
-
-
-@lru_cache(maxsize=None)
-def _ensure_cache_dir(base: Path) -> Path:
-    base.mkdir(parents=True, exist_ok=True)
-    return base
-
-
-def default_cache_dir() -> Path:
-    """Partition cache location (override with $REPRO_CACHE_DIR).
-
-    The environment variable is re-read on every call (tests and CLI
-    subprocesses point it at scratch space), but the mkdir happens once
-    per distinct directory per process.
-    """
-    env = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(env) if env else Path.home() / ".cache" / "repro-partitions"
-    return _ensure_cache_dir(base)
 
 
 def atomic_save_npy(path: Path, arr: np.ndarray) -> None:

@@ -17,14 +17,13 @@ once on a workstation, reuse for many analyses:
     Golden-invariant regression harness: snapshot the plan-level metrics
     of the layout x matrix x p grid, or check the working tree against
     the snapshots in ``tests/golden/`` (see :mod:`repro.regress`).
-``serve --socket PATH [--http PORT]``
-    Long-lived matvec server: compiled engines stay resident behind an
-    LRU, concurrent matvecs coalesce into batched ``spmm`` calls, cold
-    partitions run on a resilient worker pool (see :mod:`repro.serve`).
-``serve warmup --socket PATH --preload MATRIX...``
-    Prefetch engines into a running server through the residency tiers
-    (memory → artifact store → build-and-persist) and report where each
-    came from.
+``serve --socket PATH [--preload MATRIX...]``
+    Long-lived matvec server on a unix socket: compiled engines stay
+    resident behind an LRU, concurrent matvecs coalesce into batched
+    ``spmm`` calls, cold partitions run on a resilient worker pool (see
+    :mod:`repro.serve`). ``--preload`` builds or loads engines before the
+    server accepts load; a ``partition`` request does the same at run
+    time and reports the tier its engine came from.
 ``cache {list,evict,clear}``
     Inspect or drop compiled-engine artifacts in the persistent store
     (see :mod:`repro.runtime.store`).
@@ -252,15 +251,12 @@ def _cmd_serve(args) -> int:
 
     if args.mode == "chaos":
         return _cmd_serve_chaos(args)
-    if args.mode == "warmup":
-        return _cmd_serve_warmup(args)
     if not args.socket:
         print("error: --socket is required (except in 'serve chaos' mode)",
               file=sys.stderr)
         return 2
     config = ServeConfig(
         socket_path=args.socket,
-        http_port=args.http,
         max_batch=args.max_batch,
         batch_deadline_ms=args.deadline_ms,
         max_engines=args.max_engines,
@@ -281,8 +277,6 @@ def _cmd_serve(args) -> int:
 
     def on_started(srv: MatvecServer) -> None:
         print(f"serving on {config.socket_path}")
-        if srv.http_port is not None:
-            print(f"http on 127.0.0.1:{srv.http_port}")
         for ref in config.preload:
             print(f"preloaded {ref}")
 
@@ -290,45 +284,6 @@ def _cmd_serve(args) -> int:
         asyncio.run(server.serve(on_started=on_started))
     except KeyboardInterrupt:
         pass
-    return 0
-
-
-def _cmd_serve_warmup(args) -> int:
-    """Prefetch engines into a *running* server via the ``warmup`` op.
-
-    A deploy script points this at the serve socket with the matrices
-    traffic is about to hit; the server walks each through its tiers
-    (memory -> artifact store -> build-and-persist) and reports where
-    every engine came from, so the script can verify first requests will
-    be served from mmap loads, not cold builds.
-    """
-    from .serve import ServeClient
-
-    if not args.socket:
-        print("error: serve warmup requires --socket", file=sys.stderr)
-        return 2
-    if not args.preload:
-        print("error: serve warmup requires --preload MATRIX [MATRIX ...]",
-              file=sys.stderr)
-        return 2
-    msg = {
-        "op": "warmup",
-        "matrices": list(args.preload),
-        "procs": args.warm_procs,
-        "seed": args.seed,
-    }
-    if args.warm_method:
-        msg["method"] = args.warm_method
-    with ServeClient(args.socket, timeout=args.partition_timeout) as c:
-        resp, _ = c.request(msg)
-    if not resp.get("ok"):
-        print(f"warmup failed: {resp.get('error')}", file=sys.stderr)
-        return 1
-    for rec in resp.get("warmed", ()):
-        print(f"{rec['matrix']:<20} {rec['engine_key']:<40} "
-              f"{rec['engine_source']:<7} {rec['seconds']:.3f}s")
-    tiers = resp.get("tiers", {})
-    print(f"tiers: {tiers}")
     return 0
 
 
@@ -612,18 +567,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="long-lived batched matvec server (see DESIGN.md §12)",
         parents=[seeded, jobbed],
     )
-    p.add_argument("mode", nargs="?", choices=("chaos", "warmup"),
+    p.add_argument("mode", nargs="?", choices=("chaos",),
                    help="'chaos': self-contained seeded chaos demo — boots a "
                         "server + ChaosProxy and soaks it with retrying "
-                        "clients (see DESIGN.md §13). 'warmup': prefetch "
-                        "--preload matrices into a running server (--socket) "
-                        "through the engine tiers and report where each "
-                        "engine came from")
+                        "clients (see DESIGN.md §13)")
     p.add_argument("--socket", help="unix socket path to listen on "
                                     "(required except in chaos mode)")
-    p.add_argument("--http", type=int, default=None, metavar="PORT",
-                   help="also listen for HTTP POST /rpc on 127.0.0.1:PORT "
-                        "(0 = ephemeral)")
     p.add_argument("--max-batch", type=int, default=16,
                    help="matvecs coalesced per spmm flush (default: 16)")
     p.add_argument("--deadline-ms", type=float, default=2.0,
@@ -649,11 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-engine-store", action="store_true",
                    help="disable the on-disk engine store (every cold start "
                         "rebuilds from the partition)")
-    p.add_argument("--warm-procs", type=int, default=16,
-                   help="warmup mode: process count per engine (default: 16)")
-    p.add_argument("--warm-method", default=None,
-                   help="warmup mode: layout method (default: the server's "
-                        "fixed 2d-gp)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(

@@ -15,7 +15,7 @@ from .chunglu import chung_lu, powerlaw_degree_sequence
 from .prefattach import preferential_attachment
 from .bter import bter
 from .webgraph import webgraph
-from .meshes import grid2d, grid3d
+from .meshes import grid2d
 from .corpus import corpus_names, load_corpus_matrix, corpus_spec, CorpusSpec
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "bter",
     "webgraph",
     "grid2d",
-    "grid3d",
     "corpus_names",
     "load_corpus_matrix",
     "corpus_spec",

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from ..graphs.csr import from_edges
 
-__all__ = ["grid2d", "grid3d"]
+__all__ = ["grid2d"]
 
 
 def grid2d(nx: int, ny: int) -> sp.csr_matrix:
@@ -27,19 +27,3 @@ def grid2d(nx: int, ny: int) -> sp.csr_matrix:
     src = np.concatenate([right_s, down_s])
     dst = np.concatenate([right_d, down_d])
     return from_edges(src, dst, (nx * ny, nx * ny), symmetrize=True)
-
-
-def grid3d(nx: int, ny: int, nz: int) -> sp.csr_matrix:
-    """7-point-stencil grid graph on an ``nx x ny x nz`` lattice."""
-    if min(nx, ny, nz) < 1:
-        raise ValueError(f"grid dimensions must be positive, got {nx}x{ny}x{nz}")
-    idx = np.arange(nx * ny * nz, dtype=np.int64).reshape(nx, ny, nz)
-    pairs = [
-        (idx[:, :, :-1], idx[:, :, 1:]),
-        (idx[:, :-1, :], idx[:, 1:, :]),
-        (idx[:-1, :, :], idx[1:, :, :]),
-    ]
-    src = np.concatenate([a.ravel() for a, _ in pairs])
-    dst = np.concatenate([b.ravel() for _, b in pairs])
-    n = nx * ny * nz
-    return from_edges(src, dst, (n, n), symmetrize=True)

@@ -19,13 +19,11 @@ from .csr import (
 from .ops import (
     symmetrize,
     degrees,
-    degree_matrix,
-    laplacian,
     normalized_laplacian,
     adjacency_scaled,
     largest_connected_component,
 )
-from .analysis import GraphStats, graph_stats, powerlaw_exponent_mle, degree_histogram
+from .analysis import GraphStats, graph_stats, powerlaw_exponent_mle
 
 __all__ = [
     "as_csr",
@@ -38,13 +36,10 @@ __all__ = [
     "nonzeros_per_col",
     "symmetrize",
     "degrees",
-    "degree_matrix",
-    "laplacian",
     "normalized_laplacian",
     "adjacency_scaled",
     "largest_connected_component",
     "GraphStats",
     "graph_stats",
     "powerlaw_exponent_mle",
-    "degree_histogram",
 ]

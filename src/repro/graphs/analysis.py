@@ -14,7 +14,7 @@ import numpy as np
 
 from .csr import as_csr, nonzeros_per_row
 
-__all__ = ["GraphStats", "graph_stats", "powerlaw_exponent_mle", "degree_histogram"]
+__all__ = ["GraphStats", "graph_stats", "powerlaw_exponent_mle"]
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,3 @@ def powerlaw_exponent_mle(degrees: np.ndarray, dmin: int = 2) -> float:
     if d.size < 10:
         return float("nan")
     return float(1.0 + d.size / np.sum(np.log(d / (dmin - 0.5))))
-
-
-def degree_histogram(A) -> tuple[np.ndarray, np.ndarray]:
-    """Degree histogram ``(degrees, counts)`` with zero-count bins removed.
-
-    Plot on log-log axes: scale-free graphs show a straight-line tail.
-    """
-    nnz_row = nonzeros_per_row(as_csr(A))
-    counts = np.bincount(nnz_row)
-    degs = np.flatnonzero(counts)
-    return degs.astype(np.int64), counts[degs].astype(np.int64)

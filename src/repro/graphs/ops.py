@@ -15,8 +15,6 @@ from .csr import as_csr, nonzeros_per_row
 __all__ = [
     "symmetrize",
     "degrees",
-    "degree_matrix",
-    "laplacian",
     "normalized_laplacian",
     "adjacency_scaled",
     "largest_connected_component",
@@ -41,17 +39,6 @@ def symmetrize(A) -> sp.csr_matrix:
 def degrees(A) -> np.ndarray:
     """Vertex degrees of the graph of *A* (row counts of the symmetric pattern)."""
     return nonzeros_per_row(A).astype(np.float64)
-
-
-def degree_matrix(A) -> sp.csr_matrix:
-    """Diagonal degree matrix D with ``d_ii = degree(i)``."""
-    return sp.diags(degrees(A), format="csr")
-
-
-def laplacian(A) -> sp.csr_matrix:
-    """Combinatorial Laplacian ``L = D - A`` of a symmetric adjacency matrix."""
-    A = as_csr(A)
-    return as_csr(degree_matrix(A) - A)
 
 
 def adjacency_scaled(A) -> sp.csr_matrix:

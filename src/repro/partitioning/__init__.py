@@ -26,7 +26,7 @@ Front door: :func:`repro.partitioning.partition_matrix`.
 from .partgraph import PartGraph
 from .hypergraph import Hypergraph
 from .bisect import multilevel_bisect
-from .kway import recursive_bisection, partition_quality, derive_nested_partition
+from .kway import derive_nested_partition
 from .hkway import hypergraph_recursive_bisection
 from .api import PARTITION_METHODS, partition_matrix, PartitionResult
 
@@ -34,9 +34,7 @@ __all__ = [
     "PartGraph",
     "Hypergraph",
     "multilevel_bisect",
-    "recursive_bisection",
     "hypergraph_recursive_bisection",
-    "partition_quality",
     "derive_nested_partition",
     "partition_matrix",
     "PartitionResult",

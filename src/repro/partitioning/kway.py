@@ -12,44 +12,18 @@ deep partition across every process count of a scaling study
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .. import perf
-from ._util import check_part_vector, two_sided, walk_rb
+from ._util import two_sided
 from .bisect import multilevel_bisect
 from .partgraph import PartGraph
 
-__all__ = [
-    "recursive_bisection",
-    "kway_balance_refine",
-    "derive_nested_partition",
-    "partition_quality",
-    "PartitionQuality",
-]
+__all__ = ["kway_balance_refine", "derive_nested_partition"]
 
 #: Rounds of :func:`kway_balance_refine` before it gives up on balance.
 MAX_REPAIR_ROUNDS = 8
-
-
-def recursive_bisection(
-    g: PartGraph,
-    nparts: int,
-    ub: float = 1.05,
-    seed: int = 0,
-) -> np.ndarray:
-    """Partition *g* into *nparts* parts; returns the part vector.
-
-    The RB tree of :func:`repro.partitioning._util.walk_rb` (per-level
-    tolerance, hierarchical ids, position-derived seeds) over
-    :func:`_split` nodes, then the k-way balance repair at *ub*.
-    """
-    part = walk_rb(_split, g, nparts, ub, seed)
-    with perf.phase("balance-repair"):
-        part = kway_balance_refine(g, part, nparts, ub=ub)
-    return check_part_vector(part, g.n, nparts)
 
 
 def _split(
@@ -195,28 +169,3 @@ def derive_nested_partition(part: np.ndarray, nparts: int, nparts_coarse: int) -
     if nparts % nparts_coarse != 0:
         raise ValueError(f"{nparts_coarse} does not divide {nparts}")
     return np.asarray(part, dtype=np.int64) * nparts_coarse // nparts
-
-
-@dataclass(frozen=True)
-class PartitionQuality:
-    """Edge cut and per-constraint imbalance of a k-way partition."""
-
-    nparts: int
-    edgecut: float
-    imbalance: tuple[float, ...]
-    min_part_weight: float
-    max_part_weight: float
-
-
-def partition_quality(g: PartGraph, part: np.ndarray, nparts: int) -> PartitionQuality:
-    """Measure a partition: cut, imbalance, extreme part weights."""
-    part = check_part_vector(part, g.n, nparts)
-    pw = g.part_weights(part, nparts)
-    imb = g.imbalance(part, nparts)
-    return PartitionQuality(
-        nparts=nparts,
-        edgecut=g.edgecut(part),
-        imbalance=tuple(float(x) for x in imb),
-        min_part_weight=float(pw[:, 0].min()),
-        max_part_weight=float(pw[:, 0].max()),
-    )

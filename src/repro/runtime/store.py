@@ -92,6 +92,7 @@ __all__ = [
     "LoadedEngine",
     "StoreVerifyError",
     "code_fingerprint",
+    "default_cache_dir",
     "default_store_dir",
     "evict_other_generations",
     "matrix_hash",
@@ -199,23 +200,33 @@ class EngineKey:
         return f"{self.matrix_hash}_{self.method}_k{self.procs}_s{self.seed}"
 
 
-def default_store_dir() -> Path:
-    """Engine-store location (override with $REPRO_ENGINE_STORE_DIR).
+@cache
+def _ensure_dir(base: Path) -> Path:
+    base.mkdir(parents=True, exist_ok=True)
+    return base
 
-    Defaults to an ``engines/`` subdirectory of the partition cache, so
-    everything honoring $REPRO_CACHE_DIR (tests, benches, serve
-    fixtures) gets a hermetic engine store for free.
+
+def default_cache_dir() -> Path:
+    """Partition cache location (override with $REPRO_CACHE_DIR).
+
+    The environment variable is re-read on every call (tests and CLI
+    subprocesses point it at scratch space), but the mkdir happens once
+    per distinct directory per process.
+    """
+    env = os.environ.get("REPRO_CACHE_DIR")
+    base = Path(env) if env else Path.home() / ".cache" / "repro-partitions"
+    return _ensure_dir(base)
+
+
+def default_store_dir(cache_dir: Path | str | None = None) -> Path:
+    """Engine-store location: $REPRO_ENGINE_STORE_DIR, else ``engines/``
+    under the partition cache (*cache_dir*, or :func:`default_cache_dir`).
+
+    So everything that points the partition cache at scratch space
+    (tests, benches, serve fixtures) gets a hermetic engine store too.
     """
     env = os.environ.get("REPRO_ENGINE_STORE_DIR")
-    if env:
-        base = Path(env)
-    else:
-        cache_env = os.environ.get("REPRO_CACHE_DIR")
-        if cache_env:
-            cache = Path(cache_env)
-        else:
-            cache = Path.home() / ".cache" / "repro-partitions"
-        base = cache / "engines"
+    base = Path(env) if env else Path(cache_dir or default_cache_dir()) / "engines"
     base.mkdir(parents=True, exist_ok=True)
     return base
 

@@ -48,11 +48,6 @@ class CostLedger:
         """Copy of the phase -> seconds mapping."""
         return dict(self._t)
 
-    def merge(self, other: "CostLedger") -> None:
-        """Fold another ledger's charges into this one."""
-        for phase, t in other._t.items():
-            self._t[phase] += t
-
     def reset(self) -> None:
         """Zero all charges."""
         self._t.clear()

@@ -6,7 +6,7 @@ entry point in this repo is a one-shot CLI that rebuilds state per call;
 this package is the long-lived counterpart:
 
 :mod:`~repro.serve.protocol`
-    JSON-line wire protocol (unix socket or HTTP) with an optional raw
+    JSON-line wire protocol over a unix socket with an optional raw
     binary frame for vectors, CRC-32 frame integrity, plus the
     synchronous client.
 :mod:`~repro.serve.residency`

@@ -107,10 +107,6 @@ class ChaosSchedule:
             "drop": self.p_drop,
         }
 
-    def active_classes(self) -> tuple[str, ...]:
-        """Wire fault classes this schedule can actually execute."""
-        return tuple(k for k, p in self.probabilities().items() if p > 0)
-
 
 class ChaosProxy:
     """Frame-aware unix-socket proxy injecting seeded wire faults.

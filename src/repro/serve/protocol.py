@@ -21,10 +21,8 @@ shortest decimal forms, the last trivially):
     and the load generator's default. Responses mirror the encoding of
     their request.
 
-The same messages run over a unix stream socket (framing as described)
-or over HTTP (``POST /rpc`` with the JSON object as the body, base64 or
-array vectors only — HTTP clients tend to be browsers and curl, which
-prefer self-contained bodies).
+The messages run over a unix stream socket, framed as described. The
+array and base64 forms serve clients that cannot write a raw frame.
 
 **Frame integrity.** Every framed message carries a ``crc`` field: a
 CRC-32 over the canonical (sorted-key, compact) JSON serialization of
@@ -36,8 +34,8 @@ themselves, or the raw float64 payload — surfaces as a
 detection point the chaos harness (:mod:`repro.serve.chaos`) attacks:
 its corruption injections must *always* be caught here (or upstream by
 the JSON parser), because a float64 payload with flipped bits is
-otherwise a perfectly valid vector. Frames without ``crc`` (external
-HTTP clients) are accepted unverified.
+otherwise a perfectly valid vector. Frames without ``crc`` (clients
+not written in Python) are accepted unverified.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ inline, see :mod:`~repro.serve.batching`). Request lifecycle:
     start is an mmap load. If the pool exhausts its budget the server
     **degrades gracefully**: the partition runs on the reference
     in-process path instead, the request still completes, and the
-    response says so. The ``warmup`` op (and ``repro serve warmup``)
-    prefetches a matrix list through the same path ahead of traffic.
+    response says so. ``--preload`` at boot and the ``partition`` op at
+    run time prefetch an engine through the same path ahead of traffic.
 
 **fault injection** (only honored when the server was started with
 ``allow_fault_injection``; a request's ``fault`` object takes two keys)
@@ -62,7 +62,6 @@ inline, see :mod:`~repro.serve.batching`). Request lifecycle:
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time
 from collections import OrderedDict
@@ -73,8 +72,10 @@ from threading import Thread
 
 import numpy as np
 
+from ..layouts import LAYOUT_NAMES
 from ..parallel import PoolTaskFailed, ResilientPool
 from ..perf import SpanRecorder
+from ..runtime.store import EngineStore, default_cache_dir, default_store_dir
 from .batching import MicroBatcher, QueueFull
 from .protocol import (
     MAX_LINE_BYTES,
@@ -95,7 +96,7 @@ DEFAULT_METHOD = "2d-gp"
 DEFAULT_PROCS = 16
 #: per-engine pending-request bound before load shedding
 MAX_QUEUE = 128
-#: global in-flight work bound (matvec + partition + warmup) before shedding
+#: global in-flight work bound (matvec + partition) before shedding
 MAX_INFLIGHT = 512
 #: seconds a graceful drain waits for in-flight work before forcing stop
 DRAIN_GRACE_S = 30.0
@@ -105,6 +106,8 @@ IDEM_CAPACITY = 4096
 DEGRADED_WINDOW = 100
 #: the keys a request's ``fault`` object may carry
 FAULT_KEYS = ("kill_worker", "slow_ms")
+#: a ``shutdown`` request's ``mode``: absent or ``drain`` drains, ``now`` stops
+SHUTDOWN_MODES = (None, "drain", "now")
 
 _FRAME_KEYS = frozenset({"op", "id", "crc"})
 _TARGET_KEYS = _FRAME_KEYS | {"matrix", "method", "procs", "seed", "fault"}
@@ -116,8 +119,12 @@ OP_KEYS = {
     "shutdown": _FRAME_KEYS | {"mode"},
     "matvec": _TARGET_KEYS | {"idem", "bin", "x", "x_b64"},
     "partition": _TARGET_KEYS,
-    "warmup": _FRAME_KEYS | {"matrices", "method", "procs", "seed"},
 }
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool (``True`` is an ``int`` to isinstance)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _partition_task(A, kind, nparts, seed, cache_dir, inject_kill, attempt):
@@ -139,7 +146,6 @@ class ServeConfig:
     """Everything a server instance needs to know, in one picklable bag."""
 
     socket_path: str
-    http_port: int | None = None  # None = unix socket only; 0 = ephemeral
     max_batch: int = 16
     batch_deadline_ms: float = 2.0
     max_engines: int = 8
@@ -209,12 +215,10 @@ class MatvecServer:
             "requests": 0,
             "matvec": 0,
             "partition": 0,
-            "warmup": 0,
             "health": 0,
             "stats": 0,
             "errors": 0,
             "degraded": 0,
-            "http_requests": 0,
             "shed": 0,
             "deduped": 0,
             "duplicate_ids": 0,
@@ -228,9 +232,6 @@ class MatvecServer:
         self._last_shed_request: int | None = None
         self._started_at = time.time()
         self._stop: asyncio.Event | None = None
-        self._servers: list[asyncio.base_events.Server] = []
-        #: actual HTTP port once listening (resolves http_port=0)
-        self.http_port: int | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -241,19 +242,9 @@ class MatvecServer:
         Path(sock_path).parent.mkdir(parents=True, exist_ok=True)
         if os.path.exists(sock_path):
             os.unlink(sock_path)
-        unix_srv = await asyncio.start_unix_server(
+        listener = await asyncio.start_unix_server(
             self._handle_connection, path=sock_path, limit=MAX_LINE_BYTES
         )
-        self._servers = [unix_srv]
-        if self.config.http_port is not None:
-            http_srv = await asyncio.start_server(
-                self._handle_http_connection,
-                host="127.0.0.1",
-                port=self.config.http_port,
-                limit=MAX_LINE_BYTES,
-            )
-            self.http_port = http_srv.sockets[0].getsockname()[1]
-            self._servers.append(http_srv)
         try:
             for ref in self.config.preload:
                 name, A, mhash = await self._load_matrix(ref)
@@ -272,9 +263,8 @@ class MatvecServer:
             for entry in self.residency.entries():
                 if entry.batcher is not None:
                     entry.batcher.drain()
-            for srv in self._servers:
-                srv.close()
-                await srv.wait_closed()
+            listener.close()
+            await listener.wait_closed()
             if os.path.exists(sock_path):
                 os.unlink(sock_path)
             self.pool.shutdown()
@@ -343,23 +333,15 @@ class MatvecServer:
             p = Path(self.config.cache_dir)
             p.mkdir(parents=True, exist_ok=True)
             return p
-        from ..bench.harness import default_cache_dir
-
         return default_cache_dir()
 
     def _make_store(self):
         """The engine artifact store per config (None = disk tier off)."""
         if not self.config.use_engine_store:
             return None
-        from ..runtime.store import EngineStore
-
-        root = self.config.engine_store_dir
-        if root is None and self.config.cache_dir is not None and not os.environ.get(
-            "REPRO_ENGINE_STORE_DIR"
-        ):
-            # an explicit cache dir is a hermeticity request (tests,
-            # chaos demos): keep the engine store inside it too
-            root = Path(self.config.cache_dir) / "engines"
+        # an explicit cache dir is a hermeticity request (tests, chaos
+        # demos): the default engine store nests inside it too
+        root = self.config.engine_store_dir or default_store_dir(self.config.cache_dir)
         return EngineStore(root)
 
     async def _load_matrix(self, ref: str) -> tuple[str, object, str]:
@@ -561,7 +543,12 @@ class MatvecServer:
             if op == "stats":
                 return encode_message(self._stats(rid))
             if op == "shutdown":
-                if msg.get("mode") == "now":
+                mode = msg.get("mode")
+                if mode not in SHUTDOWN_MODES:
+                    raise ProtocolError(
+                        f"unknown shutdown mode {mode!r}; known: drain, now"
+                    )
+                if mode == "now":
                     self.request_stop()
                 else:
                     self.begin_drain()
@@ -570,9 +557,7 @@ class MatvecServer:
                 )
             if op == "matvec":
                 return await self._handle_matvec(rid, msg, payload)
-            if op == "partition":
-                return await self._handle_partition(rid, msg)
-            return await self._handle_warmup(rid, msg)
+            return await self._handle_partition(rid, msg)
         except QueueFull as exc:
             return self._shed_response(rid, str(exc))
         except ProtocolError as exc:
@@ -597,7 +582,7 @@ class MatvecServer:
         })
 
     def _refuse_new_work(self, rid) -> bytes | None:
-        """Admission for matvec, partition and warmup work.
+        """Admission for matvec and partition work.
 
         Returns the refusal while a graceful drain is in progress or the
         in-flight bound is reached, or ``None`` when the request is
@@ -661,21 +646,26 @@ class MatvecServer:
         }
 
     def _request_target(self, msg: dict) -> tuple[str, str, int, int]:
+        """A request's ``(matrix, method, procs, seed)``, defaulted and validated.
+
+        Runs before any matrix load or partition, so a request naming no
+        real layout costs nothing.
+        """
         matrix = msg.get("matrix")
         if not isinstance(matrix, str) or not matrix:
             raise ProtocolError("request needs a 'matrix' (corpus name or path)")
-        return (matrix, *self._request_layout(msg))
-
-    def _request_layout(self, msg: dict) -> tuple[str, int, int]:
-        """A request's ``(method, procs, seed)``, defaulted and validated."""
         method = msg.get("method", DEFAULT_METHOD)
         procs = msg.get("procs", DEFAULT_PROCS)
         seed = msg.get("seed", self.config.default_seed)
-        if not isinstance(procs, int) or procs < 1:
+        if not isinstance(method, str) or method.lower() not in LAYOUT_NAMES:
+            raise ProtocolError(
+                f"unknown method {method!r}; known: {', '.join(LAYOUT_NAMES)}"
+            )
+        if not _is_int(procs) or procs < 1:
             raise ProtocolError(f"procs must be a positive int, got {procs!r}")
-        if not isinstance(seed, int):
-            raise ProtocolError(f"seed must be an int, got {seed!r}")
-        return str(method).lower(), procs, seed
+        if not _is_int(seed) or seed < 0:
+            raise ProtocolError(f"seed must be a non-negative int, got {seed!r}")
+        return matrix, method.lower(), procs, seed
 
     def _fault_spec(self, msg: dict) -> dict:
         """Validate and normalize a request's ``fault`` injection field."""
@@ -811,49 +801,6 @@ class MatvecServer:
         resp["spans_ms"] = recorder.as_millis()
         return encode_vector(resp, y, encoding)
 
-    async def _handle_warmup(self, rid, msg: dict) -> bytes:
-        """Prefetch a matrix list into residency ahead of traffic.
-
-        Each entry walks the same tiers a cold matvec would (memory →
-        artifact store → build-and-persist); the response reports the
-        tier each engine came from, so a deploy script can verify its
-        warmed fleet will serve first requests from mmap loads.
-        """
-        self.counters["warmup"] += 1
-        refusal = self._refuse_new_work(rid)
-        if refusal is not None:
-            return refusal
-        matrices = msg.get("matrices")
-        if not isinstance(matrices, list) or not matrices or not all(
-            isinstance(m, str) and m for m in matrices
-        ):
-            raise ProtocolError("warmup needs 'matrices': a non-empty list of names")
-        method, procs, seed = self._request_layout(msg)
-        self._work_started()
-        warmed = []
-        try:
-            for ref in matrices:
-                t0 = time.perf_counter()
-                name, A, mhash = await self._load_matrix(ref)
-                outcome = await self._ensure_engine(
-                    name, A, mhash, method, procs, seed
-                )
-                warmed.append({
-                    "matrix": name,
-                    "engine_key": str(outcome.entry.key),
-                    "engine_source": outcome.meta.get("engine_source", "built"),
-                    "seconds": round(time.perf_counter() - t0, 6),
-                })
-        finally:
-            self._work_finished()
-        return encode_message({
-            "id": rid,
-            "ok": True,
-            "op": "warmup",
-            "warmed": warmed,
-            "tiers": dict(self.residency.tier_counts),
-        })
-
     async def _handle_partition(self, rid, msg: dict) -> bytes:
         self.counters["partition"] += 1
         refusal = self._refuse_new_work(rid)
@@ -881,7 +828,7 @@ class MatvecServer:
         resp.update(outcome.meta)
         return encode_message(resp)
 
-    # -- transports --------------------------------------------------------
+    # -- transport ---------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
         """One unix-socket connection: framed JSON lines until EOF.
@@ -956,63 +903,6 @@ class MatvecServer:
                 pass
             writer.close()
 
-    async def _handle_http_connection(self, reader, writer) -> None:
-        """Minimal HTTP/1.1: ``POST /rpc`` with a JSON body, one per conn.
-
-        ``GET`` anything returns health. Binary frames are a stream-socket
-        feature; HTTP bodies must use ``x_b64`` or ``x``.
-        """
-        self.counters["http_requests"] += 1
-        status, body = "200 OK", b"{}"
-        try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                raise ProtocolError("malformed HTTP request line")
-            http_method = parts[0].upper()
-            length = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                k, _, v = line.decode("latin-1").partition(":")
-                if k.strip().lower() == "content-length":
-                    length = int(v.strip())
-            if http_method == "GET":
-                msg: dict = {"op": "health"}
-            else:
-                try:
-                    msg = json.loads(await reader.readexactly(length))
-                except (json.JSONDecodeError, asyncio.IncompleteReadError) as exc:
-                    raise ProtocolError(f"bad HTTP body: {exc}") from exc
-                if not isinstance(msg, dict):
-                    raise ProtocolError("HTTP body must be a JSON object")
-                if msg.get("bin"):
-                    raise ProtocolError("binary frames are not supported over HTTP")
-            wire = await self._dispatch(msg, None)
-            # responses to HTTP must be self-contained JSON: the dispatch
-            # path never emits a binary frame unless the request did
-            body = wire.rstrip(b"\n")
-        except ProtocolError as exc:
-            self.counters["errors"] += 1
-            status = "400 Bad Request"
-            body = json.dumps({"ok": False, "error": str(exc)}).encode()
-        except (ConnectionResetError, BrokenPipeError):
-            writer.close()
-            return
-        try:
-            writer.write(
-                b"HTTP/1.1 " + status.encode() + b"\r\n"
-                b"content-type: application/json\r\n"
-                b"content-length: " + str(len(body)).encode() + b"\r\n"
-                b"connection: close\r\n\r\n" + body
-            )
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-
 
 # ---------------------------------------------------------------------------
 # embedding helpers: run the server from a plain (sync) caller
@@ -1022,7 +912,7 @@ class MatvecServer:
 class ServerHandle:
     """A server running on its own event-loop thread (tests, bench, CLI).
 
-    Exposes the bound addresses and a thread-safe :meth:`stop`. The
+    Exposes the socket path and a thread-safe :meth:`stop`. The
     server object itself must only be touched from its loop thread;
     callers talk to it over the socket like any other client.
     """
@@ -1035,10 +925,6 @@ class ServerHandle:
     @property
     def socket_path(self) -> str:
         return self.server.config.socket_path
-
-    @property
-    def http_port(self) -> int | None:
-        return self.server.http_port
 
     def stop(self, timeout: float = 30.0, *, drain: bool = True) -> None:
         """Shut down and join the loop thread (idempotent).

@@ -4,7 +4,7 @@
 stand-in for Trilinos Anasazi's Block Krylov-Schur at the paper's
 configuration (block size 1, 10 largest eigenpairs of the normalized
 Laplacian, tol 1e-3); :func:`lobpcg_dist` is the other Anasazi solver
-the paper names. :func:`pagerank` and :func:`power_method` cover the
+the paper names. :func:`pagerank` covers the
 paper's other motivating workload, and :func:`solve_profile` /
 :func:`modeled_solve_seconds` price one recorded solve under every layout.
 """
@@ -12,7 +12,7 @@ paper's other motivating workload, and :func:`solve_profile` /
 from .operators import DistOperator, normalized_laplacian_operator
 from .krylov_schur import eigsh_dist, KrylovSchurResult, Checkpoint, CheckpointConfig
 from .lobpcg import lobpcg_dist, LobpcgResult
-from .power import pagerank, power_method, PageRankResult, PowerResult
+from .power import pagerank, PageRankResult
 from .replay import (
     SolveProfile,
     RecordingSpace,
@@ -36,7 +36,5 @@ __all__ = [
     "lobpcg_dist",
     "LobpcgResult",
     "pagerank",
-    "power_method",
     "PageRankResult",
-    "PowerResult",
 ]

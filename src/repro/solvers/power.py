@@ -1,4 +1,4 @@
-"""Power method and PageRank on the distributed runtime.
+"""PageRank on the distributed runtime.
 
 PageRank is the paper's motivating example of linear-algebra graph
 analysis ("in its simplest form the power method applied to a matrix
@@ -25,7 +25,7 @@ from ..runtime.distvector import DistVectorSpace
 from ..runtime.machine import CAB, MachineModel
 from ..runtime.trace import CostLedger
 
-__all__ = ["pagerank", "power_method", "PageRankResult", "PowerResult"]
+__all__ = ["pagerank", "PageRankResult"]
 
 
 @dataclass
@@ -33,18 +33,6 @@ class PageRankResult:
     """PageRank vector plus convergence/accounting info."""
 
     scores: np.ndarray
-    iterations: int
-    residual: float
-    converged: bool
-    ledger: CostLedger
-
-
-@dataclass
-class PowerResult:
-    """Dominant eigenpair estimate from the power method."""
-
-    eigenvalue: float
-    eigenvector: np.ndarray
     iterations: int
     residual: float
     converged: bool
@@ -100,35 +88,3 @@ def pagerank(
         if resid < tol:
             return PageRankResult(x, it, resid, True, ledger)
     return PageRankResult(x, it, resid, False, ledger)
-
-
-def power_method(
-    A,
-    layout: Layout,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    machine: MachineModel = CAB,
-    seed: int = 0,
-) -> PowerResult:
-    """Dominant eigenpair of symmetric *A* by the power method."""
-    ledger = CostLedger()
-    dist = DistSparseMatrix(A, layout, machine)
-    space = DistVectorSpace(dist.vector_map, machine, ledger)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dist.n)
-    x /= space.norm(x)
-    lam = 0.0
-    resid = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        y = dist.spmv(x, ledger)
-        lam = space.dot(x, y)
-        r = space.axpy(-lam, x, y)
-        resid = space.norm(r)
-        ny = space.norm(y)
-        if ny <= 0:
-            break
-        x = space.scale(1.0 / ny, y)
-        if resid <= tol * max(abs(lam), 1.0):
-            return PowerResult(lam, x, it, resid, True, ledger)
-    return PowerResult(lam, x, it, resid, False, ledger)

@@ -20,19 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs.csr import as_csr
-from .graphs.ops import degrees, normalized_laplacian
+from .graphs.ops import degrees
 from .layouts import make_layout
 from .layouts.base import Layout
-from .runtime import CAB, CostLedger, DistSparseMatrix, MachineModel
-from .solvers import DistOperator, eigsh_dist
+from .runtime import CAB, CostLedger, MachineModel
+from .solvers import eigsh_dist, normalized_laplacian_operator
 
 __all__ = ["spectral_embedding", "spectral_clustering", "bipartite_detection",
            "SpectralClusteringResult", "BipartiteResult", "kmeans"]
-
-
-def _operator(A, layout, machine) -> DistOperator:
-    Lhat = normalized_laplacian(A)
-    return DistOperator(DistSparseMatrix(Lhat, layout, machine))
 
 
 def spectral_embedding(
@@ -50,7 +45,7 @@ def spectral_embedding(
     """
     A = as_csr(A)
     layout = layout if layout is not None else make_layout("2d-gp-mc", A, 16, seed=seed)
-    op = _operator(A, layout, machine)
+    op = normalized_laplacian_operator(A, layout, machine)
     res = eigsh_dist(op, k=dim + 1, tol=tol, which="SA", seed=seed)
     # drop the trivial lambda=0 mode; degree-normalise the coordinates
     X = res.eigenvectors[:, 1: dim + 1]
@@ -164,7 +159,7 @@ def bipartite_detection(
     """
     A = as_csr(A)
     layout = layout if layout is not None else make_layout("2d-gp-mc", A, 16, seed=seed)
-    op = _operator(A, layout, machine)
+    op = normalized_laplacian_operator(A, layout, machine)
     res = eigsh_dist(op, k=1, tol=tol, which="LA", seed=seed)
     lam = float(res.eigenvalues[0])
     v = res.eigenvectors[:, 0]

@@ -17,7 +17,7 @@ from repro.bench import (
     spmv_grid,
     table2_rows,
 )
-from repro.bench import harness
+from repro.bench import eigen, harness
 from repro.bench.harness import SpmvRecord
 from repro.runtime import CommStats
 from repro.runtime.store import matrix_hash
@@ -83,6 +83,51 @@ class TestPartitionCache:
         cached_rpart(small_powerlaw, "gp", 4, seed=0, cache_dir=tmp_path)
         cached_rpart(small_powerlaw, "gp", 4, seed=1, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.npy"))) == 2
+
+
+class TestEigenProfileCache:
+    """The eigen benches' solve profiles are cached like rparts."""
+
+    @staticmethod
+    def _counting(monkeypatch, tmp_path, A) -> list:
+        calls = []
+        real = eigen.solve_profile
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(eigen, "load_corpus_matrix", lambda name: A)
+        monkeypatch.setattr(eigen, "solve_profile", counting)
+        return calls
+
+    def test_entries_are_keyed_by_solver_code(
+        self, small_powerlaw, tmp_path, monkeypatch
+    ):
+        """A changed solver source misses the profiles older code made."""
+        calls = self._counting(monkeypatch, tmp_path, small_powerlaw)
+        first = eigen._one_profile("m", 2, 1e-3, 0)
+        eigen._one_profile("m", 2, 1e-3, 0)
+        assert len(calls) == 1  # the fill, then a hit
+        monkeypatch.setattr(eigen, "code_fingerprint", lambda *sources: "0" * 12)
+        again = eigen._one_profile("m", 2, 1e-3, 0)
+        assert len(calls) == 2  # recomputed under the new fingerprint
+        assert again.matvecs == first.matvecs
+        assert np.array_equal(again.eigenvalues, first.eigenvalues)
+        # ... and the write evicted the older code's entry
+        name = f"{matrix_hash(small_powerlaw)}_{'0' * 12}_profile_k2_t0.001_s0.npz"
+        assert [p.name for p in tmp_path.glob("*profile*")] == [name]
+
+    def test_torn_file_is_a_miss(self, small_powerlaw, tmp_path, monkeypatch):
+        calls = self._counting(monkeypatch, tmp_path, small_powerlaw)
+        first = eigen._one_profile("m", 2, 1e-3, 0)
+        [path] = tmp_path.glob("*profile*")
+        path.write_bytes(path.read_bytes()[:100])
+        again = eigen._one_profile("m", 2, 1e-3, 0)
+        assert len(calls) == 2
+        assert again.matvecs == first.matvecs
+        assert [p.name for p in tmp_path.glob("*profile*")] == [path.name]
 
 
 class TestHarness:

@@ -54,11 +54,10 @@ class TestCostLedger:
         with pytest.raises(ValueError, match="negative"):
             CostLedger().add("x", -1.0)
 
-    def test_merge_and_reset(self):
-        a, b = CostLedger(), CostLedger()
+    def test_reset(self):
+        a = CostLedger()
         a.add("x", 1.0)
-        b.add("x", 2.0)
-        a.merge(b)
+        a.add("x", 2.0)
         assert a.get("x") == 3.0
         a.reset()
         assert a.total() == 0.0

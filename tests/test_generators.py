@@ -10,7 +10,6 @@ from repro.generators import (
     corpus_names,
     corpus_spec,
     grid2d,
-    grid3d,
     load_corpus_matrix,
     powerlaw_degree_sequence,
     preferential_attachment,
@@ -186,17 +185,9 @@ class TestMeshes:
         d = nonzeros_per_row(A)
         assert d.max() == 4 and d.min() == 2
 
-    def test_grid3d_structure(self):
-        A = grid3d(3, 4, 5)
-        assert A.shape == (60, 60)
-        d = nonzeros_per_row(A)
-        assert d.max() == 6 and d.min() == 3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             grid2d(0, 3)
-        with pytest.raises(ValueError):
-            grid3d(2, 0, 2)
 
 
 class TestCorpus:

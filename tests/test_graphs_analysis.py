@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.graphs import (
     GraphStats,
-    degree_histogram,
     graph_stats,
     powerlaw_exponent_mle,
 )
@@ -56,16 +55,3 @@ class TestPowerlawMLE:
         # grids have all-equal degrees: MLE degenerates high, not low
         g_grid = powerlaw_exponent_mle(np.diff(grid2d(50, 50).indptr))
         assert g_grid > g_rmat
-
-
-class TestDegreeHistogram:
-    def test_counts_sum_to_n(self, small_rmat):
-        degs, counts = degree_histogram(small_rmat)
-        # isolated vertices have degree 0; bincount covers them too
-        assert counts.sum() == small_rmat.shape[0]
-        assert (np.diff(degs) > 0).all()  # strictly increasing bins
-
-    def test_grid_histogram_small_support(self):
-        degs, counts = degree_histogram(grid2d(10, 10))
-        assert set(degs.tolist()) == {2, 3, 4}
-        assert counts.sum() == 100

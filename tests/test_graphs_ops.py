@@ -10,7 +10,6 @@ from repro.graphs import (
     degrees,
     from_edges,
     is_structurally_symmetric,
-    laplacian,
     largest_connected_component,
     normalized_laplacian,
     symmetrize,
@@ -36,15 +35,6 @@ class TestSymmetrize:
 
 
 class TestLaplacian:
-    def test_row_sums_zero(self, small_powerlaw):
-        L = laplacian(small_powerlaw)
-        assert np.abs(np.asarray(L.sum(axis=1))).max() < 1e-9
-
-    def test_laplacian_psd(self, tiny_matrix):
-        L = laplacian(tiny_matrix).toarray()
-        vals = np.linalg.eigvalsh(L)
-        assert vals.min() > -1e-9
-
     def test_degrees_match_row_counts(self, tiny_matrix):
         d = degrees(tiny_matrix)
         assert np.array_equal(d, np.asarray((tiny_matrix != 0).sum(axis=1)).ravel())

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.partitioning import (
-    PartGraph,
-    derive_nested_partition,
-    multilevel_bisect,
-    partition_quality,
-    recursive_bisection,
-)
-from repro.partitioning.kway import kway_balance_refine
+from repro.partitioning import PartGraph, derive_nested_partition, multilevel_bisect
+from repro.partitioning._util import check_part_vector, walk_rb
+from repro.partitioning.kway import _split, kway_balance_refine
+
+
+def _graph_kway(g, nparts, ub=1.05, seed=0):
+    """The graph k-way pipeline ``partition_matrix("gp")`` runs after its
+    graph build, on any :class:`PartGraph`: the RB walk over graph
+    bisections, then the k-way balance repair."""
+    part = walk_rb(_split, g, nparts, ub, seed)
+    part = kway_balance_refine(g, part, nparts, ub=ub)
+    return check_part_vector(part, g.n, nparts)
 
 
 class TestMultilevelBisect:
@@ -43,44 +47,43 @@ class TestRecursiveBisection:
     @pytest.mark.parametrize("k", [2, 4, 8])
     def test_valid_partition(self, small_grid, k):
         g = PartGraph.from_matrix(small_grid, "unit")
-        part = recursive_bisection(g, k, seed=0)
+        part = _graph_kway(g, k, seed=0)
         assert part.min() >= 0 and part.max() == k - 1
         assert len(np.unique(part)) == k
 
     def test_grid_16_parts_beats_random_hugely(self, small_grid):
         g = PartGraph.from_matrix(small_grid, "unit")
-        part = recursive_bisection(g, 16, seed=0)
+        part = _graph_kway(g, 16, seed=0)
         rnd = np.random.default_rng(0).integers(0, 16, g.n)
         assert g.edgecut(part) < 0.3 * g.edgecut(rnd)
 
     def test_scale_free_balance(self, small_rmat):
         g = PartGraph.from_matrix(small_rmat, "nnz")
-        part = recursive_bisection(g, 8, ub=1.10, seed=0)
-        q = partition_quality(g, part, 8)
+        part = _graph_kway(g, 8, ub=1.10, seed=0)
         # hub granularity can exceed ub, but must stay near it
         vmax = g.vwgt[:, 0].max()
         avg = g.total_weight()[0] / 8
-        assert q.imbalance[0] <= max(1.25, (avg + vmax) / avg + 0.05)
+        assert g.imbalance(part, 8)[0] <= max(1.25, (avg + vmax) / avg + 0.05)
 
     def test_nonpower_of_two(self, small_grid):
         g = PartGraph.from_matrix(small_grid, "unit")
-        part = recursive_bisection(g, 6, seed=0)
+        part = _graph_kway(g, 6, seed=0)
         assert len(np.unique(part)) == 6
         assert g.imbalance(part, 6)[0] < 1.35
 
     def test_nparts_one(self, small_grid):
         g = PartGraph.from_matrix(small_grid, "unit")
-        assert (recursive_bisection(g, 1) == 0).all()
+        assert (_graph_kway(g, 1) == 0).all()
 
     def test_invalid_nparts(self, small_grid):
         g = PartGraph.from_matrix(small_grid, "unit")
         with pytest.raises(ValueError, match="nparts"):
-            recursive_bisection(g, 0)
+            _graph_kway(g, 0)
 
     def test_deterministic(self, small_grid):
         g = PartGraph.from_matrix(small_grid, "unit")
-        p1 = recursive_bisection(g, 8, seed=42)
-        p2 = recursive_bisection(g, 8, seed=42)
+        p1 = _graph_kway(g, 8, seed=42)
+        p2 = _graph_kway(g, 8, seed=42)
         assert np.array_equal(p1, p2)
 
 
@@ -88,7 +91,7 @@ class TestNestedDerivation:
     def test_nesting_property(self, small_rmat):
         """part_4 derived from part_16 groups exactly 4 consecutive ids."""
         g = PartGraph.from_matrix(small_rmat, "nnz")
-        p16 = recursive_bisection(g, 16, seed=1)
+        p16 = _graph_kway(g, 16, seed=1)
         p4 = derive_nested_partition(p16, 16, 4)
         assert p4.max() == 3
         # every fine part maps wholly into one coarse part
@@ -122,15 +125,6 @@ class TestBalanceRepair:
 
     def test_noop_when_balanced(self, small_grid):
         g = PartGraph.from_matrix(small_grid, "unit")
-        part = recursive_bisection(g, 4, seed=0)
+        part = _graph_kway(g, 4, seed=0)
         repaired = kway_balance_refine(g, part, 4, ub=1.10)
         assert g.edgecut(repaired) <= g.edgecut(part) * 1.2
-
-    def test_quality_report(self, small_grid):
-        g = PartGraph.from_matrix(small_grid, "unit")
-        part = recursive_bisection(g, 4, seed=0)
-        q = partition_quality(g, part, 4)
-        assert q.nparts == 4
-        assert q.min_part_weight > 0
-        assert q.max_part_weight >= q.min_part_weight
-        assert q.imbalance[0] >= 1.0

@@ -13,7 +13,8 @@ The contracts under test:
   logged, and the request completes; a pool that cannot deliver
   degrades to the in-process reference path; a ``fault`` object with a
   key the server does not know is refused, and so is any top-level key
-  its op does not accept;
+  its op does not accept, a layout, ``procs`` or ``seed`` that is not
+  one, and a shutdown mode other than ``drain`` or ``now``;
 * **disk tier** — an engine is served from the artifact store only if
   the running code compiled it, and serving one (a stalled request
   included) builds no distribution.
@@ -31,7 +32,6 @@ import os
 import tempfile
 import threading
 import time
-import urllib.request
 
 import numpy as np
 import pytest
@@ -41,6 +41,7 @@ from repro.io import write_matrix_market
 from repro.parallel import PoolTaskFailed, ResilientPool
 from repro.perf import SpanRecorder
 from repro.serve import (
+    MatvecServer,
     MicroBatcher,
     ProtocolError,
     ServeClient,
@@ -78,7 +79,6 @@ def serve_env():
 
     config = ServeConfig(
         socket_path=os.path.join(tmp, "s.sock"),
-        http_port=0,
         max_batch=8,
         batch_deadline_ms=2.0,
         allow_fault_injection=True,
@@ -336,8 +336,8 @@ def test_misspelled_request_keys_are_refused(serve_env):
         assert "'methd'" in resp["error"] and "'proc'" in resp["error"]
         resp, _ = c.request({"op": "health", "verbose": True})
         assert not resp["ok"] and "'verbose'" in resp["error"]
-        resp, _ = c.request({"op": "warmup", "matrix": serve_env["mtx"]})
-        assert not resp["ok"] and "'matrix'" in resp["error"]
+        resp, _ = c.request({"op": "partition", "matrices": [serve_env["mtx"]]})
+        assert not resp["ok"] and "'matrices'" in resp["error"]
         # the keys in-repo clients send are accepted, in every encoding
         msg = {"op": "matvec", **target, "seed": 0, "idem": "keys-1"}
         for encoding in ("bin", "b64", "list"):
@@ -420,47 +420,6 @@ def test_server_lru_eviction_end_to_end(serve_env):
             c.request({"op": "shutdown"})
     finally:
         handle.stop()
-
-
-# ---------------------------------------------------------------------------
-# HTTP transport
-# ---------------------------------------------------------------------------
-
-
-def test_http_health_and_matvec(serve_env):
-    port = serve_env["handle"].http_port
-    assert port is not None
-    with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=30) as r:
-        health = json.loads(r.read())
-    assert health["ok"] and health["op"] == "health"
-
-    n = serve_env["A"].shape[0]
-    x = np.random.default_rng(4).standard_normal(n)
-    import base64
-
-    body = json.dumps({
-        "op": "matvec", "matrix": serve_env["mtx"], "procs": PROCS,
-        "x_b64": base64.b64encode(x.tobytes()).decode(),
-    }).encode()
-    req = urllib.request.Request(
-        f"http://127.0.0.1:{port}/rpc", data=body, method="POST"
-    )
-    with urllib.request.urlopen(req, timeout=300) as r:
-        resp = json.loads(r.read())
-    assert resp["ok"], resp.get("error")
-    y = np.frombuffer(base64.b64decode(resp["y_b64"]), dtype="<f8")
-    engine, _ = reference_engine(serve_env["mtx"], "2d-gp", PROCS, 0)
-    assert np.array_equal(y, engine.spmv(x))
-
-    # binary frames are a stream-socket feature
-    req = urllib.request.Request(
-        f"http://127.0.0.1:{port}/rpc",
-        data=json.dumps({"op": "matvec", "bin": 8}).encode(),
-        method="POST",
-    )
-    with pytest.raises(urllib.error.HTTPError) as exc_info:
-        urllib.request.urlopen(req, timeout=30)
-    assert exc_info.value.code == 400
 
 
 # ---------------------------------------------------------------------------
@@ -963,51 +922,106 @@ def test_idem_table_keeps_only_the_newest_completed_keys(serve_env, monkeypatch)
         assert deduped(c) == before + 1
 
 
-def test_warmup_reports_engine_tiers(serve_env):
-    """``warmup`` walks memory -> artifact store -> build and says which
-    tier each engine came from; bad requests and drains are refused."""
+def test_partition_reports_engine_tiers(serve_env):
+    """A ``partition`` request walks memory -> artifact store -> build and
+    says which tier its engine came from; a drain refuses it."""
     tmp = _short_tmpdir()
     store = os.path.join(tmp, "engines")
-    msg = {"op": "warmup", "matrices": [serve_env["mtx"]] * 2,
-           "procs": PROCS, "seed": 0}
+    msg = {"op": "partition", "matrix": serve_env["mtx"], "procs": PROCS, "seed": 0}
 
-    def sources(resp) -> list[str]:
-        assert resp["ok"], resp
-        return [w["engine_source"] for w in resp["warmed"]]
-
-    for i, expect in enumerate((["built", "memory"], ["disk", "memory"])):
+    for i, cold in enumerate(("built", "disk")):
         sock = os.path.join(tmp, f"w{i}.sock")
         handle = start_in_thread(ServeConfig(socket_path=sock, engine_store_dir=store))
         try:
             with ServeClient(sock, timeout=300.0) as c:
                 first, _ = c.request(msg)
-                assert sources(first) == expect
-                assert first["tiers"] == {
-                    "mem_hit": 1,
-                    "disk_hit": int(expect[0] == "disk"),
-                    "built": int(expect[0] == "built"),
-                }
                 second, _ = c.request(msg)
-                assert sources(second) == ["memory", "memory"]
-                assert second["tiers"] == dict(first["tiers"], mem_hit=3)
-                keys = {w["engine_key"] for w in first["warmed"] + second["warmed"]}
-                assert len(keys) == 1
-                empty, _ = c.request({"op": "warmup", "matrices": []})
-                assert not empty["ok"] and "non-empty list" in empty["error"]
+                assert first["ok"] and second["ok"], (first, second)
+                assert first["engine_source"] == cold
+                assert second["engine_source"] == "memory"
+                assert first["engine_key"] == second["engine_key"]
+                health, _ = c.request({"op": "health"})
+                assert health["tiers"] == {
+                    "mem_hit": 1,
+                    "disk_hit": int(cold == "disk"),
+                    "built": int(cold == "built"),
+                }
                 c.request({"op": "shutdown"})
         finally:
             handle.stop()
 
-    from repro.serve import MatvecServer
-
-    server = MatvecServer(
-        ServeConfig(socket_path=os.path.join(tmp, "d.sock"), use_engine_store=False)
-    )
+    server = _unstarted_server(tmp)
     server.begin_drain()
-    refused = {"op": "warmup", "id": 7, "matrices": ["m"]}
-    resp = json.loads(asyncio.run(server._dispatch(refused, None)))
+    refused = {"op": "partition", "id": 7, "matrix": "m"}
+    resp = _dispatch(server, refused)
     assert resp["id"] == 7 and not resp["ok"] and resp["draining"] is True
     assert resp["retry_after_s"] > 0
+
+
+def _unstarted_server(tmp):
+    """A server that is never started: its requests go straight to
+    ``_dispatch`` (see :func:`_dispatch`), with no socket in between."""
+    return MatvecServer(
+        ServeConfig(
+            socket_path=os.path.join(tmp, "d.sock"),
+            cache_dir=os.path.join(tmp, "cache"),
+            use_engine_store=False,
+        )
+    )
+
+
+def _dispatch(server, msg: dict) -> dict:
+    return json.loads(asyncio.run(server._dispatch(msg, None)))
+
+
+@pytest.mark.parametrize("mode", ["nwo", "", "NOW", 1])
+def test_unknown_shutdown_mode_is_refused(mode, tmp_path):
+    """Only an absent mode, ``drain`` or ``now`` shuts down; a misspelled
+    one is an error naming it, and the server keeps taking work."""
+    server = _unstarted_server(tmp_path)
+    resp = _dispatch(server, {"op": "shutdown", "mode": mode})
+    assert not resp["ok"] and f"unknown shutdown mode {mode!r}" in resp["error"]
+    assert server.state == "ok"
+    resp = _dispatch(server, {"op": "shutdown", "mode": "drain"})
+    assert resp["ok"] and resp["state"] == "draining"
+
+
+@pytest.mark.parametrize("field", ["procs", "seed"])
+def test_boolean_procs_and_seed_are_refused(field, tmp_path):
+    """``True`` is an int to ``isinstance``; the server still refuses it."""
+    server = _unstarted_server(tmp_path)
+    resp = _dispatch(server, {"op": "partition", "matrix": "m", field: True})
+    assert not resp["ok"] and resp["error"].startswith(f"{field} must be")
+
+
+def test_negative_seed_is_refused(serve_env, tmp_path):
+    """A seed numpy cannot take is refused by name, not deep in the build."""
+    server = _unstarted_server(tmp_path)
+    msg = {"op": "partition", "matrix": serve_env["mtx"], "method": "2d-random"}
+    resp = _dispatch(server, {**msg, "seed": -1})
+    assert not resp["ok"] and resp["error"].startswith("seed must be a non-negative")
+
+
+@pytest.mark.parametrize("method", ["3d-gp", "2d-gpx", 5])
+def test_unknown_method_is_refused_before_any_partition(
+    serve_env, method, monkeypatch, tmp_path
+):
+    """A method that names no layout is refused before the server loads
+    the matrix or runs the partitioner (``3d-gp`` names the ``gp`` kind)."""
+    calls = []
+    for name in ("_load_matrix", "_pool_partition"):
+        real = getattr(MatvecServer, name)
+
+        def counting(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(MatvecServer, name, counting)
+    server = _unstarted_server(tmp_path)
+    msg = {"op": "partition", "matrix": serve_env["mtx"], "method": method}
+    resp = _dispatch(server, msg)
+    assert calls == []
+    assert not resp["ok"] and f"unknown method {method!r}" in resp["error"]
 
 
 def _matvec_on_fresh_server(tmp: str, name: str, mtx: str, x, **extra):

@@ -256,8 +256,6 @@ def test_chaos_schedule_validates():
         ChaosSchedule(p_torn=0.6, p_drop=0.6)  # sum > 1
     with pytest.raises(ValueError):
         ChaosSchedule(delay_ms=-1.0)
-    s = ChaosSchedule(p_corrupt=0.2, p_delay=0.1)
-    assert s.active_classes() == ("corrupt", "delay")
 
 
 def test_chaos_decisions_pure_in_seed_conn_frame():

@@ -1,4 +1,4 @@
-"""Tests for the distributed solvers: Lanczos, Krylov-Schur, power/PageRank."""
+"""Tests for the distributed solvers: Lanczos, Krylov-Schur, PageRank."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.solvers import (
     eigsh_dist,
     normalized_laplacian_operator,
     pagerank,
-    power_method,
 )
 from repro.solvers.krylov_schur import expand_krylov
 
@@ -132,15 +131,6 @@ class TestKrylovSchur:
 
 
 class TestPower:
-    def test_power_method_dominant_pair(self, small_powerlaw):
-        # note: must be non-bipartite — on a bipartite graph (e.g. a grid)
-        # the +/-lambda eigenvalue pair makes the power method oscillate
-        lay = make_layout("2d-block", small_powerlaw, 4)
-        res = power_method(small_powerlaw, lay, tol=1e-9, max_iter=5000, seed=1)
-        ref = sla.eigsh(small_powerlaw, k=1, which="LA", return_eigenvectors=False)[0]
-        assert res.converged
-        assert abs(res.eigenvalue - ref) < 1e-5
-
     def test_pagerank_is_stationary_and_stochastic(self, small_rmat):
         lay = make_layout("1d-random", small_rmat, 4, seed=1)
         res = pagerank(small_rmat, lay, damping=0.85, tol=1e-12)
