@@ -11,7 +11,7 @@ averages ten solves.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,7 +20,7 @@ import numpy as np
 from ..generators.corpus import load_corpus_matrix
 from ..graphs.csr import as_csr
 from ..graphs.ops import normalized_laplacian
-from ..runtime import CAB, CommStats, DistSparseMatrix, MachineModel, comm_stats
+from ..runtime import CAB, CommStats, DistSparseMatrix, MachineModel, VectorWork, comm_stats
 from ..runtime.store import (
     _atomic_write,
     code_fingerprint,
@@ -53,9 +53,10 @@ class EigenRecord:
 def _profile_path(matrix_name: str, k: int, tol: float, seed: int) -> Path:
     """Where one solve profile is cached: like an rpart, named by the
     matrix content hash and a fingerprint of the code that computed it
-    (the solvers and the Laplacian they run on)."""
+    (the solvers, the Laplacian they run on and the vector work they
+    record)."""
     h = matrix_hash(load_corpus_matrix(matrix_name))
-    fp = code_fingerprint("solvers", "graphs")
+    fp = code_fingerprint("solvers", "graphs", "runtime/distvector.py")
     return default_cache_dir() / f"{h}_{fp}_profile_k{k}_t{tol:g}_s{seed}.npz"
 
 
@@ -63,13 +64,10 @@ def _read_profile(path: Path) -> SolveProfile | None:
     """A cached profile; a missing, torn or foreign file is a miss."""
     try:
         with np.load(path) as z:
+            work = VectorWork(**{f.name: z[f.name].item() for f in fields(VectorWork)})
             return SolveProfile(
                 matvecs=int(z["matvecs"]),
-                stream_factor=float(z["stream_factor"]),
-                gemm_flop_factor=float(z["gemm_flop_factor"]),
-                scalar_reductions=int(z["scalar_reductions"]),
-                vector_reductions=int(z["vector_reductions"]),
-                vector_reduction_words=int(z["vector_reduction_words"]),
+                work=work,
                 converged=bool(z["converged"]),
                 eigenvalues=z["eigenvalues"],
             )
@@ -86,7 +84,9 @@ def _one_profile(matrix_name: str, k: int, tol: float, seed: int) -> SolveProfil
         return prof
     A = load_corpus_matrix(matrix_name)
     prof = solve_profile(normalized_laplacian(A), k=k, tol=tol, seed=seed)
-    _atomic_write(path, lambda f: np.savez(f, **asdict(prof)))
+    members = asdict(prof)
+    members.update(members.pop("work"))
+    _atomic_write(path, lambda f: np.savez(f, **members))
     evict_other_generations(path)
     return prof
 

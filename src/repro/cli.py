@@ -404,35 +404,36 @@ def _cmd_serve_chaos(args) -> int:
 
     from .serve import ServeConfig, start_in_thread
 
-    tmp = tempfile.mkdtemp(prefix="repro-chaos-", dir="/tmp")
-    matrix = args.preload[0] if args.preload else None
-    if matrix is None:
-        from .generators import rmat
-        from .io import write_matrix_market
+    # the generated matrix, socket and caches go with the directory
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-", dir="/tmp") as tmp:
+        matrix = args.preload[0] if args.preload else None
+        if matrix is None:
+            from .generators import rmat
+            from .io import write_matrix_market
 
-        A = rmat(scale=10, edge_factor=8, seed=args.seed)
-        matrix = os.path.join(tmp, "rmat10.mtx")
-        write_matrix_market(matrix, A)
-        print(f"generated {matrix} (rmat scale 10, seed {args.seed})")
-    config = ServeConfig(
-        socket_path=args.socket or os.path.join(tmp, "serve.sock"),
-        max_batch=args.max_batch,
-        batch_deadline_ms=args.deadline_ms,
-        cache_dir=args.cache_dir or os.path.join(tmp, "cache"),
-        allow_fault_injection=True,
-    )
-    handle = start_in_thread(config)
-    print(f"chaos target on {config.socket_path} (seed {args.seed})")
-    try:
-        return _run_chaos_soak_against(
-            config.socket_path,
-            matrix,
-            chaos_seed=args.seed,
-            procs=4,
-            seed=0,
+            A = rmat(scale=10, edge_factor=8, seed=args.seed)
+            matrix = os.path.join(tmp, "rmat10.mtx")
+            write_matrix_market(matrix, A)
+            print(f"generated {matrix} (rmat scale 10, seed {args.seed})")
+        config = ServeConfig(
+            socket_path=args.socket or os.path.join(tmp, "serve.sock"),
+            max_batch=args.max_batch,
+            batch_deadline_ms=args.deadline_ms,
+            cache_dir=args.cache_dir or os.path.join(tmp, "cache"),
+            allow_fault_injection=True,
         )
-    finally:
-        handle.stop()
+        handle = start_in_thread(config)
+        print(f"chaos target on {config.socket_path} (seed {args.seed})")
+        try:
+            return _run_chaos_soak_against(
+                config.socket_path,
+                matrix,
+                chaos_seed=args.seed,
+                procs=4,
+                seed=0,
+            )
+        finally:
+            handle.stop()
 
 
 def _cmd_loadgen(args) -> int:

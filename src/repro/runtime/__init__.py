@@ -13,7 +13,7 @@ from .maps import Map
 from .plan import CommPlan
 from .trace import CostLedger, SPMV_PHASES
 from .distmatrix import DistSparseMatrix
-from .distvector import DistVectorSpace
+from .distvector import DistVectorSpace, VectorWork
 from .engine import SpmvEngine
 from .threads import ApplyPlan, balanced_row_splits
 from .store import (
@@ -41,6 +41,7 @@ __all__ = [
     "SPMV_PHASES",
     "DistSparseMatrix",
     "DistVectorSpace",
+    "VectorWork",
     "SpmvEngine",
     "ApplyPlan",
     "balanced_row_splits",

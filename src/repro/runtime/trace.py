@@ -48,10 +48,6 @@ class CostLedger:
         """Copy of the phase -> seconds mapping."""
         return dict(self._t)
 
-    def reset(self) -> None:
-        """Zero all charges."""
-        self._t.clear()
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v:.3e}" for k, v in sorted(self._t.items()))
         return f"CostLedger({inner})"

@@ -5,8 +5,11 @@ stand-in for Trilinos Anasazi's Block Krylov-Schur at the paper's
 configuration (block size 1, 10 largest eigenpairs of the normalized
 Laplacian, tol 1e-3); :func:`lobpcg_dist` is the other Anasazi solver
 the paper names. :func:`pagerank` covers the
-paper's other motivating workload, and :func:`solve_profile` /
-:func:`modeled_solve_seconds` price one recorded solve under every layout.
+paper's other motivating workload. Every solver charges its dense vector
+work through a :class:`~repro.runtime.distvector.DistVectorSpace`, whose
+:meth:`~repro.runtime.distvector.VectorWork.seconds` is the one price
+list: :func:`solve_profile` records a solve's work once on one rank and
+:func:`modeled_solve_seconds` prices it under every layout.
 """
 
 from .operators import DistOperator, normalized_laplacian_operator
@@ -15,7 +18,6 @@ from .lobpcg import lobpcg_dist, LobpcgResult
 from .power import pagerank, PageRankResult
 from .replay import (
     SolveProfile,
-    RecordingSpace,
     RecordingOperator,
     solve_profile,
     modeled_solve_seconds,
@@ -23,7 +25,6 @@ from .replay import (
 
 __all__ = [
     "SolveProfile",
-    "RecordingSpace",
     "RecordingOperator",
     "solve_profile",
     "modeled_solve_seconds",

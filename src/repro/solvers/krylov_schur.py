@@ -328,9 +328,7 @@ def eigsh_dist(
             checkpoint.latest = ck
             if checkpoint.path is not None:
                 ck.save(checkpoint.path)
-            charge = getattr(space, "charge_checkpoint", None)
-            if charge is not None:
-                charge(m + 1)
+            space.charge_checkpoint(m + 1)
 
     theta_k, S_k = theta[:k], S[:, :k]
     X = space.gemm(V[:, :m], S_k)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..runtime.distvector import VectorWork
 from .operators import DistOperator
 
 __all__ = ["lobpcg_dist", "LobpcgResult"]
@@ -96,9 +97,7 @@ def lobpcg_dist(
         AX = space.gemm(AX, W[:, ordw])
         R = space.multi_axpy(X, np.diag(theta), AX)  # AX - X diag(theta)
         resid = np.linalg.norm(R, axis=0)
-        space.ledger.add(
-            "vector-ops", space.machine.gamma_mem * 2.0 * space._max_local * k
-        )
+        space.charge(VectorWork(2.0 * k))  # k residual norms: streaming, no allreduce
         scale = np.maximum(np.abs(theta), 1.0)
         if (resid <= tol * scale).all():
             order = np.argsort(theta)[::-1]

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from ..graphs.csr import as_csr, nonzeros_per_row
 from ..layouts.base import Layout
 from ..runtime.distmatrix import DistSparseMatrix
-from ..runtime.distvector import DistVectorSpace
+from ..runtime.distvector import DistVectorSpace, VectorWork
 from ..runtime.machine import CAB, MachineModel
 from ..runtime.trace import CostLedger
 
@@ -78,12 +78,12 @@ def pagerank(
     for it in range(1, max_iter + 1):
         y = dist.spmv(x, ledger)
         dangling_mass = float(x[dangling].sum())
-        space.ledger.add("vector-ops", machine.allreduce_time(layout.nprocs))
+        space.charge(VectorWork(scalar_reductions=1))
         y = space.scale(damping, y)
         shift = (damping * dangling_mass + (1.0 - damping)) / n
         y = space.axpy(1.0, np.full(n, shift), y)
         resid = float(np.abs(y - x).sum())
-        space.ledger.add("vector-ops", machine.allreduce_time(layout.nprocs))
+        space.charge(VectorWork(scalar_reductions=1))
         x = y
         if resid < tol:
             return PageRankResult(x, it, resid, True, ledger)

@@ -7,13 +7,13 @@ tolerance, **not** on the data layout: every layout computes bit-equivalent
 each of the paper's 8 layouts x 4 process counts would therefore redo
 identical numerics 32 times only to charge different costs.
 
-Instead, :func:`solve_profile` runs the real solver ONCE per matrix
-against a :class:`RecordingSpace` that tallies abstract operation counts
-(streamed entries per owned row, reduction calls, GEMM flops, matvecs),
-and :func:`modeled_solve_seconds` prices that tally for any distribution —
-with formulas identical to what :class:`DistVectorSpace` and
-:meth:`DistSparseMatrix.charge_spmv` would have charged live (asserted by
-tests). This is memoization, not approximation.
+Instead, :func:`solve_profile` runs the real solver ONCE per matrix on a
+one-rank :class:`DistVectorSpace`, whose ``work`` sums the layout-free
+:class:`VectorWork` of every dense operation, and
+:func:`modeled_solve_seconds` prices that sum for any distribution through
+the same :meth:`VectorWork.seconds` a live space charges each operation
+with, plus :meth:`DistSparseMatrix.modeled_spmv_seconds` per matvec. This
+is memoization, not approximation: the two agree up to float rounding.
 """
 
 from __future__ import annotations
@@ -24,109 +24,35 @@ import numpy as np
 
 from ..graphs.csr import as_csr
 from ..runtime.distmatrix import DistSparseMatrix
+from ..runtime.distvector import DistVectorSpace, VectorWork
 from ..runtime.machine import MachineModel
-from ..runtime.trace import CostLedger
+from ..runtime.maps import Map
 from .krylov_schur import eigsh_dist
 
-__all__ = ["SolveProfile", "RecordingSpace", "RecordingOperator", "solve_profile",
-           "modeled_solve_seconds"]
+__all__ = ["SolveProfile", "RecordingOperator", "solve_profile", "modeled_solve_seconds"]
 
 
 @dataclass
 class SolveProfile:
     """Layout-independent operation tally of one eigensolve.
 
-    ``stream_factor``: total per-owned-entry doubles streamed by vector ops;
-    ``gemm_flop_factor``: total per-owned-entry flops of basis rotations;
-    ``scalar_reductions`` / ``vector_reduction_words``: allreduce counts;
-    ``matvecs``: number of operator applications.
+    ``matvecs``: number of operator applications;
+    ``work``: the summed dense vector work of the solve.
     """
 
     matvecs: int
-    stream_factor: float
-    gemm_flop_factor: float
-    scalar_reductions: int
-    vector_reductions: int
-    vector_reduction_words: int
+    work: VectorWork
     converged: bool
     eigenvalues: np.ndarray
 
 
-class RecordingSpace:
-    """Duck-typed :class:`DistVectorSpace` that tallies instead of charging."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.stream_factor = 0.0
-        self.gemm_flop_factor = 0.0
-        self.scalar_reductions = 0
-        self.vector_reductions = 0
-        self.vector_reduction_words = 0
-        self.checkpoints = 0
-        self.checkpoint_cols = 0
-        self.ledger = CostLedger()  # unused, kept for interface parity
-
-    # mirror DistVectorSpace._charge semantics in abstract units
-    def dot(self, x, y):
-        self.stream_factor += 2.0
-        self.scalar_reductions += 1
-        return float(x @ y)
-
-    def norm(self, x):
-        self.stream_factor += 2.0
-        self.scalar_reductions += 1
-        return float(np.linalg.norm(x))
-
-    def axpy(self, a, x, y):
-        self.stream_factor += 3.0
-        return a * x + y
-
-    def scale(self, a, x):
-        self.stream_factor += 2.0
-        return a * x
-
-    def multi_dot(self, basis, x):
-        m = basis.shape[1] if basis.ndim == 2 else 1
-        b = x.shape[1] if x.ndim == 2 else 1
-        self.stream_factor += float(b * (m + 1))
-        self.vector_reductions += 1
-        self.vector_reduction_words += m * b
-        return basis.T @ x
-
-    def multi_axpy(self, basis, coef, x):
-        m = basis.shape[1] if basis.ndim == 2 else 1
-        b = x.shape[1] if x.ndim == 2 else 1
-        self.stream_factor += float(b * (m + 2))
-        return x - basis @ coef
-
-    def qr(self, X):
-        b = X.shape[1] if X.ndim == 2 else 1
-        self.gemm_flop_factor += 2.0 * b * b
-        self.stream_factor += 2.0 * b
-        self.vector_reductions += 1
-        self.vector_reduction_words += b * b
-        return np.linalg.qr(X.reshape(len(X), -1))
-
-    def gemm(self, V, S):
-        m, l = S.shape
-        self.gemm_flop_factor += 2.0 * m * l
-        self.stream_factor += float(m + l)
-        return V @ S
-
-    def charge_checkpoint(self, ncols):
-        self.checkpoints += 1
-        self.checkpoint_cols += ncols
-        return 0.0
-
-
 class RecordingOperator:
-    """Operator applying a scipy matrix directly (no distribution)."""
+    """Operator applying a scipy matrix directly on a one-rank space."""
 
     def __init__(self, M):
         self.M = as_csr(M)
-        self.space = RecordingSpace(self.M.shape[0])
+        self.space = DistVectorSpace(Map(np.zeros(self.M.shape[0], dtype=np.int64), 1))
         self.matvec_count = 0
-        self.ledger = self.space.ledger
 
     @property
     def n(self) -> int:
@@ -137,21 +63,11 @@ class RecordingOperator:
         return self.M @ x
 
 
-def solve_profile(M, k: int = 10, tol: float = 1e-3, seed: int = 0, **kwargs) -> SolveProfile:
+def solve_profile(M, k: int = 10, tol: float = 1e-3, seed: int = 0) -> SolveProfile:
     """Run the eigensolver once on matrix *M*, returning its op tally."""
     op = RecordingOperator(M)
-    res = eigsh_dist(op, k=k, tol=tol, seed=seed, **kwargs)
-    s = op.space
-    return SolveProfile(
-        matvecs=op.matvec_count,
-        stream_factor=s.stream_factor,
-        gemm_flop_factor=s.gemm_flop_factor,
-        scalar_reductions=s.scalar_reductions,
-        vector_reductions=s.vector_reductions,
-        vector_reduction_words=s.vector_reduction_words,
-        converged=res.converged,
-        eigenvalues=res.eigenvalues,
-    )
+    res = eigsh_dist(op, k=k, tol=tol, seed=seed)
+    return SolveProfile(op.matvec_count, op.space.work, res.converged, res.eigenvalues)
 
 
 def modeled_solve_seconds(
@@ -160,22 +76,11 @@ def modeled_solve_seconds(
     """Price a recorded solve under a concrete distribution.
 
     Returns ``(total_seconds, spmv_seconds)`` — the two columns of the
-    paper's Table 5 ("SpMV Time" vs "Total Solve Time"). The pricing
-    formulas match :class:`DistVectorSpace` exactly: vector work scales
-    with the busiest rank's owned-entry count (vector imbalance), SpMV
-    with the distribution's plans and nonzero balance.
+    paper's Table 5 ("SpMV Time" vs "Total Solve Time"): vector work
+    scales with the busiest rank's owned-entry count (vector imbalance),
+    SpMV with the distribution's plans and nonzero balance.
     """
     machine = machine if machine is not None else dist.machine
     spmv = profile.matvecs * dist.modeled_spmv_seconds(1)
     max_local = int(dist.vector_map.counts().max())
-    p = dist.nprocs
-    vec = machine.gamma_mem * profile.stream_factor * max_local
-    vec += machine.gamma_flop * profile.gemm_flop_factor * max_local
-    vec += profile.scalar_reductions * machine.allreduce_time(p)
-    vec += profile.vector_reductions * machine.allreduce_time(p)  # latency part
-    # bandwidth part of the m-word reductions beyond the 1-word latency term
-    extra_words = profile.vector_reduction_words - profile.vector_reductions
-    if extra_words > 0 and p > 1:
-        hops = int(np.ceil(np.log2(p)))
-        vec += hops * machine.beta * extra_words
-    return spmv + vec, spmv
+    return spmv + profile.work.seconds(max_local, dist.nprocs, machine), spmv

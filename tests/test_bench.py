@@ -108,8 +108,12 @@ class TestEigenProfileCache:
         """A changed solver source misses the profiles older code made."""
         calls = self._counting(monkeypatch, tmp_path, small_powerlaw)
         first = eigen._one_profile("m", 2, 1e-3, 0)
-        eigen._one_profile("m", 2, 1e-3, 0)
+        hit = eigen._one_profile("m", 2, 1e-3, 0)
         assert len(calls) == 1  # the fill, then a hit
+        assert (hit.matvecs, hit.work, hit.converged) == (
+            first.matvecs, first.work, first.converged
+        )
+        assert np.array_equal(hit.eigenvalues, first.eigenvalues)
         monkeypatch.setattr(eigen, "code_fingerprint", lambda *sources: "0" * 12)
         again = eigen._one_profile("m", 2, 1e-3, 0)
         assert len(calls) == 2  # recomputed under the new fingerprint

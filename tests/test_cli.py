@@ -105,6 +105,33 @@ class TestCli:
         assert main(["serve", "--socket", str(tmp_path / "s.sock"), "--jobs", jobs]) == 0
         assert configs[0].pool_workers == resolve_jobs(0)
 
+    @pytest.mark.parametrize("soak_fails", [False, True])
+    def test_serve_chaos_removes_its_temp_dir(self, monkeypatch, soak_fails):
+        """``serve chaos`` leaves nothing in /tmp, whether its soak passes
+        or raises: the generated matrix, socket and caches go with it."""
+        import os
+
+        import repro.cli
+
+        seen = []
+
+        def soak(socket_path, matrix, **kwargs):
+            seen.append(os.path.dirname(socket_path))
+            assert os.path.exists(socket_path) and os.path.exists(matrix)
+            if soak_fails:
+                raise RuntimeError("soak failed")
+            return 0
+
+        monkeypatch.setattr(repro.cli, "_run_chaos_soak_against", soak)
+        if soak_fails:
+            with pytest.raises(RuntimeError, match="soak failed"):
+                main(["serve", "chaos"])
+        else:
+            assert main(["serve", "chaos"]) == 0
+        [tmp] = seen
+        assert os.path.basename(tmp).startswith("repro-chaos-")
+        assert not os.path.exists(tmp)
+
     def test_partition_methods_come_from_the_partitioner(self):
         from repro.cli import build_parser
         from repro.partitioning import PARTITION_METHODS

@@ -54,13 +54,11 @@ class TestCostLedger:
         with pytest.raises(ValueError, match="negative"):
             CostLedger().add("x", -1.0)
 
-    def test_reset(self):
+    def test_add_accumulates(self):
         a = CostLedger()
         a.add("x", 1.0)
         a.add("x", 2.0)
         assert a.get("x") == 3.0
-        a.reset()
-        assert a.total() == 0.0
 
 
 class TestFiniteValidation:

@@ -1,69 +1,57 @@
 """Tests for record-and-replay solver costing.
 
 The parity assertions here are what lets the benches replace 32 redundant
-distributed eigensolves per matrix with one recorded run: the recorded
-tally, priced for a layout, must equal what a live distributed run would
-have charged.
+distributed eigensolves per matrix with one recorded run: a live space
+charges each operation through :meth:`VectorWork.seconds`, and replay
+prices the recorded sum of the same work through the same function.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from repro.graphs import normalized_laplacian
 from repro.layouts import make_layout
-from repro.runtime import CAB, CostLedger, DistSparseMatrix, DistVectorSpace, Map
+from repro.runtime import CAB, CostLedger, DistSparseMatrix, DistVectorSpace, Map, VectorWork
 from repro.solvers import (
     DistOperator,
-    RecordingSpace,
     eigsh_dist,
     modeled_solve_seconds,
     solve_profile,
 )
 
 
-class TestRecordingSpaceParity:
-    """Same op sequence -> identical modeled cost, recorded vs live."""
-
-    def _run_sequence(self, space, rng):
-        n = 200
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        B = rng.standard_normal((n, 7))
-        S = rng.standard_normal((7, 4))
+class TestOnePriceList:
+    def test_work_prices_every_live_charge(self, rng):
+        """Every op's "vector-ops" charges sum to what its recorded work
+        prices at, so replaying the work reproduces the live ledger."""
+        n, p = 200, 4
+        vmap = Map(rng.integers(0, p, n), p)
+        ledger = CostLedger()
+        space = DistVectorSpace(vmap, CAB, ledger)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        B, X = rng.standard_normal((n, 7)), rng.standard_normal((n, 3))
         space.dot(x, y)
         space.norm(x)
         space.axpy(0.5, x, y)
         space.scale(2.0, x)
         space.multi_dot(B, x)
+        space.multi_dot(B, X)
         space.multi_axpy(B, np.zeros(7), x)
-        space.gemm(B, S)
-
-    def test_priced_recording_equals_live_charge(self, rng):
-        n, p = 200, 4
-        owner = rng.integers(0, p, n)
-        vmap = Map(owner, p)
-        live_ledger = CostLedger()
-        live = DistVectorSpace(vmap, CAB, live_ledger)
-        self._run_sequence(live, np.random.default_rng(1))
-
-        rec = RecordingSpace(n)
-        self._run_sequence(rec, np.random.default_rng(1))
+        space.multi_axpy(B, np.zeros((7, 3)), X)
+        space.qr(X)
+        space.gemm(B, rng.standard_normal((7, 4)))
+        space.charge(VectorWork(2.0 * 3))  # LOBPCG's residual norms
+        space.charge(VectorWork(scalar_reductions=1))  # PageRank's sums
         max_local = int(vmap.counts().max())
-        priced = CAB.gamma_mem * rec.stream_factor * max_local
-        priced += CAB.gamma_flop * rec.gemm_flop_factor * max_local
-        priced += rec.scalar_reductions * CAB.allreduce_time(p)
-        priced += rec.vector_reductions * CAB.allreduce_time(p)
-        extra = rec.vector_reduction_words - rec.vector_reductions
-        priced += int(np.ceil(np.log2(p))) * CAB.beta * extra
-        assert np.isclose(priced, live_ledger.total(), rtol=1e-12)
+        priced = space.work.seconds(max_local, p, CAB)
+        assert np.isclose(priced, ledger.get("vector-ops"), rtol=1e-12, atol=0.0)
+        assert space.work.gemm_flop_factor > 0 and space.work.vector_reduction_words > 0
 
-    def test_recording_numerics_match_live(self, rng):
-        n = 100
-        x = rng.standard_normal(n)
-        B = rng.standard_normal((n, 3))
-        rec = RecordingSpace(n)
-        live = DistVectorSpace(Map(np.zeros(n, dtype=np.int64), 1), CAB)
-        assert np.isclose(rec.dot(x, x), live.dot(x, x))
-        assert np.allclose(rec.multi_dot(B, x), live.multi_dot(B, x))
+        work_before = replace(space.work)
+        t = space.charge_checkpoint(5)
+        assert ledger.breakdown() == {"vector-ops": ledger.get("vector-ops"), "checkpoint": t}
+        assert space.work == work_before
 
 
 class TestSolveProfile:
@@ -72,8 +60,8 @@ class TestSolveProfile:
         prof = solve_profile(Lhat, k=4, tol=1e-4, seed=0)
         assert prof.converged
         assert prof.matvecs > 0
-        assert prof.stream_factor > 0
-        assert prof.scalar_reductions > 0
+        assert prof.work.stream_factor > 0
+        assert prof.work.scalar_reductions > 0
         assert len(prof.eigenvalues) == 4
 
     def test_deterministic(self, small_powerlaw):
@@ -81,7 +69,7 @@ class TestSolveProfile:
         p1 = solve_profile(Lhat, k=3, tol=1e-4, seed=7)
         p2 = solve_profile(Lhat, k=3, tol=1e-4, seed=7)
         assert p1.matvecs == p2.matvecs
-        assert p1.stream_factor == p2.stream_factor
+        assert p1.work == p2.work
 
 
 class TestEndToEndParity:
@@ -96,6 +84,10 @@ class TestEndToEndParity:
         op = DistOperator(DistSparseMatrix(Lhat, lay, CAB))
         live = eigsh_dist(op, k=4, tol=1e-4, seed=11)
         live_total = op.ledger.total()
+        # the live solve's own work prices to exactly what it charged
+        max_local = int(dist.vector_map.counts().max())
+        assert np.isclose(op.space.work.seconds(max_local, 4, CAB),
+                          op.ledger.get("vector-ops"), rtol=1e-12, atol=0.0)
 
         prof = solve_profile(Lhat, k=4, tol=1e-4, seed=11)
         total, spmv = modeled_solve_seconds(prof, dist, CAB)

@@ -55,9 +55,16 @@ from repro.serve.residency import EngineKey, EngineResidency, ResidentEngine
 PROCS = 4
 
 
-def _short_tmpdir() -> str:
+def _short_tmpdir() -> tempfile.TemporaryDirectory:
     # AF_UNIX paths are limited to ~107 bytes; pytest tmp_path nests too deep
-    return tempfile.mkdtemp(prefix="rs-", dir="/tmp")
+    return tempfile.TemporaryDirectory(prefix="rs-", dir="/tmp")
+
+
+@pytest.fixture
+def short_tmp():
+    """A short /tmp directory, removed with everything in it at teardown."""
+    with _short_tmpdir() as tmp:
+        yield tmp
 
 
 # ---------------------------------------------------------------------------
@@ -67,44 +74,44 @@ def _short_tmpdir() -> str:
 
 @pytest.fixture(scope="module")
 def serve_env():
-    tmp = _short_tmpdir()
-    cache_dir = os.path.join(tmp, "cache")
-    os.makedirs(cache_dir)
-    old_cache = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = cache_dir
+    with _short_tmpdir() as tmp:
+        cache_dir = os.path.join(tmp, "cache")
+        os.makedirs(cache_dir)
+        old_cache = os.environ.get("REPRO_CACHE_DIR")
+        os.environ["REPRO_CACHE_DIR"] = cache_dir
 
-    A = rmat(scale=9, edge_factor=8, seed=7)
-    mtx = os.path.join(tmp, "tiny.mtx")
-    write_matrix_market(mtx, A)
+        A = rmat(scale=9, edge_factor=8, seed=7)
+        mtx = os.path.join(tmp, "tiny.mtx")
+        write_matrix_market(mtx, A)
 
-    config = ServeConfig(
-        socket_path=os.path.join(tmp, "s.sock"),
-        max_batch=8,
-        batch_deadline_ms=2.0,
-        allow_fault_injection=True,
-    )
-    handle = start_in_thread(config)
-    env = {
-        "A": A,
-        "mtx": mtx,
-        "sock": config.socket_path,
-        "handle": handle,
-        "cache_dir": cache_dir,
-        "tmp": tmp,
-    }
-    try:
-        yield env
-    finally:
+        config = ServeConfig(
+            socket_path=os.path.join(tmp, "s.sock"),
+            max_batch=8,
+            batch_deadline_ms=2.0,
+            allow_fault_injection=True,
+        )
+        handle = start_in_thread(config)
+        env = {
+            "A": A,
+            "mtx": mtx,
+            "sock": config.socket_path,
+            "handle": handle,
+            "cache_dir": cache_dir,
+            "tmp": tmp,
+        }
         try:
-            with ServeClient(config.socket_path, timeout=10.0) as c:
-                c.request({"op": "shutdown"})
-        except OSError:
-            pass
-        handle.stop()
-        if old_cache is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = old_cache
+            yield env
+        finally:
+            try:
+                with ServeClient(config.socket_path, timeout=10.0) as c:
+                    c.request({"op": "shutdown"})
+            except OSError:
+                pass
+            handle.stop()
+            if old_cache is None:
+                os.environ.pop("REPRO_CACHE_DIR", None)
+            else:
+                os.environ["REPRO_CACHE_DIR"] = old_cache
 
 
 def _matvec(client, env, x, seed=0, encoding="bin", **extra):
@@ -128,9 +135,8 @@ def test_health_roundtrip(serve_env):
         assert resp["resident"] >= 0
 
 
-def test_start_and_clean_shutdown():
-    tmp = _short_tmpdir()
-    sock = os.path.join(tmp, "x.sock")
+def test_start_and_clean_shutdown(short_tmp):
+    sock = os.path.join(short_tmp, "x.sock")
     handle = start_in_thread(ServeConfig(socket_path=sock))
     assert os.path.exists(sock)
     with ServeClient(sock) as c:
@@ -257,9 +263,8 @@ def test_unknown_fault_keys_are_refused(serve_env, fault):
         assert "kill_worker" in resp["error"] and "slow_ms" in resp["error"]
 
 
-def test_fault_injection_rejected_when_disabled():
-    tmp = _short_tmpdir()
-    sock = os.path.join(tmp, "nf.sock")
+def test_fault_injection_rejected_when_disabled(short_tmp):
+    sock = os.path.join(short_tmp, "nf.sock")
     handle = start_in_thread(ServeConfig(socket_path=sock))
     try:
         with ServeClient(sock) as c:
@@ -275,9 +280,8 @@ def test_fault_injection_rejected_when_disabled():
         handle.stop()
 
 
-def test_pool_timeout_degrades_to_reference_path(serve_env):
-    tmp = _short_tmpdir()
-    sock = os.path.join(tmp, "dg.sock")
+def test_pool_timeout_degrades_to_reference_path(serve_env, short_tmp):
+    sock = os.path.join(short_tmp, "dg.sock")
     # a timeout no partition can meet, and no retry budget: the pool path
     # must fail and the server must still answer via the inline reference
     handle = start_in_thread(ServeConfig(
@@ -403,9 +407,8 @@ def test_residency_lru_and_byte_bounds():
         EngineResidency(max_engines=0)
 
 
-def test_server_lru_eviction_end_to_end(serve_env):
-    tmp = _short_tmpdir()
-    sock = os.path.join(tmp, "lru.sock")
+def test_server_lru_eviction_end_to_end(serve_env, short_tmp):
+    sock = os.path.join(short_tmp, "lru.sock")
     handle = start_in_thread(ServeConfig(socket_path=sock, max_engines=1))
     try:
         with ServeClient(sock, timeout=300.0) as c:
@@ -682,12 +685,11 @@ def test_corrupted_frame_detected_by_crc():
 # ---------------------------------------------------------------------------
 
 
-def test_graceful_drain_completes_inflight_batch(serve_env):
+def test_graceful_drain_completes_inflight_batch(serve_env, short_tmp):
     """Shutdown mid-micro-batch: the queued matvec still completes with
     correct bits; new work after the drain begins is refused."""
-    tmp = _short_tmpdir()
     config = ServeConfig(
-        socket_path=os.path.join(tmp, "d.sock"),
+        socket_path=os.path.join(short_tmp, "d.sock"),
         max_batch=8,
         batch_deadline_ms=250.0,  # long deadline holds the batch open
         allow_fault_injection=True,
@@ -742,7 +744,7 @@ def test_graceful_drain_completes_inflight_batch(serve_env):
     assert not os.path.exists(config.socket_path)
 
 
-def test_graceful_drain_during_cold_engine_build(serve_env):
+def test_graceful_drain_during_cold_engine_build(serve_env, short_tmp):
     """Shutdown while an engine is still building: the build finishes,
     the triggering matvec is answered, and only then does the loop stop."""
     from repro.serve.server import MatvecServer
@@ -752,9 +754,8 @@ def test_graceful_drain_during_cold_engine_build(serve_env):
             await asyncio.sleep(0.3)  # hold the build so the drain races it
             return await super()._build_engine(*args, **kwargs)
 
-    tmp = _short_tmpdir()
     config = ServeConfig(
-        socket_path=os.path.join(tmp, "cold.sock"),
+        socket_path=os.path.join(short_tmp, "cold.sock"),
         allow_fault_injection=True,
         cache_dir=serve_env["cache_dir"],
     )
@@ -807,11 +808,10 @@ def test_micro_batcher_sheds_over_bound():
     assert b.flushes["drain"] == 1 and b.matvecs == 2
 
 
-def test_health_reports_degraded_after_shed(serve_env, monkeypatch):
+def test_health_reports_degraded_after_shed(serve_env, monkeypatch, short_tmp):
     monkeypatch.setattr("repro.serve.server.MAX_QUEUE", 1)
-    tmp = _short_tmpdir()
     config = ServeConfig(
-        socket_path=os.path.join(tmp, "shed.sock"),
+        socket_path=os.path.join(short_tmp, "shed.sock"),
         max_batch=2,
         batch_deadline_ms=200.0,
         allow_fault_injection=True,
@@ -856,13 +856,12 @@ def test_health_reports_degraded_after_shed(serve_env, monkeypatch):
         handle.stop()
 
 
-def test_inflight_bound_sheds_concurrent_matvec(serve_env, monkeypatch):
+def test_inflight_bound_sheds_concurrent_matvec(serve_env, monkeypatch, short_tmp):
     """With one request allowed in flight, a matvec arriving while a slow
     one computes is shed with a backpressure hint; the slow one completes."""
     monkeypatch.setattr("repro.serve.server.MAX_INFLIGHT", 1)
-    tmp = _short_tmpdir()
     config = ServeConfig(
-        socket_path=os.path.join(tmp, "inf.sock"), allow_fault_injection=True
+        socket_path=os.path.join(short_tmp, "inf.sock"), allow_fault_injection=True
     )
     handle = start_in_thread(config)
     x = np.random.default_rng(11).standard_normal(serve_env["A"].shape[0])
@@ -922,15 +921,14 @@ def test_idem_table_keeps_only_the_newest_completed_keys(serve_env, monkeypatch)
         assert deduped(c) == before + 1
 
 
-def test_partition_reports_engine_tiers(serve_env):
+def test_partition_reports_engine_tiers(serve_env, short_tmp):
     """A ``partition`` request walks memory -> artifact store -> build and
     says which tier its engine came from; a drain refuses it."""
-    tmp = _short_tmpdir()
-    store = os.path.join(tmp, "engines")
+    store = os.path.join(short_tmp, "engines")
     msg = {"op": "partition", "matrix": serve_env["mtx"], "procs": PROCS, "seed": 0}
 
     for i, cold in enumerate(("built", "disk")):
-        sock = os.path.join(tmp, f"w{i}.sock")
+        sock = os.path.join(short_tmp, f"w{i}.sock")
         handle = start_in_thread(ServeConfig(socket_path=sock, engine_store_dir=store))
         try:
             with ServeClient(sock, timeout=300.0) as c:
@@ -950,7 +948,7 @@ def test_partition_reports_engine_tiers(serve_env):
         finally:
             handle.stop()
 
-    server = _unstarted_server(tmp)
+    server = _unstarted_server(short_tmp)
     server.begin_drain()
     refused = {"op": "partition", "id": 7, "matrix": "m"}
     resp = _dispatch(server, refused)
@@ -1041,14 +1039,15 @@ def _matvec_on_fresh_server(tmp: str, name: str, mtx: str, x, **extra):
         handle.stop()
 
 
-def test_slow_engine_from_disk_builds_no_distribution(serve_env, monkeypatch):
+def test_slow_engine_from_disk_builds_no_distribution(
+    serve_env, monkeypatch, short_tmp
+):
     """A stalled request on a store-loaded engine stalls for ``slow_ms``
     and nothing more: the server builds no distribution to serve it."""
     from repro.runtime.distmatrix import DistSparseMatrix
 
-    tmp = _short_tmpdir()
     x = np.random.default_rng(3).standard_normal(serve_env["A"].shape[0])
-    built, y_built = _matvec_on_fresh_server(tmp, "a", serve_env["mtx"], x)
+    built, y_built = _matvec_on_fresh_server(short_tmp, "a", serve_env["mtx"], x)
     assert built["ok"] and built["engine_source"] == "built", built
 
     constructed = []
@@ -1060,7 +1059,7 @@ def test_slow_engine_from_disk_builds_no_distribution(serve_env, monkeypatch):
 
     monkeypatch.setattr(DistSparseMatrix, "__init__", counting_init)
     resp, y = _matvec_on_fresh_server(
-        tmp, "b", serve_env["mtx"], x, fault={"slow_ms": 50.0}
+        short_tmp, "b", serve_env["mtx"], x, fault={"slow_ms": 50.0}
     )
     assert resp["ok"] and resp["engine_source"] == "disk", resp
     assert constructed == []
@@ -1068,20 +1067,21 @@ def test_slow_engine_from_disk_builds_no_distribution(serve_env, monkeypatch):
     assert np.array_equal(y, y_built)
 
 
-def test_engine_of_other_code_is_not_served_from_disk(serve_env, monkeypatch):
+def test_engine_of_other_code_is_not_served_from_disk(
+    serve_env, monkeypatch, short_tmp
+):
     """An artifact compiled by other code is a store miss: the server
     rebuilds it, and the rebuild replaces the older generation."""
     from repro.runtime import store
 
-    tmp = _short_tmpdir()
     x = np.ones(serve_env["A"].shape[0])
-    first, y_first = _matvec_on_fresh_server(tmp, "a", serve_env["mtx"], x)
+    first, y_first = _matvec_on_fresh_server(short_tmp, "a", serve_env["mtx"], x)
     assert first["ok"] and first["engine_source"] == "built", first
     monkeypatch.setattr(store, "code_fingerprint", lambda *sources: "0" * 12)
-    second, y = _matvec_on_fresh_server(tmp, "b", serve_env["mtx"], x)
+    second, y = _matvec_on_fresh_server(short_tmp, "b", serve_env["mtx"], x)
     assert second["ok"] and second["engine_source"] != "disk", second
     assert np.array_equal(y, y_first)
-    artifacts = os.listdir(os.path.join(tmp, "engines"))
+    artifacts = os.listdir(os.path.join(short_tmp, "engines"))
     assert len(artifacts) == 1 and "_000000000000_" in artifacts[0]
 
 

@@ -52,9 +52,16 @@ from repro.serve.loadgen import reference_engine, run_chaos_soak, run_loadgen
 PROCS = 4
 
 
-def _short_tmpdir() -> str:
+def _short_tmpdir() -> tempfile.TemporaryDirectory:
     # AF_UNIX paths are limited to ~107 bytes; pytest tmp_path nests too deep
-    return tempfile.mkdtemp(prefix="rr-", dir="/tmp")
+    return tempfile.TemporaryDirectory(prefix="rr-", dir="/tmp")
+
+
+@pytest.fixture
+def short_tmp():
+    """A short /tmp directory, removed with everything in it at teardown."""
+    with _short_tmpdir() as tmp:
+        yield tmp
 
 
 class _FakeClock:
@@ -298,43 +305,43 @@ def test_chaos_fault_parameters_replay_with_decision():
 
 @pytest.fixture(scope="module")
 def serve_env():
-    tmp = _short_tmpdir()
-    cache_dir = os.path.join(tmp, "cache")
-    os.makedirs(cache_dir)
-    old_cache = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = cache_dir
+    with _short_tmpdir() as tmp:
+        cache_dir = os.path.join(tmp, "cache")
+        os.makedirs(cache_dir)
+        old_cache = os.environ.get("REPRO_CACHE_DIR")
+        os.environ["REPRO_CACHE_DIR"] = cache_dir
 
-    A = rmat(scale=8, edge_factor=8, seed=11)
-    mtx = os.path.join(tmp, "tiny.mtx")
-    write_matrix_market(mtx, A)
+        A = rmat(scale=8, edge_factor=8, seed=11)
+        mtx = os.path.join(tmp, "tiny.mtx")
+        write_matrix_market(mtx, A)
 
-    config = ServeConfig(
-        socket_path=os.path.join(tmp, "s.sock"),
-        max_batch=8,
-        batch_deadline_ms=2.0,
-        allow_fault_injection=True,
-    )
-    handle = start_in_thread(config)
-    env = {"A": A, "mtx": mtx, "sock": config.socket_path, "tmp": tmp}
-    try:
-        # warm the engine once: every test below measures steady state
-        with ServeClient(config.socket_path) as c:
-            resp, _ = c.request(
-                {"op": "partition", "matrix": mtx, "procs": PROCS, "seed": 0}
-            )
-            assert resp.get("ok"), resp
-        yield env
-    finally:
+        config = ServeConfig(
+            socket_path=os.path.join(tmp, "s.sock"),
+            max_batch=8,
+            batch_deadline_ms=2.0,
+            allow_fault_injection=True,
+        )
+        handle = start_in_thread(config)
+        env = {"A": A, "mtx": mtx, "sock": config.socket_path, "tmp": tmp}
         try:
-            with ServeClient(config.socket_path, timeout=10.0) as c:
-                c.request({"op": "shutdown"})
-        except OSError:
-            pass
-        handle.stop()
-        if old_cache is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = old_cache
+            # warm the engine once: every test below measures steady state
+            with ServeClient(config.socket_path) as c:
+                resp, _ = c.request(
+                    {"op": "partition", "matrix": mtx, "procs": PROCS, "seed": 0}
+                )
+                assert resp.get("ok"), resp
+            yield env
+        finally:
+            try:
+                with ServeClient(config.socket_path, timeout=10.0) as c:
+                    c.request({"op": "shutdown"})
+            except OSError:
+                pass
+            handle.stop()
+            if old_cache is None:
+                os.environ.pop("REPRO_CACHE_DIR", None)
+            else:
+                os.environ["REPRO_CACHE_DIR"] = old_cache
 
 
 def _target(env) -> dict:
